@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import EmptyMemberList, MessageTooLarge
-from .serial import Reader
+from .serial import Reader, pack_u32
 
 DEFAULT_SCALE = 100  # fixed-point scale for real-valued data
 DEFAULT_MAX_MESSAGE = 1 << 20  # decodable plaintext bound, config knob
@@ -58,6 +58,21 @@ def decode_ciphertext(group, data: bytes) -> Ciphertext:
     c2 = group.decode_point(reader.take(n))
     reader.expect_done()
     return Ciphertext(c1, c2)
+
+
+def pack_cts(cts) -> bytes:
+    """A ciphertext list: u32 count, then each ciphertext's encoding."""
+    return pack_u32(len(cts)) + b"".join(ct.encode() for ct in cts)
+
+
+def unpack_cts(group, reader: Reader) -> list[Ciphertext]:
+    n = reader.u32()
+    out = []
+    pb = group.point_bytes
+    for _ in range(n):
+        out.append(Ciphertext(group.decode_point(reader.take(pb)),
+                              group.decode_point(reader.take(pb))))
+    return out
 
 
 @dataclass(frozen=True)

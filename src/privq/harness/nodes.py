@@ -5,6 +5,10 @@ lives in small per-node dictionaries keyed by query id. Timeouts are
 modeled by the bus idle callback: a CN missing DP responses proceeds
 without them, a CN missing a peer CN's share aborts the query, and the
 leader VN starts block assembly once traffic has drained.
+
+The protocol steps and their checks are the functions of privq.protocols,
+and the block rules those of privq.ledger; the nodes here route messages,
+park early ones, keep per-query state and handle timeouts.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import hashlib
 from types import SimpleNamespace
 
 from .. import elgamal, ledger, protocols
-from ..elgamal import Ciphertext
+from ..elgamal import pack_cts, unpack_cts
 from ..encodings import (
     EncodedResponse,
     decode as decode_aggregate,
@@ -21,9 +25,10 @@ from ..encodings import (
     neutral_response,
     train_logreg,
 )
-from ..errors import CnUnavailable, PrivqError
+from ..errors import CnUnavailable, InsufficientSignatures, PrivqError
 from ..proofs import rangeproof
-from ..proofs.linear import decode_linear, verify_linear
+# unused here since the VN checks run in protocols; perfbench wraps this name
+from ..proofs.linear import verify_linear  # noqa: F401
 from ..proofs.shuffle import decode_shuffle, shuffle_and_prove, verify_shuffle
 from ..proofs.signatures import sign, verify_signature
 from ..serial import Reader, pack_bytes, pack_u32
@@ -31,24 +36,11 @@ from .bus import NodeBase
 from .queryparse import apply_filter, decode_query
 
 RESULT_ROUND = "result"
+ROUND_PROOF_TYPE = {"ctks": "keyswitch", "cto": "obfuscation"}
 
 
 # ---------------------------------------------------------------------------
 # payload codecs
-
-
-def pack_cts(cts) -> bytes:
-    return pack_u32(len(cts)) + b"".join(ct.encode() for ct in cts)
-
-
-def unpack_cts(group, reader: Reader) -> list[Ciphertext]:
-    n = reader.u32()
-    out = []
-    pb = group.point_bytes
-    for _ in range(n):
-        out.append(Ciphertext(group.decode_point(reader.take(pb)),
-                              group.decode_point(reader.take(pb))))
-    return out
 
 
 def pack_response(resp: EncodedResponse) -> bytes:
@@ -60,27 +52,6 @@ def unpack_response(group, data: bytes) -> EncodedResponse:
     cts = unpack_cts(group, reader)
     reader.expect_done()
     return EncodedResponse(cts[:-1], cts[-1])
-
-
-def pack_labeled_inputs(labels, input_lists, output) -> bytes:
-    out = [pack_u32(len(labels))]
-    for label, cts in zip(labels, input_lists):
-        out.append(pack_bytes(label.encode()))
-        out.append(pack_cts(cts))
-    out.append(pack_cts(output))
-    return b"".join(out)
-
-
-def unpack_labeled_inputs(group, data: bytes):
-    reader = Reader(data)
-    n = reader.u32()
-    labels, inputs = [], []
-    for _ in range(n):
-        labels.append(reader.bytes_field().decode())
-        inputs.append(tuple(unpack_cts(group, reader)))
-    output = tuple(unpack_cts(group, reader))
-    reader.expect_done()
-    return labels, inputs, output
 
 
 # ---------------------------------------------------------------------------
@@ -302,28 +273,16 @@ class CnNode(NodeBase):
             zeros = tuple(elgamal.encrypt(group, 0, pk, self.rng) for _ in range(dim + 1))
             state.inputs.append((self.identity + "/neutral", zeros))
         state.aggregated = True
-        labels = [label for label, _ in state.inputs]
-        input_lists = [cts for _, cts in state.inputs]
-        width = len(input_lists[0])
-        total = tuple(
-            self._ct_sum([cts[j] for cts in input_lists]) for j in range(width)
-        )
-        self._emit_bundle(query_id, "aggregation", 0,
-                          (pack_labeled_inputs(labels, input_lists, total),))
+        agg = protocols.aggregate([label for label, _ in state.inputs],
+                                  [cts for _, cts in state.inputs])
+        self._emit_bundle(query_id, "aggregation", 0, (agg.encode(),))
         parent = self._parent()
         if parent is not None:
-            self.send(query_id, "cta_partial", parent, pack_cts(list(total)))
+            self.send(query_id, "cta_partial", parent, pack_cts(agg.output))
             state.stage = "done"
             return
-        state.current = EncodedResponse(list(total[:-1]), total[-1])
+        state.current = EncodedResponse(list(agg.output[:-1]), agg.output[-1])
         self._advance_root(query_id)
-
-    @staticmethod
-    def _ct_sum(cts):
-        total = cts[0]
-        for ct in cts[1:]:
-            total = total + ct
-        return total
 
     # ----- root stage machine -----
 
@@ -354,49 +313,29 @@ class CnNode(NodeBase):
         for child in self._children():
             self.send(query_id, "round_request", child, payload)
         state.share_waits[tag] = set(self._children())
-        state.share_sums[tag] = self._own_shares(query_id, tag, cts)
-        self._try_finish_round(query_id, tag)
-
-    def _own_shares(self, query_id, tag, cts):
-        """This CN's share pairs for the round, with the proof bundle emitted."""
         group = self.topology.group
-        target_pk = self.topology.keys[self.topology.querier_id].public
-        shares, payloads = [], []
-        for ct in cts:
-            if tag == "ctks":
-                w1, w2, proof = protocols.ctks_share(
-                    group, ct.c1, self.topology.keys[self.identity], target_pk, self.rng)
-                shares.append((w1, w2))
-            else:
-                blinded, proof = protocols.cto_share(group, ct, self.rng)
-                shares.append((blinded.c1, blinded.c2))
-            payloads.append(pack_bytes(ct.encode()) + proof.encode())
-        self._emit_bundle(query_id, "keyswitch" if tag == "ctks" else "obfuscation",
-                          0, tuple(payloads))
-        return shares
+        if tag == "ctks":
+            target_pk = self.topology.keys[self.topology.querier_id].public
+            shares, payloads = protocols.ctks_shares(
+                group, cts, self.topology.keys[self.identity], target_pk, self.rng)
+        else:
+            shares, payloads = protocols.cto_shares(group, cts, self.rng)
+        self._emit_bundle(query_id, ROUND_PROOF_TYPE[tag], 0, tuple(payloads))
+        state.share_sums[tag] = shares
+        self._try_finish_round(query_id, tag)
 
     def on_round_request(self, msg):
         reader = Reader(msg.payload)
         tag = reader.bytes_field().decode()
         cts = unpack_cts(self.topology.group, reader)
-        state = self._state(msg.query_id)
-        state.round_cts[tag] = cts
-        payload = pack_bytes(tag.encode()) + pack_cts(cts)
-        for child in self._children():
-            self.send(msg.query_id, "round_request", child, payload)
-        state.share_waits[tag] = set(self._children())
-        state.share_sums[tag] = self._own_shares(msg.query_id, tag, cts)
-        self._try_finish_round(msg.query_id, tag)
+        self._start_tree_round(msg.query_id, tag, cts)
 
     def on_round_share(self, msg):
         reader = Reader(msg.payload)
         tag = reader.bytes_field().decode()
-        pairs = unpack_cts(self.topology.group, reader)  # share pairs ride as cts
+        shares = unpack_cts(self.topology.group, reader)
         state = self._state(msg.query_id)
-        sums = state.share_sums[tag]
-        for j, pair in enumerate(pairs):
-            w1, w2 = sums[j]
-            sums[j] = (w1 + pair.c1, w2 + pair.c2)
+        state.share_sums[tag] = protocols.add_shares(state.share_sums[tag], shares)
         state.share_waits[tag].discard(msg.sender)
         self._try_finish_round(msg.query_id, tag)
 
@@ -407,23 +346,19 @@ class CnNode(NodeBase):
         sums = state.share_sums[tag]
         parent = self._parent()
         if parent is not None:
-            payload = pack_bytes(tag.encode()) + pack_cts(
-                [Ciphertext(w1, w2) for w1, w2 in sums])
-            self.send(query_id, "round_share", parent, payload)
+            self.send(query_id, "round_share", parent,
+                      pack_bytes(tag.encode()) + pack_cts(sums))
             return
-        cts = state.round_cts[tag]
         if tag == "ctks":
-            switched = [Ciphertext(sums[j][0], cts[j].c2 + sums[j][1])
-                        for j in range(len(cts))]
+            switched = protocols.ctks_combine(state.round_cts[tag], sums)
             state.current = EncodedResponse(switched[:-1], switched[-1])
             state.stage = "done"
             self.send(query_id, RESULT_ROUND, self.topology.querier_id,
                       pack_response(state.current))
             for vn in self.topology.vn_ids:
                 self.send(query_id, "end_query", vn)
-        else:  # cto: shares are the blinded ciphertext sums themselves
-            blinded = [Ciphertext(w1, w2) for w1, w2 in sums]
-            state.current = EncodedResponse(blinded, state.current.count)
+        else:  # cto: the summed blinded shares are the obfuscated vector
+            state.current = EncodedResponse(sums, state.current.count)
             state.stage = "cto_done"
             self._advance_root(query_id)
 
@@ -444,13 +379,9 @@ class CnNode(NodeBase):
             state.stage = "cdp_done"
             self._advance_root(query_id)
             return
-        params = self.topology.cdp_params
-        values = protocols.quantize_laplace(
-            params.get("epsilon", 1.0), params.get("delta_f", 1.0),
-            params.get("theta", 0.5), params.get("list_size", 100))
-        raws = [elgamal.fixed_encode(v, self.topology.scale).raw for v in values]
-        initial = [elgamal.encrypt_with_nonce(group, m, pk, 0) for m in raws]
-        self.send(query_id, "cdp_pass", self.tree.nodes[0], pack_cts(initial))
+        _, initial = protocols.initial_noise(group, *self.topology.noise_params(), pk,
+                                             scale=self.topology.scale)
+        self.send(query_id, "cdp_pass", self.tree.root, pack_cts(initial))
 
     def on_cdp_pass(self, msg):
         group = self.topology.group
@@ -464,7 +395,7 @@ class CnNode(NodeBase):
             self.send(msg.query_id, "cdp_pass", self.tree.nodes[pos + 1],
                       pack_cts(list(outputs)))
         else:
-            self.send(msg.query_id, "cdp_done", self.tree.nodes[0],
+            self.send(msg.query_id, "cdp_done", self.tree.root,
                       pack_cts(list(outputs)))
 
     def on_cdp_replay(self, msg):
@@ -526,6 +457,7 @@ class VnNode(NodeBase):
         super().__init__(identity, topology, rng)
         self.policy = policy
         self.range_sigs = range_sigs
+        self.tree = protocols.build_tree(topology.cn_ids, topology.tree_shape)
         self.chain = ledger.Chain()
         self.kv = {}  # proof key -> ProofBundle, every received proof is stored
         self.states = {}
@@ -564,7 +496,7 @@ class VnNode(NodeBase):
             dp_range_cts={},  # dp -> {element index -> Ciphertext}
             agg_inputs={},  # dp -> ct tuple seen in a CN aggregation proof
             round_ct_hash={},  # "keyswitch"/"obfuscation" -> first-seen input hash
-            shuffle_io={},  # cn index -> (inputs enc, outputs enc)
+            shuffle_io={},  # chain position -> (inputs enc, outputs enc)
         )
         for parked in self._stash.pop(query.query_id, []):
             super().handle(parked)
@@ -597,8 +529,8 @@ class VnNode(NodeBase):
             handler = {
                 "range": self._check_range,
                 "aggregation": self._check_aggregation,
-                "keyswitch": self._check_keyswitch,
-                "obfuscation": self._check_obfuscation,
+                "keyswitch": self._check_round,
+                "obfuscation": self._check_round,
                 "shuffle": self._check_shuffle,
             }.get(bundle.proof_type)
             if handler is None:
@@ -637,10 +569,9 @@ class VnNode(NodeBase):
         return True
 
     def _check_aggregation(self, state, bundle, index) -> bool:
-        group = self.topology.group
-        labels, inputs, output = unpack_labeled_inputs(group, bundle.payloads[index])
-        ok = protocols.verify_aggregation(protocols.AggregationProof(tuple(inputs), output))
-        for label, cts in zip(labels, inputs):
+        agg = protocols.Aggregation.decode(self.topology.group, bundle.payloads[index])
+        ok = protocols.verify_aggregation(agg)
+        for label, cts in zip(agg.labels, agg.inputs):
             if label in state.query.dp_list:
                 state.agg_inputs[label] = cts
                 proven = state.dp_range_cts.get(label, {})
@@ -650,43 +581,16 @@ class VnNode(NodeBase):
                         state.map.record(key, ledger.STATUS_FALSE)
         return ok
 
-    def _round_payload(self, state, bundle, index, tag):
-        group = self.topology.group
-        reader = Reader(bundle.payloads[index])
-        ct = elgamal.decode_ciphertext(group, reader.bytes_field())
-        proof = decode_linear(group, reader.rest())
-        # all CNs must run the round over the same ciphertext list
-        digest = hashlib.sha256(
-            b"".join(Reader(p).bytes_field() for p in bundle.payloads)
-        ).hexdigest()
-        first = state.round_ct_hash.setdefault(tag, digest)
-        if first != digest:
-            return None, None
-        return ct, proof
-
-    def _check_keyswitch(self, state, bundle, index) -> bool:
-        group = self.topology.group
-        ct, proof = self._round_payload(state, bundle, index, "keyswitch")
-        if ct is None:
+    def _check_round(self, state, bundle, index) -> bool:
+        # all CNs must run the round over the same ciphertext list; the
+        # first bundle seen for the round fixes it
+        digest = hashlib.sha256(protocols.round_inputs(bundle.payloads)).hexdigest()
+        if state.round_ct_hash.setdefault(bundle.proof_type, digest) != digest:
             return False
-        st = proof.statement
-        base = group.base()
-        target_pk = self.topology.keys[self.topology.querier_id].public
-        cn_pub = self.topology.keys[bundle.prover_id].public
-        if st.bases != ((base, None), (None, base), (-ct.c1, target_pk)):
-            return False
-        if st.targets[0] != cn_pub:
-            return False
-        return verify_linear(proof)
-
-    def _check_obfuscation(self, state, bundle, index) -> bool:
-        ct, proof = self._round_payload(state, bundle, index, "obfuscation")
-        if ct is None:
-            return False
-        st = proof.statement
-        if st.bases != ((ct.c1,), (ct.c2,)) or st.n_secrets != 1:
-            return False
-        return verify_linear(proof)
+        return protocols.verify_round_payload(
+            self.topology.group, bundle.proof_type, bundle.payloads[index],
+            cn_public=self.topology.keys[bundle.prover_id].public,
+            target_pk=self.topology.keys[self.topology.querier_id].public)
 
     def _check_shuffle(self, state, bundle, index) -> bool:
         group = self.topology.group
@@ -694,12 +598,14 @@ class VnNode(NodeBase):
         collective = self.topology.collective_key().public
         if proof.omega != collective:
             return False
-        position = list(self.topology.cn_ids).index(bundle.prover_id)
+        position = self.tree.nodes.index(bundle.prover_id)
         inputs_enc = tuple(ct.encode() for ct in proof.inputs)
         outputs_enc = tuple(ct.encode() for ct in proof.outputs)
         state.shuffle_io[position] = (inputs_enc, outputs_enc)
         if position == 0:
-            if inputs_enc != self._canonical_noise_list(state):
+            _, initial = protocols.initial_noise(group, *self.topology.noise_params(),
+                                                 collective, scale=self.topology.scale)
+            if inputs_enc != tuple(ct.encode() for ct in initial):
                 return False
         else:
             prev = state.shuffle_io.get(position - 1)
@@ -707,25 +613,7 @@ class VnNode(NodeBase):
                 return False
         return verify_shuffle(proof)
 
-    def _canonical_noise_list(self, state):
-        group = self.topology.group
-        pk = self.topology.collective_key().public
-        params = self.topology.cdp_params
-        values = protocols.quantize_laplace(
-            params.get("epsilon", 1.0), params.get("delta_f", 1.0),
-            params.get("theta", 0.5), params.get("list_size", 100))
-        return tuple(
-            elgamal.encrypt_with_nonce(
-                group, elgamal.fixed_encode(v, self.topology.scale).raw, pk, 0
-            ).encode()
-            for v in values
-        )
-
     # ----- block assembly -----
-
-    def _leader_for(self, height: int) -> str:
-        vns = list(self.topology.vn_ids)
-        return vns[height % len(vns)]
 
     def on_end_query(self, msg):
         state = self.states.get(msg.query_id)
@@ -735,7 +623,8 @@ class VnNode(NodeBase):
     def on_idle(self, level: int = 0):
         for query_id, state in self.states.items():
             if (state.ended and not state.assembling and state.block is None
-                    and self._leader_for(len(self.chain)) == self.identity):
+                    and ledger.block_leader(self.topology.vn_ids, len(self.chain))
+                    == self.identity):
                 state.assembling = True
                 state.collected_maps[self.identity] = state.map
                 for vn in self.topology.vn_ids:
@@ -760,23 +649,18 @@ class VnNode(NodeBase):
         state = self.states[query_id]
         if len(state.collected_maps) < len(self.topology.vn_ids) or state.block:
             return
-        block = ledger.Block(len(self.chain), query_id, state.query_bytes,
-                             dict(state.collected_maps), self.chain.head_hash())
-        state.block = block
+        state.block = self.chain.next_block(query_id, state.query_bytes,
+                                            state.collected_maps)
         for vn in self.topology.vn_ids:
-            self.send(query_id, "block_sign_request", vn, block.encode())
+            self.send(query_id, "block_sign_request", vn, state.block.encode())
 
     def on_block_sign_request(self, msg):
         state = self.states.get(msg.query_id)
         if state is None:
             return
-        block = ledger.Block.decode(msg.payload)
-        group = self.topology.group
-        recorded = block.maps.get(self.identity)
-        signature = b""
-        if recorded is not None and recorded == state.map:
-            signature = sign(group, self.topology.keys[self.identity].private,
-                             block.body_bytes())
+        signature = ledger.sign_block(
+            self.topology.group, self.identity, self.topology.keys[self.identity].private,
+            ledger.Block.decode(msg.payload), state.map)
         self.send(msg.query_id, "block_signature", msg.sender, signature)
 
     def on_block_signature(self, msg):
@@ -786,11 +670,10 @@ class VnNode(NodeBase):
         state.signatures[msg.sender] = msg.payload
         if len(state.signatures) < len(self.topology.vn_ids):
             return
-        block = state.block
-        block.signatures = {vn: sig for vn, sig in state.signatures.items() if sig}
-        if len(block.signatures) < self.policy.f_h:
-            self.send(msg.query_id, "abort", self.topology.querier_id,
-                      f"only {len(block.signatures)} block signatures".encode())
+        try:
+            block = ledger.seal_block(state.block, state.signatures, self.policy.f_h)
+        except InsufficientSignatures as exc:
+            self.send(msg.query_id, "abort", self.topology.querier_id, str(exc).encode())
             return
         encoded = block.encode()
         for vn in self.topology.vn_ids:

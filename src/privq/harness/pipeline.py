@@ -66,15 +66,12 @@ class Simulation:
         policy = topology.policy()
         self.policy = policy
 
+        tree = protocols.build_tree(topology.cn_ids, topology.tree_shape)
         noise = None
         if eager_noise:
-            params = topology.cdp_params
-            tree = protocols.build_tree(topology.cn_ids, topology.tree_shape)
             noise = protocols.cdp_generate(
-                group,
-                params.get("epsilon", 1.0), params.get("delta_f", 1.0),
-                params.get("theta", 0.5), params.get("list_size", 100),
-                tree, topology.collective_key().public,
+                group, *topology.noise_params(), tree,
+                topology.collective_key().public,
                 topology.node_rng("cdp-eager"), scale=topology.scale,
             )
 
@@ -85,7 +82,7 @@ class Simulation:
         self.cns = {}
         for cn in topology.cn_ids:
             self.cns[cn] = CnNode(cn, topology, topology.node_rng(cn),
-                                  noise=noise if cn == sorted(topology.cn_ids)[0] else None)
+                                  noise=noise if cn == tree.root else None)
         self.dps = {}
         for dp in topology.dp_ids:
             self.dps[dp] = DpNode(dp, topology, topology.node_rng(dp),
@@ -109,6 +106,7 @@ class Simulation:
 
     def run(self, query) -> QueryOutcome:
         t0 = time.perf_counter()
+        delivered = self.bus.delivered
         state = self.querier.start(query)
         self.bus.pump(done=lambda: state.error is not None
                       or (state.result is not None and state.block is not None))
@@ -128,8 +126,9 @@ class Simulation:
             raw_values=state.raw_values,
             metrics={
                 "wall_time": time.perf_counter() - t0,
-                "messages": self.bus.delivered,
-                "proof_bundles": sum(len(vn.kv) for vn in self.vns.values()),
+                "messages": self.bus.delivered - delivered,
+                "proof_bundles": sum(1 for vn in self.vns.values() for bundle in vn.kv.values()
+                                     if bundle.query_id == query.query_id),
             },
         )
 

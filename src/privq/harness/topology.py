@@ -75,6 +75,12 @@ class Topology:
             )
         return self._collective
 
+    def noise_params(self) -> tuple:
+        """(epsilon, delta_f, theta, list_size) of the CDP noise list."""
+        params = self.cdp_params
+        return (params.get("epsilon", 1.0), params.get("delta_f", 1.0),
+                params.get("theta", 0.5), params.get("list_size", 100))
+
     def policy(self) -> VerificationPolicy:
         n = len(self.vn_ids)
         return VerificationPolicy(

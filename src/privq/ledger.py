@@ -358,6 +358,10 @@ class Chain:
     def head_hash(self) -> bytes:
         return self.blocks[-1].block_hash() if self.blocks else GENESIS_HASH
 
+    def next_block(self, query_id: str, query_bytes: bytes, maps: dict) -> Block:
+        """An unsigned block for `query_id` extending the current head."""
+        return Block(len(self), query_id, query_bytes, dict(maps), self.head_hash())
+
     def append(self, block: Block):
         self.blocks.append(block)
         self._index[block.query_id] = len(self.blocks) - 1
@@ -374,27 +378,38 @@ class Chain:
         return len(self.blocks)
 
 
+def block_leader(vn_ids, height: int) -> str:
+    """Round-robin by height over `vn_ids` in the order given."""
+    return vn_ids[height % len(vn_ids)]
+
+
+def sign_block(group, vn_id: str, sk: int, block: Block, own_map) -> bytes:
+    """A VN signs iff the block records its own map faithfully; b"" refuses."""
+    recorded = block.maps.get(vn_id)
+    if recorded is None or recorded != own_map:
+        return b""
+    return sign(group, sk, block.body_bytes())
+
+
+def seal_block(block: Block, signatures: dict, f_h: int) -> Block:
+    """Attach the non-empty signatures; a block commits with at least f_h."""
+    block.signatures = {vn: sig for vn, sig in signatures.items() if sig}
+    if len(block.signatures) < f_h:
+        raise InsufficientSignatures(f"only {len(block.signatures)} block signatures")
+    return block
+
+
 def commit_block(query_id: str, query_bytes: bytes, maps: dict, vn_keys: dict,
                  policy: VerificationPolicy, chain: Chain, group,
                  local_maps: dict | None = None) -> Block:
-    """Leader (round-robin by height) assembles the block; each VN signs iff
-    its own map is faithfully recorded; commit needs >= f_h signatures."""
-    vn_ids = sorted(vn_keys)
-    leader = vn_ids[len(chain) % len(vn_ids)]
-    block = Block(len(chain), query_id, query_bytes, dict(maps),
-                  chain.head_hash())
+    """Every VN in `vn_keys` signs the block over `maps` against its own
+    map (`local_maps`, default `maps`); the block is appended to `chain`
+    once f_h signatures seal it."""
+    block = chain.next_block(query_id, query_bytes, maps)
     local_maps = local_maps if local_maps is not None else maps
-    body = block.body_bytes()
-    for vn in vn_ids:
-        recorded = block.maps.get(vn)
-        own = local_maps.get(vn)
-        if recorded is not None and own is not None and recorded == own:
-            block.signatures[vn] = sign(group, vn_keys[vn].private, body)
-    if len(block.signatures) < policy.f_h:
-        raise InsufficientSignatures(
-            f"{len(block.signatures)} signatures < f_h={policy.f_h} (leader {leader})"
-        )
-    chain.append(block)
+    signatures = {vn: sign_block(group, vn, vn_keys[vn].private, block, local_maps.get(vn))
+                  for vn in sorted(vn_keys)}
+    chain.append(seal_block(block, signatures, policy.f_h))
     return block
 
 

@@ -9,8 +9,12 @@
   list, sequentially and verifiably shuffled by every CN, whose leading
   ciphertexts are added to the aggregate.
 
-Every per-CN step emits a proof payload; the ledger module wraps payloads
-into signed bundles addressed to the verifying nodes.
+Every per-CN step is a function here that returns its output and its
+proof payloads; the ledger module wraps payloads into signed bundles
+addressed to the verifying nodes. The node runtimes (harness.nodes) and
+the offline API below (cta_aggregate, ctks_switch, cto_obfuscate,
+cdp_generate, which loop over the CNs without a bus) call the same steps,
+and the verifying nodes check payloads with the verifiers defined here.
 """
 
 from __future__ import annotations
@@ -19,19 +23,16 @@ import math
 from dataclasses import dataclass, field
 
 from . import elgamal
-from .elgamal import Ciphertext
+from .elgamal import Ciphertext, pack_cts, unpack_cts
 from .errors import (
     DimensionMismatch,
     InvalidPrivacyParams,
     KeyMismatch,
-    MalformedProof,
     NoiseExhausted,
 )
-from .proofs.linear import LinearStatement, prove_linear, verify_linear
+from .proofs.linear import LinearStatement, decode_linear, prove_linear, verify_linear
 from .proofs.shuffle import shuffle_and_prove
-from .serial import Reader, pack_u8, pack_u32
-
-AGGREGATION_TAG = 0x04
+from .serial import Reader, pack_bytes, pack_u32
 
 
 # ---------------------------------------------------------------------------
@@ -40,7 +41,12 @@ AGGREGATION_TAG = 0x04
 
 @dataclass(frozen=True)
 class CnTree:
-    """Rooted tree over CN identities; deterministic given the sorted ids."""
+    """Rooted tree over CN identities; deterministic given the sorted ids.
+
+    `nodes` is also the order of the CDP shuffle chain: the CN at index i
+    shuffles the list the CN at index i - 1 produced, and index 0 starts
+    from the public initial noise list.
+    """
 
     nodes: tuple
     parents: tuple  # parent index per node, -1 for the root
@@ -80,60 +86,63 @@ def build_tree(cn_ids, shape: str = "binary") -> CnTree:
 # Aggregation (CTA)
 
 
-@dataclass(frozen=True)
-class AggregationProof:
-    """Input ciphertext lists and the claimed sum; verification recomputes it."""
+def _sum_vectors(input_lists) -> tuple:
+    """Componentwise sum of ciphertext tuples, as wide as the first one."""
+    totals = []
+    for j in range(len(input_lists[0])):
+        total = input_lists[0][j]
+        for cts in input_lists[1:]:
+            total = total + cts[j]
+        totals.append(total)
+    return tuple(totals)
 
+
+@dataclass(frozen=True)
+class Aggregation:
+    """One CN's aggregation step: labelled input ciphertext tuples and their
+    componentwise sum. A label names the DP or the child CN an input came
+    from; verifying nodes use it to bind range-proved ciphertexts to DPs.
+
+    Payload: u32 input count, then per input its label and its ciphertext
+    list, then the output ciphertext list.
+    """
+
+    labels: tuple
     inputs: tuple  # tuple of ciphertext tuples
     output: tuple  # ciphertext tuple
 
     def encode(self) -> bytes:
-        out = [pack_u8(AGGREGATION_TAG), pack_u32(len(self.output)),
-               pack_u32(len(self.inputs))]
-        for group_cts in self.inputs:
-            out.extend(ct.encode() for ct in group_cts)
-        out.extend(ct.encode() for ct in self.output)
+        out = [pack_u32(len(self.labels))]
+        for label, cts in zip(self.labels, self.inputs):
+            out.append(pack_bytes(label.encode()))
+            out.append(pack_cts(cts))
+        out.append(pack_cts(self.output))
         return b"".join(out)
 
-
-def verify_aggregation(proof: AggregationProof) -> bool:
-    if not proof.inputs or not proof.output:
-        return False
-    width = len(proof.output)
-    if any(len(cts) != width for cts in proof.inputs):
-        return False
-    for j in range(width):
-        total = proof.inputs[0][j]
-        for cts in proof.inputs[1:]:
-            total = total + cts[j]
-        if total != proof.output[j]:
-            return False
-    return True
-
-
-def decode_aggregation(group, data: bytes) -> AggregationProof:
-    try:
+    @classmethod
+    def decode(cls, group, data: bytes) -> "Aggregation":
         reader = Reader(data)
-        if reader.u8() != AGGREGATION_TAG:
-            raise MalformedProof("wrong proof type tag")
-        width = reader.u32()
-        n_inputs = reader.u32()
-        if not (1 <= width <= 100000 and 1 <= n_inputs <= 100000):
-            raise MalformedProof("implausible aggregation shape")
-        pb = group.point_bytes
-
-        def ct():
-            return Ciphertext(group.decode_point(reader.take(pb)),
-                              group.decode_point(reader.take(pb)))
-
-        inputs = tuple(tuple(ct() for _ in range(width)) for _ in range(n_inputs))
-        output = tuple(ct() for _ in range(width))
+        labels, inputs = [], []
+        for _ in range(reader.u32()):
+            labels.append(reader.bytes_field().decode())
+            inputs.append(tuple(unpack_cts(group, reader)))
+        output = tuple(unpack_cts(group, reader))
         reader.expect_done()
-        return AggregationProof(inputs, output)
-    except MalformedProof:
-        raise
-    except Exception as exc:
-        raise MalformedProof(f"undecodable aggregation proof: {exc}") from exc
+        return cls(tuple(labels), tuple(inputs), output)
+
+
+def aggregate(labels, input_lists) -> Aggregation:
+    """CTA step: sum the labelled inputs; the result is also the payload."""
+    return Aggregation(tuple(labels), tuple(input_lists), _sum_vectors(input_lists))
+
+
+def verify_aggregation(agg: Aggregation) -> bool:
+    if not agg.inputs or not agg.output:
+        return False
+    width = len(agg.output)
+    if any(len(cts) != width for cts in agg.inputs):
+        return False
+    return _sum_vectors(agg.inputs) == agg.output
 
 
 @dataclass
@@ -152,8 +161,10 @@ def _response_cts(response) -> tuple:
 def cta_aggregate(tree: CnTree, contributions: dict):
     """Aggregate every DP's encoded response up the CN tree.
 
-    `contributions` maps cn_id -> list of EncodedResponse from its DPs.
-    Returns (aggregate EncodedResponse, [ProtocolStep per CN]).
+    `contributions` maps cn_id -> list of EncodedResponse from its DPs; the
+    i-th response of a CN is labelled "<cn_id>/<i>", a child's partial sum
+    by the child's id. Returns (aggregate EncodedResponse, [ProtocolStep per
+    CN]).
     """
     from .encodings import EncodedResponse  # local import, no cycle at module load
 
@@ -164,30 +175,24 @@ def cta_aggregate(tree: CnTree, contributions: dict):
     steps = []
     for idx in tree.bottom_up():
         cn = tree.nodes[idx]
-        parts = [_response_cts(r) for r in contributions.get(cn, [])]
-        parts.extend(p for child in tree.children(idx)
-                     if (p := partials[child]) is not None)
+        labels, parts = [], []
+        for i, r in enumerate(contributions.get(cn, [])):
+            labels.append(f"{cn}/{i}")
+            parts.append(_response_cts(r))
+        for child in tree.children(idx):
+            if partials[child] is not None:
+                labels.append(tree.nodes[child])
+                parts.append(partials[child])
         if not parts:
             partials[idx] = None
             continue
-        width = len(parts[0])
-        total = tuple(
-            _ct_sum([p[j] for p in parts]) for j in range(width)
-        )
-        partials[idx] = total
-        steps.append(ProtocolStep(cn, "aggregation",
-                                  [AggregationProof(tuple(parts), total).encode()]))
+        agg = aggregate(labels, parts)
+        partials[idx] = agg.output
+        steps.append(ProtocolStep(cn, "aggregation", [agg.encode()]))
     result = partials[0]
     if result is None:
         raise DimensionMismatch("no contributions to aggregate")
     return EncodedResponse(list(result[:-1]), result[-1]), steps
-
-
-def _ct_sum(cts):
-    total = cts[0]
-    for ct in cts[1:]:
-        total = total + ct
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -213,63 +218,6 @@ def ctks_share(group, c1, cn_key, target_pk, rng):
     return w1, w2, proof
 
 
-def ctks_switch(tree: CnTree, response, target_pk, cn_keys: dict, rng,
-                collective_pk=None):
-    """Switch every ciphertext of `response` from the CNs' collective key to
-    `target_pk`. Returns (switched EncodedResponse, [ProtocolStep per CN])."""
-    from .encodings import EncodedResponse
-
-    group = _group_of_keys(cn_keys)
-    if collective_pk is not None:
-        expect = None
-        for cn in tree.nodes:
-            pk = cn_keys[cn].public
-            expect = pk if expect is None else expect + pk
-        if expect != collective_pk:
-            raise KeyMismatch("ciphertext key is not this CN set's collective key")
-    cts = _response_cts(response)
-    sums = [None] * len(cts)
-    steps = []
-    for cn in tree.nodes:
-        step = ProtocolStep(cn, "keyswitch")
-        for j, ct in enumerate(cts):
-            w1, w2, proof = ctks_share(group, ct.c1, cn_keys[cn], target_pk, rng)
-            pair = (w1, w2)
-            sums[j] = pair if sums[j] is None else (sums[j][0] + w1, sums[j][1] + w2)
-            step.payloads.append(proof.encode())
-        steps.append(step)
-    switched = tuple(
-        Ciphertext(sums[j][0], cts[j].c2 + sums[j][1]) for j in range(len(cts))
-    )
-    return EncodedResponse(list(switched[:-1]), switched[-1]), steps
-
-
-def verify_ctks_payload(group, payload: bytes, cn_public, c1, target_pk) -> bool:
-    """Check a key-switch sub-proof against the CN's key and the ciphertext."""
-    from .proofs.linear import decode_linear
-
-    proof = decode_linear(group, payload)
-    st = proof.statement
-    if len(st.targets) != 3 or st.n_secrets != 2:
-        return False
-    neg_c1 = -c1
-    if st.bases != ((group.base(), None), (None, group.base()), (neg_c1, target_pk)):
-        return False
-    if st.targets[0] != cn_public:
-        return False
-    return verify_linear(proof)
-
-
-def _group_of_keys(cn_keys):
-    key = next(iter(cn_keys.values()))
-    point = key.public
-    if hasattr(point, "group"):
-        return point.group
-    from .group.ed25519 import GROUP
-
-    return GROUP
-
-
 # ---------------------------------------------------------------------------
 # Obfuscation (CTO)
 
@@ -288,7 +236,107 @@ def cto_share(group, ct: Ciphertext, rng):
     return blinded, proof
 
 
-def cto_obfuscate(tree: CnTree, response_or_ct, rng):
+# ---------------------------------------------------------------------------
+# CTKS and CTO rounds: per-CN shares, root combine, sub-proof verifier
+
+
+def round_payload(ct: Ciphertext, proof) -> bytes:
+    """A CTKS/CTO sub-proof payload: the round's input ciphertext, then the proof."""
+    return pack_bytes(ct.encode()) + proof.encode()
+
+
+def round_inputs(payloads) -> bytes:
+    """The encoded input ciphertexts a CN's round payloads were proved over."""
+    return b"".join(Reader(p).bytes_field() for p in payloads)
+
+
+def ctks_shares(group, cts, cn_key, target_pk, rng):
+    """One CN's CTKS step over a ciphertext list: its shares (w1, w2), carried
+    as Ciphertext pairs that add componentwise, and one payload per share."""
+    shares, payloads = [], []
+    for ct in cts:
+        w1, w2, proof = ctks_share(group, ct.c1, cn_key, target_pk, rng)
+        shares.append(Ciphertext(w1, w2))
+        payloads.append(round_payload(ct, proof))
+    return shares, payloads
+
+
+def ctks_combine(cts, share_sums) -> list:
+    """Root step of CTKS: (sum w1, C2 + sum w2) encrypts the same message
+    under the target key."""
+    return [Ciphertext(s.c1, ct.c2 + s.c2) for ct, s in zip(cts, share_sums)]
+
+
+def cto_shares(group, cts, rng):
+    """One CN's CTO step: its blinded ciphertexts and one payload per share.
+    The sum of all CNs' blinded ciphertexts is the round's output."""
+    shares, payloads = [], []
+    for ct in cts:
+        blinded, proof = cto_share(group, ct, rng)
+        shares.append(blinded)
+        payloads.append(round_payload(ct, proof))
+    return shares, payloads
+
+
+def add_shares(share_sums, shares) -> list:
+    return [total + share for total, share in zip(share_sums, shares)]
+
+
+def verify_round_payload(group, proof_type: str, payload: bytes,
+                         cn_public=None, target_pk=None) -> bool:
+    """Check one CTKS ("keyswitch") or CTO ("obfuscation") sub-proof.
+
+    The statement must have exactly the shape the step proves over the
+    payload's input ciphertext; a key-switch proof must also use the CN's
+    published key `cn_public` and the target key `target_pk`.
+    """
+    reader = Reader(payload)
+    ct = elgamal.decode_ciphertext(group, reader.bytes_field())
+    proof = decode_linear(group, reader.rest())
+    st = proof.statement
+    if proof_type == "keyswitch":
+        base = group.base()
+        if len(st.targets) != 3 or st.n_secrets != 2:
+            return False
+        if st.bases != ((base, None), (None, base), (-ct.c1, target_pk)):
+            return False
+        if st.targets[0] != cn_public:
+            return False
+    elif proof_type == "obfuscation":
+        if len(st.targets) != 2 or st.n_secrets != 1:
+            return False
+        if st.bases != ((ct.c1,), (ct.c2,)):
+            return False
+    else:
+        return False
+    return verify_linear(proof)
+
+
+def ctks_switch(group, tree: CnTree, response, target_pk, cn_keys: dict, rng,
+                collective_pk=None):
+    """Switch every ciphertext of `response` from the CNs' collective key to
+    `target_pk`. Returns (switched EncodedResponse, [ProtocolStep per CN])."""
+    from .encodings import EncodedResponse
+
+    if collective_pk is not None:
+        expect = None
+        for cn in tree.nodes:
+            pk = cn_keys[cn].public
+            expect = pk if expect is None else expect + pk
+        if expect != collective_pk:
+            raise KeyMismatch("ciphertext key is not this CN set's collective key")
+    cts = _response_cts(response)
+    sums = None
+    steps = []
+    for cn in tree.nodes:
+        shares, payloads = ctks_shares(group, cts, cn_keys[cn], target_pk, rng)
+        sums = shares if sums is None else add_shares(sums, shares)
+        steps.append(ProtocolStep(cn, "keyswitch", payloads))
+    switched = ctks_combine(cts, sums)
+    return EncodedResponse(switched[:-1], switched[-1]), steps
+
+
+def cto_obfuscate(group, tree: CnTree, response_or_ct, rng):
     """Blind each ciphertext by s = sum of fresh per-CN secrets; zero maps to
     zero. Accepts a single Ciphertext or an EncodedResponse (vector only, the
     count stays readable). Returns (same shape, [ProtocolStep per CN])."""
@@ -296,39 +344,15 @@ def cto_obfuscate(tree: CnTree, response_or_ct, rng):
 
     single = isinstance(response_or_ct, Ciphertext)
     cts = [response_or_ct] if single else list(response_or_ct.vector)
-    group = _group_of_point(cts[0].c1)
-    totals = [None] * len(cts)
+    sums = None
     steps = []
     for cn in tree.nodes:
-        step = ProtocolStep(cn, "obfuscation")
-        for j, ct in enumerate(cts):
-            blinded, proof = cto_share(group, ct, rng)
-            totals[j] = blinded if totals[j] is None else totals[j] + blinded
-            step.payloads.append(proof.encode())
-        steps.append(step)
+        shares, payloads = cto_shares(group, cts, rng)
+        sums = shares if sums is None else add_shares(sums, shares)
+        steps.append(ProtocolStep(cn, "obfuscation", payloads))
     if single:
-        return totals[0], steps
-    return EncodedResponse(totals, response_or_ct.count), steps
-
-
-def verify_cto_payload(group, payload: bytes, c1, c2) -> bool:
-    from .proofs.linear import decode_linear
-
-    proof = decode_linear(group, payload)
-    st = proof.statement
-    if len(st.targets) != 2 or st.n_secrets != 1:
-        return False
-    if st.bases != ((c1,), (c2,)):
-        return False
-    return verify_linear(proof)
-
-
-def _group_of_point(point):
-    if hasattr(point, "group"):
-        return point.group
-    from .group.ed25519 import GROUP
-
-    return GROUP
+        return sums[0], steps
+    return EncodedResponse(sums, response_or_ct.count), steps
 
 
 # ---------------------------------------------------------------------------
@@ -390,18 +414,28 @@ def quantize_laplace(epsilon: float, delta_f: float, theta: float, l_count: int)
     return values[:l_count]
 
 
+def initial_noise(group, epsilon, delta_f, theta, l_count, collective_pk,
+                  scale: int = elgamal.DEFAULT_SCALE):
+    """The public quantized noise values and the list that starts the
+    shuffle chain. Its encryptions are trivial (nonce 0): the list is
+    public, so the first CN's verifiable shuffle supplies the actual
+    rerandomization. Returns (values, ciphertext list)."""
+    values = quantize_laplace(epsilon, delta_f, theta, l_count)
+    return values, [
+        elgamal.encrypt_with_nonce(group, elgamal.fixed_encode(v, scale).raw,
+                                   collective_pk, 0)
+        for v in values
+    ]
+
+
 def cdp_generate(group, epsilon, delta_f, theta, l_count, tree: CnTree,
                  collective_pk, rng, scale: int = elgamal.DEFAULT_SCALE):
-    """Build the public quantized noise list and run the sequential shuffle
-    chain through every CN (ascending identity order).
-
-    Initial encryptions are trivial (nonce 0): the list is public, so the
-    first CN's verifiable shuffle supplies the actual rerandomization.
+    """Build the public noise list and run the sequential shuffle chain
+    through every CN in `tree.nodes` order.
     Returns (NoiseList, [ProtocolStep per CN]).
     """
-    values = quantize_laplace(epsilon, delta_f, theta, l_count)
-    raws = [elgamal.fixed_encode(v, scale).raw for v in values]
-    current = [elgamal.encrypt_with_nonce(group, m, collective_pk, 0) for m in raws]
+    values, current = initial_noise(group, epsilon, delta_f, theta, l_count,
+                                    collective_pk, scale)
     steps = []
     for cn in tree.nodes:
         outputs, proof = shuffle_and_prove(group, current, collective_pk, rng)

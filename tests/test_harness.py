@@ -121,6 +121,31 @@ def test_cdp_noise_lazy_and_eager():
         assert sim.audit(out.query_id).ok, eager
 
 
+def test_cdp_shuffle_chain_order_with_ten_cns():
+    """CN ids sort as strings (CN1, CN10, CN2, ...); the VNs must follow the
+    same shuffle-chain order as the CNs, or an honest run audits false."""
+    topo = Topology.build(n_cns=10, n_dps=4, n_vns=3, seed=23)
+    topo.cdp_params = {"epsilon": 1.0, "delta_f": 1.0, "theta": 0.5, "list_size": 4}
+    topo.dp_data = {f"DP{i + 1}": [{"x": 10 * (i + 1)}] for i in range(4)}
+    sim = Simulation(topo, seed=23)
+    out = sim.run(parse_query("SELECT sum x ON DP1,DP2,DP3,DP4", scale=100,
+                              dp_privacy=True))
+    report = sim.audit(out.query_id)
+    assert report.ok, [(p, t) for _, p, t, _, _ in report.false_entries]
+
+
+def test_metrics_count_one_query():
+    sim = Simulation(_topo(24), seed=24)
+    first = sim.run(parse_query("SELECT sum heart_rate ON DP1,DP2,DP3,DP4", scale=100))
+    second = sim.run(parse_query("SELECT sum heart_rate ON DP1,DP2,DP3", scale=100))
+    third = sim.run(parse_query("SELECT sum heart_rate ON DP1,DP2,DP4", scale=100))
+    assert second.metrics["messages"] == third.metrics["messages"]
+    assert second.metrics["proof_bundles"] == third.metrics["proof_bundles"]
+    assert first.metrics["messages"] > second.metrics["messages"]
+    # 3 CNs send an aggregation and a key-switch bundle to each of 3 VNs
+    assert second.metrics["proof_bundles"] == 2 * 3 * 3
+
+
 def test_regressions_through_pipeline():
     topo = Topology.build(n_cns=3, n_dps=5, n_vns=3, seed=17)
     topo.dp_data = {dp: [{"x": float(i * 2 + k), "y": 2.0 * (i * 2 + k) + 1.0}

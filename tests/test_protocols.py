@@ -12,6 +12,7 @@ from privq.errors import (DimensionMismatch, InvalidPrivacyParams, KeyMismatch,
 from privq.group import DlogTable, get_group
 from privq.proofs.shuffle import decode_shuffle, verify_shuffle
 from privq.rng import Drbg
+from privq.serial import pack_bytes
 
 
 @pytest.fixture(scope="module")
@@ -65,8 +66,8 @@ def test_cta_homomorphic_sum(ctx):
     assert elgamal.decrypt(group, agg.vector[0], sk, table) == 9
     assert elgamal.decrypt(group, agg.count, sk, table) == 3
     for step in steps:
-        proof = protocols.decode_aggregation(group, step.payloads[0])
-        assert protocols.verify_aggregation(proof), step.cn_id
+        agg = protocols.Aggregation.decode(group, step.payloads[0])
+        assert protocols.verify_aggregation(agg), step.cn_id
 
 
 def test_cta_sixty_dps_matches_plaintext(ctx):
@@ -109,7 +110,7 @@ def test_ctks_correctness(ctx, n_cns):
     sub_collective = elgamal.collective_key(group, [keys[c].public for c in ids])
     target = elgamal.KeyPair.generate(group, rng)
     resp = _response(ctx, [7], pk=sub_collective.public)
-    switched, steps = protocols.ctks_switch(tree, resp, target.public,
+    switched, steps = protocols.ctks_switch(group, tree, resp, target.public,
                                             {c: keys[c] for c in ids}, rng,
                                             collective_pk=sub_collective.public)
     assert elgamal.decrypt(group, switched.vector[0], target.private, table) == 7
@@ -119,16 +120,17 @@ def test_ctks_correctness(ctx, n_cns):
     cts = list(resp.vector) + [resp.count]
     for step, cn in zip(steps, tree.nodes):
         for j, payload in enumerate(step.payloads):
-            assert protocols.verify_ctks_payload(group, payload, keys[cn].public,
-                                                 cts[j].c1, target.public)
+            assert payload.startswith(pack_bytes(cts[j].encode()))
+            assert protocols.verify_round_payload(group, "keyswitch", payload,
+                                                  keys[cn].public, target.public)
 
 
 def test_ctks_old_key_isolated(ctx):
     group, rng, cn_ids, keys, collective, sk, table = ctx
     tree = protocols.build_tree(cn_ids)
     target = elgamal.KeyPair.generate(group, rng)
-    switched, _ = protocols.ctks_switch(tree, _response(ctx, [5]), target.public,
-                                        keys, rng)
+    switched, _ = protocols.ctks_switch(group, tree, _response(ctx, [5]),
+                                        target.public, keys, rng)
     with pytest.raises(OutOfTableRange):
         elgamal.decrypt(group, switched.vector[0], sk, table)
 
@@ -138,8 +140,8 @@ def test_ctks_key_mismatch(ctx):
     tree = protocols.build_tree(cn_ids)
     target = elgamal.KeyPair.generate(group, rng)
     with pytest.raises(KeyMismatch):
-        protocols.ctks_switch(tree, _response(ctx, [5]), target.public, keys, rng,
-                              collective_pk=target.public)
+        protocols.ctks_switch(group, tree, _response(ctx, [5]), target.public, keys,
+                              rng, collective_pk=target.public)
 
 
 def test_ctks_randomized_sweep(ctx):
@@ -157,7 +159,7 @@ def test_ctks_randomized_sweep(ctx):
         resp = EncodedResponse(
             [elgamal.encrypt(group, m, sub.public, rng)],
             elgamal.encrypt(group, 0, sub.public, rng))
-        switched, _ = protocols.ctks_switch(protocols.build_tree(ids), resp,
+        switched, _ = protocols.ctks_switch(group, protocols.build_tree(ids), resp,
                                             target.public,
                                             {c: keys[c] for c in ids}, rng)
         assert elgamal.decrypt(group, switched.vector[0], target.private, table) == m
@@ -167,7 +169,7 @@ def test_cto_zero_preserved(ctx):
     group, rng, cn_ids, keys, collective, sk, table = ctx
     tree = protocols.build_tree(cn_ids)
     obf, steps = protocols.cto_obfuscate(
-        tree, elgamal.encrypt(group, 0, collective.public, rng), rng)
+        group, tree, elgamal.encrypt(group, 0, collective.public, rng), rng)
     assert elgamal.decrypt_point(group, obf, sk).is_identity()
     for step in steps:
         assert len(step.payloads) == 1
@@ -179,7 +181,7 @@ def test_cto_nonzero_blinded(ctx):
     seen = set()
     for _ in range(50):
         obf, _ = protocols.cto_obfuscate(
-            tree, elgamal.encrypt(group, 1, collective.public, rng), rng)
+            group, tree, elgamal.encrypt(group, 1, collective.public, rng), rng)
         point = elgamal.decrypt_point(group, obf, sk)
         assert not point.is_identity()
         seen.add(point.encode())
@@ -200,9 +202,10 @@ def test_cto_proofs_verify(ctx):
     group, rng, cn_ids, keys, collective, _, _ = ctx
     tree = protocols.build_tree(cn_ids)
     ct = elgamal.encrypt(group, 1, collective.public, rng)
-    _, steps = protocols.cto_obfuscate(tree, ct, rng)
+    _, steps = protocols.cto_obfuscate(group, tree, ct, rng)
     for step in steps:
-        assert protocols.verify_cto_payload(group, step.payloads[0], ct.c1, ct.c2)
+        assert step.payloads[0].startswith(pack_bytes(ct.encode()))
+        assert protocols.verify_round_payload(group, "obfuscation", step.payloads[0])
 
 
 def test_quantize_laplace_contract():
