@@ -146,9 +146,6 @@ class FixedPoint:
     raw: int
     scale: int
 
-    def to_real(self) -> float:
-        return self.raw / self.scale
-
 
 def fixed_encode(x: float, scale: int = DEFAULT_SCALE,
                  max_message: int | None = DEFAULT_MAX_MESSAGE) -> FixedPoint:

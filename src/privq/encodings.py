@@ -276,14 +276,6 @@ def encode_minmax(local_extreme: int, bounds, kind: str, mode: str, rng) -> list
     return out
 
 
-def linreg_element_names(d: int) -> list[str]:
-    names = [f"sx{e}" for e in range(1, d + 1)]
-    names += [f"sx{e}x{z}" for e in range(1, d + 1) for z in range(e, d + 1)]
-    names.append("sy")
-    names += [f"syx{e}" for e in range(1, d + 1)]
-    return names
-
-
 def encode_linreg_raw(records, op: OperationSpec) -> list[int]:
     d = op.feature_count
     if d < 1:

@@ -19,8 +19,6 @@ coefficient of i); there is no compression in the target group.
 
 from __future__ import annotations
 
-import hashlib
-
 from ..errors import PairingUnavailable, PrivqError
 from . import mult
 
@@ -350,21 +348,6 @@ class PairingGroup:
         gr = fr * fr % p - fi * fi % p
         g = GtElement(gr * norm % p, (-2 * fr * fi) % p * norm % p, self)
         return g ** self.cofactor
-
-    def hash_to_point(self, data: bytes) -> WeierstrassPoint:
-        """Map bytes to a subgroup point (try-and-increment, then cofactor clearing)."""
-        ctr = 0
-        nbytes = self.point_bytes - 1
-        while True:
-            h = hashlib.sha512(b"privq/h2p" + ctr.to_bytes(4, "little") + data).digest()
-            x = _wrap(int.from_bytes(h[:nbytes], "little") % self.p)
-            y2 = (x * x * x + x) % self.p
-            y = pow(y2, (self.p + 1) // 4, self.p)
-            if y * y % self.p == y2:
-                point = self.mul(self.cofactor, WeierstrassPoint(x, y, self))
-                if not point.is_identity():
-                    return point
-            ctr += 1
 
 
 def build(name: str) -> PairingGroup:

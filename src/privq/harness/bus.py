@@ -135,15 +135,36 @@ class Bus:
 
 
 class NodeBase:
-    """Event-loop node: dispatches messages to on_<round> methods."""
+    """Event-loop node: dispatches messages to on_<round> methods.
+
+    A node whose per-query state is opened by one round (`opening_round`)
+    parks the query's other messages until that round arrives, since they
+    may overtake it on other links, and replays them in arrival order right
+    after the opening handler has returned.
+    """
+
+    opening_round: str | None = None
 
     def __init__(self, identity: str, topology, rng):
         self.identity = identity
         self.topology = topology
         self.rng = rng
         self.bus = None
+        self.states = {}  # query id -> per-query state
+        self._parked = {}  # query id -> messages that arrived before it opened
 
     def handle(self, message: Message) -> None:
+        opening = message.round == self.opening_round
+        if (self.opening_round is not None and not opening
+                and message.query_id not in self.states):
+            self._parked.setdefault(message.query_id, []).append(message)
+            return
+        self._dispatch(message)
+        if opening and message.query_id in self.states:
+            for parked in self._parked.pop(message.query_id, []):
+                self._dispatch(parked)
+
+    def _dispatch(self, message: Message) -> None:
         handler = getattr(self, "on_" + message.round, None)
         if handler is None:
             raise TransportClosed(

@@ -1,14 +1,21 @@
 """Role runtimes: querier, computing node, data provider, verifying node.
 
 All cross-node interaction goes through bus Messages. Per-query state
-lives in small per-node dictionaries keyed by query id. Timeouts are
-modeled by the bus idle callback: a CN missing DP responses proceeds
-without them, a CN missing a peer CN's share aborts the query, and the
-leader VN starts block assembly once traffic has drained.
+lives in each node's `states` dictionary keyed by query id; a message that
+overtakes the one opening its query is parked by `NodeBase` until that one
+arrives. Timeouts are modeled by the bus idle callback: a CN missing DP
+responses proceeds without them, a CN missing a peer CN's share aborts the
+query, and the leader VN starts block assembly once traffic has drained;
+on the hard timeout it assembles and seals with the f_h maps and
+signatures it holds.
 
-The protocol steps and their checks are the functions of privq.protocols,
-and the block rules those of privq.ledger; the nodes here route messages,
-park early ones, keep per-query state and handle timeouts.
+Each rule has one implementation outside this module, and the nodes here
+only route messages to it, keep per-query state and handle timeouts: the
+protocol steps, their verifiers and the round plan (`query_rounds`) in
+privq.protocols, the bounded range statement (`prove_bounded`,
+`verify_bounded`) in privq.proofs.rangeproof, and the expected proofs and
+block rules in privq.ledger. Provers sign and send their proof bundles
+with `emit_bundle`.
 """
 
 from __future__ import annotations
@@ -54,6 +61,15 @@ def unpack_response(group, data: bytes) -> EncodedResponse:
     return EncodedResponse(cts[:-1], cts[-1])
 
 
+def emit_bundle(node, query_id, proof_type, seq_index, payloads):
+    """Sign `payloads` as the node's proof bundle and send it to every VN."""
+    bundle = ledger.ProofBundle(query_id, node.identity, proof_type, seq_index,
+                                payloads).signed(
+        node.topology.group, node.topology.keys[node.identity].private)
+    for vn in node.topology.vn_ids:
+        node.send(query_id, "proof_bundle", vn, bundle.encode())
+
+
 # ---------------------------------------------------------------------------
 # querier
 
@@ -62,12 +78,11 @@ class QuerierNode(NodeBase):
     def __init__(self, identity, topology, rng, table):
         super().__init__(identity, topology, rng)
         self.table = table
-        self.runs = {}
 
     def start(self, query):
         state = SimpleNamespace(query=query, result=None, error=None,
                                 block=None, raw_values=None)
-        self.runs[query.query_id] = state
+        self.states[query.query_id] = state
         body = query.encode()
         signature = sign(self.topology.group, self.topology.keys[self.identity].private, body)
         for cn in self.topology.cn_ids:
@@ -78,7 +93,7 @@ class QuerierNode(NodeBase):
         return state
 
     def on_result(self, msg):
-        state = self.runs[msg.query_id]
+        state = self.states[msg.query_id]
         group = self.topology.group
         response = unpack_response(group, msg.payload)
         sk = self.topology.keys[self.identity].private
@@ -107,10 +122,10 @@ class QuerierNode(NodeBase):
             state.error = exc
 
     def on_abort(self, msg):
-        self.runs[msg.query_id].error = CnUnavailable(msg.payload.decode())
+        self.states[msg.query_id].error = CnUnavailable(msg.payload.decode())
 
     def on_block_commit(self, msg):
-        self.runs[msg.query_id].block = ledger.Block.decode(msg.payload)
+        self.states[msg.query_id].block = ledger.Block.decode(msg.payload)
 
 
 # ---------------------------------------------------------------------------
@@ -165,31 +180,17 @@ class DpNode(NodeBase):
             raws = [bad] + raws[1:]
             nonces = [nonce] + nonces[1:]
         if query.bounds is not None and self.range_sigs is not None:
-            self._emit_range_proofs(query, op, pk, raws, nonces, response)
+            self._emit_range_proofs(query, pk, raws, nonces, response)
         self.send(query.query_id, "dp_response", msg.sender, pack_response(response))
 
-    def _emit_range_proofs(self, query, op, pk, raws, nonces, response):
-        # two complementary shifted proofs per element pin the exact range
-        group = self.topology.group
-        sk = self.topology.keys[self.identity].private
-        for j, (raw, nonce, bounds) in enumerate(zip(raws, nonces, op.element_bounds())):
-            u = 2 if bounds[1] - bounds[0] <= 2 else rangeproof.DEFAULT_DIGIT_BASE
-            u, l = rangeproof.range_params(bounds, u)
-            proofs = []
-            for shifted in (raw - bounds[0], raw - bounds[1] + u**l):
-                if 0 <= shifted < u**l:
-                    proofs.append(rangeproof.prove_range(
-                        group, shifted, nonce, pk, self.range_sigs, l, self.rng))
-                else:
-                    # out-of-range input: forged digits cannot verify
-                    proofs.append(rangeproof.prove_range_unchecked(
-                        group, shifted, nonce, pk, self.range_sigs, l, self.rng))
+    def _emit_range_proofs(self, query, pk, raws, nonces, response):
+        element_bounds = query.operation.element_bounds()
+        for j, (raw, nonce, bounds) in enumerate(zip(raws, nonces, element_bounds)):
+            lower, upper = rangeproof.prove_bounded(
+                self.topology.group, raw, nonce, pk, self.range_sigs, bounds, self.rng)
             payload = (pack_u32(j) + pack_bytes(response.vector[j].encode())
-                       + pack_bytes(proofs[0].encode()) + pack_bytes(proofs[1].encode()))
-            bundle = ledger.ProofBundle(query.query_id, self.identity, "range",
-                                        j, (payload,)).signed(group, sk)
-            for vn in self.topology.vn_ids:
-                self.send(query.query_id, "proof_bundle", vn, bundle.encode())
+                       + pack_bytes(lower.encode()) + pack_bytes(upper.encode()))
+            emit_bundle(self, query.query_id, "range", j, (payload,))
 
 
 # ---------------------------------------------------------------------------
@@ -197,24 +198,17 @@ class DpNode(NodeBase):
 
 
 class CnNode(NodeBase):
+    opening_round = "query"
+
     def __init__(self, identity, topology, rng, noise=None):
         super().__init__(identity, topology, rng)
         self.tree = protocols.build_tree(topology.cn_ids, topology.tree_shape)
         self.index = self.tree.nodes.index(identity)
         self.is_root = self.index == 0
         self.noise = noise  # pre-generated NoiseList for eager CDP, root only
-        self.states = {}
-        self._stash = {}
 
     def _state(self, query_id):
         return self.states[query_id]
-
-    def handle(self, msg):
-        # messages may overtake the query broadcast on other links; park them
-        if msg.round != "query" and msg.query_id not in self.states:
-            self._stash.setdefault(msg.query_id, []).append(msg)
-            return
-        super().handle(msg)
 
     def _parent(self):
         p = self.tree.parents[self.index]
@@ -233,7 +227,7 @@ class CnNode(NodeBase):
             inputs=[],  # (label, ct tuple) pairs: DP responses and child partials
             pending_children=set(self._children()),
             aggregated=False,
-            stage="collect",
+            stage="aggregation",  # a query_rounds entry, then "done" or "failed"
             share_waits={},  # round tag -> set of children still pending
             share_sums={},  # round tag -> list of summed share ct-pairs
             round_cts={},  # round tag -> input cts of the round
@@ -243,8 +237,6 @@ class CnNode(NodeBase):
         for dp in my_dps:
             self.send(query.query_id, "query", dp, msg.payload)
         self._try_finish_collect(query.query_id)
-        for parked in self._stash.pop(query.query_id, []):
-            super().handle(parked)
 
     def on_dp_response(self, msg):
         state = self._state(msg.query_id)
@@ -275,7 +267,7 @@ class CnNode(NodeBase):
         state.aggregated = True
         agg = protocols.aggregate([label for label, _ in state.inputs],
                                   [cts for _, cts in state.inputs])
-        self._emit_bundle(query_id, "aggregation", 0, (agg.encode(),))
+        emit_bundle(self, query_id, "aggregation", 0, (agg.encode(),))
         parent = self._parent()
         if parent is not None:
             self.send(query_id, "cta_partial", parent, pack_cts(agg.output))
@@ -287,22 +279,15 @@ class CnNode(NodeBase):
     # ----- root stage machine -----
 
     def _advance_root(self, query_id):
+        """Start the round that follows the finished one in the query's plan."""
         state = self._state(query_id)
-        op = state.query.operation
-        if state.stage == "collect":
-            if op.uses_obfuscation:
-                state.stage = "cto"
-                self._start_tree_round(query_id, "cto", list(state.current.vector))
-                return
-            state.stage = "cto_done"
-        if state.stage == "cto_done":
-            if state.query.dp_privacy:
-                state.stage = "cdp"
-                self._start_cdp(query_id)
-                return
-            state.stage = "cdp_done"
-        if state.stage == "cdp_done":
-            state.stage = "ctks"
+        rounds = protocols.query_rounds(state.query)
+        state.stage = rounds[rounds.index(state.stage) + 1]
+        if state.stage == "obfuscation":
+            self._start_tree_round(query_id, "cto", list(state.current.vector))
+        elif state.stage == "shuffle":
+            self._start_cdp(query_id)
+        else:
             cts = list(state.current.vector) + [state.current.count]
             self._start_tree_round(query_id, "ctks", cts)
 
@@ -320,7 +305,7 @@ class CnNode(NodeBase):
                 group, cts, self.topology.keys[self.identity], target_pk, self.rng)
         else:
             shares, payloads = protocols.cto_shares(group, cts, self.rng)
-        self._emit_bundle(query_id, ROUND_PROOF_TYPE[tag], 0, tuple(payloads))
+        emit_bundle(self, query_id, ROUND_PROOF_TYPE[tag], 0, tuple(payloads))
         state.share_sums[tag] = shares
         self._try_finish_round(query_id, tag)
 
@@ -359,7 +344,6 @@ class CnNode(NodeBase):
                 self.send(query_id, "end_query", vn)
         else:  # cto: the summed blinded shares are the obfuscated vector
             state.current = EncodedResponse(sums, state.current.count)
-            state.stage = "cto_done"
             self._advance_root(query_id)
 
     # ----- collective differential privacy -----
@@ -376,7 +360,6 @@ class CnNode(NodeBase):
                 payload = b"".join(pack_bytes(p) for p in step.payloads)
                 self.send(query_id, "cdp_replay", step.cn_id, payload)
             state.current = protocols.cdp_apply(state.current, noise)
-            state.stage = "cdp_done"
             self._advance_root(query_id)
             return
         _, initial = protocols.initial_noise(group, *self.topology.noise_params(), pk,
@@ -389,7 +372,7 @@ class CnNode(NodeBase):
         reader = Reader(msg.payload)
         cts = unpack_cts(group, reader)
         outputs, proof = shuffle_and_prove(group, cts, pk, self.rng)
-        self._emit_bundle(msg.query_id, "shuffle", 0, (proof.encode(),))
+        emit_bundle(self, msg.query_id, "shuffle", 0, (proof.encode(),))
         pos = self.index
         if pos + 1 < len(self.tree.nodes):
             self.send(msg.query_id, "cdp_pass", self.tree.nodes[pos + 1],
@@ -403,7 +386,7 @@ class CnNode(NodeBase):
         payloads = []
         while not reader.done():
             payloads.append(reader.bytes_field())
-        self._emit_bundle(msg.query_id, "shuffle", 0, tuple(payloads))
+        emit_bundle(self, msg.query_id, "shuffle", 0, tuple(payloads))
 
     def on_cdp_done(self, msg):
         state = self._state(msg.query_id)
@@ -412,18 +395,9 @@ class CnNode(NodeBase):
         cts = unpack_cts(group, reader)
         noise = protocols.NoiseList(0, 0, 0, [], cts)
         state.current = protocols.cdp_apply(state.current, noise)
-        state.stage = "cdp_done"
         self._advance_root(msg.query_id)
 
-    # ----- plumbing -----
-
-    def _emit_bundle(self, query_id, proof_type, seq_index, payloads):
-        group = self.topology.group
-        bundle = ledger.ProofBundle(query_id, self.identity, proof_type, seq_index,
-                                    payloads).signed(
-            group, self.topology.keys[self.identity].private)
-        for vn in self.topology.vn_ids:
-            self.send(query_id, "proof_bundle", vn, bundle.encode())
+    # ----- timeouts -----
 
     def on_idle(self, level: int = 0):
         for query_id, state in self.states.items():
@@ -439,8 +413,7 @@ class CnNode(NodeBase):
                     self._abort(query_id, state,
                                 f"unresponsive CNs: {sorted(state.pending_children)}")
                 continue
-            if level >= 1 and (any(state.share_waits.values())
-                               or state.stage in ("cto", "ctks", "cdp")):
+            if level >= 1:  # aggregated but not done: the root is in a round
                 self._abort(query_id, state, f"round stalled in stage {state.stage}")
 
     def _abort(self, query_id, state, reason):
@@ -453,6 +426,8 @@ class CnNode(NodeBase):
 
 
 class VnNode(NodeBase):
+    opening_round = "query_vn"
+
     def __init__(self, identity, topology, rng, policy, range_sigs=None):
         super().__init__(identity, topology, rng)
         self.policy = policy
@@ -460,19 +435,8 @@ class VnNode(NodeBase):
         self.tree = protocols.build_tree(topology.cn_ids, topology.tree_shape)
         self.chain = ledger.Chain()
         self.kv = {}  # proof key -> ProofBundle, every received proof is stored
-        self.states = {}
-        self._stash = {}
-
-    def handle(self, msg):
-        if msg.round != "query_vn" and msg.query_id not in self.states:
-            self._stash.setdefault(msg.query_id, []).append(msg)
-            return
-        super().handle(msg)
 
     # ----- query intake and proof verification -----
-
-    def _view(self):
-        return SimpleNamespace(cn_ids=self.topology.cn_ids, range_sigs=self.range_sigs)
 
     def on_query_vn(self, msg):
         reader = Reader(msg.payload)
@@ -483,7 +447,7 @@ class VnNode(NodeBase):
         if not verify_signature(group, querier_pk, body, signature):
             return
         query = decode_query(body)
-        expected = ledger.expected_proofs(query, self._view())
+        expected = ledger.expected_proofs(query, self.topology.cn_ids, self.range_sigs)
         self.states[query.query_id] = SimpleNamespace(
             query=query,
             query_bytes=body,
@@ -493,13 +457,12 @@ class VnNode(NodeBase):
             collected_maps={},
             signatures={},
             block=None,
+            sealed=False,  # leader: the block was sealed (or failed to seal)
             dp_range_cts={},  # dp -> {element index -> Ciphertext}
             agg_inputs={},  # dp -> ct tuple seen in a CN aggregation proof
             round_ct_hash={},  # "keyswitch"/"obfuscation" -> first-seen input hash
             shuffle_io={},  # chain position -> (inputs enc, outputs enc)
         )
-        for parked in self._stash.pop(query.query_id, []):
-            super().handle(parked)
 
     def on_proof_bundle(self, msg):
         try:
@@ -546,27 +509,16 @@ class VnNode(NodeBase):
         reader = Reader(bundle.payloads[index])
         j = reader.u32()
         ct = elgamal.decode_ciphertext(group, reader.bytes_field())
-        proof_lo = rangeproof.decode_range(group, reader.bytes_field())
-        proof_hi = rangeproof.decode_range(group, reader.bytes_field())
+        proofs = (rangeproof.decode_range(group, reader.bytes_field()),
+                  rangeproof.decode_range(group, reader.bytes_field()))
         reader.expect_done()
-        op = state.query.operation
-        bounds = op.element_bounds()[j]
-        u = 2 if bounds[1] - bounds[0] <= 2 else rangeproof.DEFAULT_DIGIT_BASE
-        u, l = rangeproof.range_params(bounds, u)
-        omega = self.topology.collective_key().public
-        base = group.base()
+        bounds = state.query.operation.element_bounds()[j]
         state.dp_range_cts.setdefault(bundle.prover_id, {})[j] = ct
         seen = state.agg_inputs.get(bundle.prover_id)
         if seen is not None and j < len(seen) and seen[j] != ct:
             return False  # proved one ciphertext, submitted another
-        for proof, shift in ((proof_lo, bounds[0]), (proof_hi, bounds[1] - u**l)):
-            if (proof.u, proof.l) != (u, l):
-                return False
-            if proof.c2 != ct.c2 - group.mul(shift, base):
-                return False
-            if not rangeproof.verify_range(proof, self.range_sigs, omega):
-                return False
-        return True
+        return rangeproof.verify_bounded(ct, proofs, bounds, self.range_sigs,
+                                         self.topology.collective_key().public)
 
     def _check_aggregation(self, state, bundle, index) -> bool:
         agg = protocols.Aggregation.decode(self.topology.group, bundle.payloads[index])
@@ -631,6 +583,11 @@ class VnNode(NodeBase):
                     if vn != self.identity:
                         self.send(query_id, "map_request", vn)
                 self._maybe_assemble(query_id)
+            elif level >= 1:
+                # the maps and signatures still missing will not come: a
+                # block needs only f_h of them
+                self._maybe_assemble(query_id, self.policy.f_h)
+                self._maybe_seal(query_id, self.policy.f_h)
 
     def on_map_request(self, msg):
         state = self.states.get(msg.query_id)
@@ -645,9 +602,10 @@ class VnNode(NodeBase):
             Reader(msg.payload))
         self._maybe_assemble(msg.query_id)
 
-    def _maybe_assemble(self, query_id):
+    def _maybe_assemble(self, query_id, quorum=None):
+        """Assemble once `quorum` maps are in, by default one from every VN."""
         state = self.states[query_id]
-        if len(state.collected_maps) < len(self.topology.vn_ids) or state.block:
+        if len(state.collected_maps) < (quorum or len(self.topology.vn_ids)) or state.block:
             return
         state.block = self.chain.next_block(query_id, state.query_bytes,
                                             state.collected_maps)
@@ -668,18 +626,26 @@ class VnNode(NodeBase):
         if state is None or state.block is None:
             return
         state.signatures[msg.sender] = msg.payload
-        if len(state.signatures) < len(self.topology.vn_ids):
+        self._maybe_seal(msg.query_id)
+
+    def _maybe_seal(self, query_id, quorum=None):
+        """Seal once `quorum` VNs answered, by default every VN; the leader
+        tries once and aborts the query if too few of them signed."""
+        state = self.states[query_id]
+        if (state.block is None or state.sealed
+                or len(state.signatures) < (quorum or len(self.topology.vn_ids))):
             return
+        state.sealed = True
         try:
             block = ledger.seal_block(state.block, state.signatures, self.policy.f_h)
         except InsufficientSignatures as exc:
-            self.send(msg.query_id, "abort", self.topology.querier_id, str(exc).encode())
+            self.send(query_id, "abort", self.topology.querier_id, str(exc).encode())
             return
         encoded = block.encode()
         for vn in self.topology.vn_ids:
             if vn != self.identity:
-                self.send(msg.query_id, "block_commit", vn, encoded)
-        self.send(msg.query_id, "block_commit", self.topology.querier_id, encoded)
+                self.send(query_id, "block_commit", vn, encoded)
+        self.send(query_id, "block_commit", self.topology.querier_id, encoded)
         self.chain.append(block)
 
     def on_block_commit(self, msg):

@@ -62,7 +62,6 @@ class Simulation:
             setup_rng = topology.node_rng("range-setup")
             self.range_sigs, self._range_secrets = range_setup(
                 group, 16, len(topology.cn_ids), setup_rng)
-        topology.range_sigs = self.range_sigs
         policy = topology.policy()
         self.policy = policy
 

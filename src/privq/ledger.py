@@ -39,6 +39,7 @@ from .errors import (
     MalformedQuery,
 )
 from .proofs.signatures import sign, verify_signature
+from .protocols import query_rounds
 from .serial import Reader, pack_bytes, pack_u32
 
 STATUS_TRUE = "true"
@@ -187,9 +188,6 @@ class QueryProofsMap:
         if key in self.entries:
             self.entries[key].status = status
 
-    def status_of(self, key: str) -> str:
-        return self.entries[key].status
-
     def encode(self) -> bytes:
         out = [pack_u32(len(self.entries))]
         for key in sorted(self.entries):
@@ -218,13 +216,13 @@ class QueryProofsMap:
         return isinstance(other, QueryProofsMap) and self.encode() == other.encode()
 
 
-def expected_proofs(query, topology) -> dict:
+def expected_proofs(query, cn_ids, range_sigs) -> dict:
     """key -> (prover_id, proof_type, seq_index), identical on every VN.
 
-    One range key per DP per bounded element; one protocol key per CN per
-    protocol round the query executes.
+    One range key per DP per bounded element when the run has a range
+    setup (`range_sigs` not None); one key per CN per round of
+    `protocols.query_rounds`.
     """
-    op = query.operation
     if not getattr(query, "dp_list", None):
         raise MalformedQuery("query names no data providers")
     expected = {}
@@ -232,18 +230,13 @@ def expected_proofs(query, topology) -> dict:
     def put(prover, ptype, idx=0):
         expected[proof_key(query.query_id, prover, ptype, idx)] = (prover, ptype, idx)
 
-    range_enabled = getattr(topology, "range_sigs", None) is not None
-    if query.bounds is not None and range_enabled:
+    if query.bounds is not None and range_sigs is not None:
         for dp in query.dp_list:
-            for j in range(op.dimension):
+            for j in range(query.operation.dimension):
                 put(dp, "range", j)
-    for cn in topology.cn_ids:
-        put(cn, "aggregation")
-        if op.uses_obfuscation:
-            put(cn, "obfuscation")
-        if getattr(query, "dp_privacy", False):
-            put(cn, "shuffle")
-        put(cn, "keyswitch")
+    for cn in cn_ids:
+        for proof_type in query_rounds(query):
+            put(cn, proof_type)
     return expected
 
 

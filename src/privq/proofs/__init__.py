@@ -8,7 +8,8 @@ from .rangeproof import (
     range_setup,
     prove_range,
     verify_range,
-    shift_range,
+    prove_bounded,
+    verify_bounded,
 )
 from .shuffle import ShuffleProof, shuffle_and_prove, verify_shuffle
 from .signatures import sign, verify_signature
@@ -23,7 +24,8 @@ __all__ = [
     "range_setup",
     "prove_range",
     "verify_range",
-    "shift_range",
+    "prove_bounded",
+    "verify_bounded",
     "ShuffleProof",
     "shuffle_and_prove",
     "verify_shuffle",

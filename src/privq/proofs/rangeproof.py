@@ -22,8 +22,9 @@ The challenge c is the transcript hash over the statement AND the
 commitments (D, every V_{i,j}, every a_{i,j}); binding the commitments is
 what makes the non-interactive proof sound.
 
-Arbitrary ranges [b_l, b_u) reduce to this form by proving m - b_l in
-[0, u^l) with minimal l (see `shift_range`).
+Arbitrary ranges [b_l, b_u) reduce to this form by proving both m - b_l
+and m - b_u + u^l in [0, u^l) with minimal l (`prove_bounded` and
+`verify_bounded`).
 """
 
 from __future__ import annotations
@@ -129,25 +130,15 @@ def range_params(bounds: tuple[int, int], u: int = DEFAULT_DIGIT_BASE):
     return u, l
 
 
-def shift_range(m: int, bounds: tuple[int, int], u: int = DEFAULT_DIGIT_BASE):
-    """Map m in [b_l, b_u) to (m - b_l, u, l) with minimal l, u^l >= b_u - b_l."""
-    b_l, b_u = bounds
-    if not b_l <= m < b_u:
-        raise OutOfRange(f"{m} outside [{b_l}, {b_u})")
-    u, l = range_params(bounds, u)
-    return m - b_l, u, l
+def bounded_shifts(bounds: tuple[int, int], u: int):
+    """Digit count l and the two shifts (b_l, b_u - u^l) of [b_l, b_u).
 
-
-def shift_range_upper(m: int, bounds: tuple[int, int], u: int = DEFAULT_DIGIT_BASE):
-    """The complementary shift m - b_u + u^l.
-
-    m lies in [b_l, b_u) iff BOTH m - b_l and m - b_u + u^l lie in
-    [0, u^l); a single shifted proof only bounds m by [b_l, b_l + u^l),
-    which overshoots whenever u^l exceeds the range width.
+    m lies in [b_l, b_u) iff m minus EACH shift lies in [0, u^l); a single
+    shifted proof only bounds m by [b_l, b_l + u^l), which overshoots
+    whenever u^l exceeds the range width.
     """
-    b_l, b_u = bounds
-    u, l = range_params(bounds, u)
-    return m - b_u + u**l, u, l
+    _, l = range_params(bounds, u)
+    return l, (bounds[0], bounds[1] - u**l)
 
 
 def _digits(m: int, u: int, l: int) -> list[int]:
@@ -258,6 +249,42 @@ def verify_range(proof: RangeProof, sigs: RangeSignatures, omega) -> bool:
             )
             if expected != proof.a_elems[i][j]:
                 return False
+    return True
+
+
+def prove_bounded(group, m: int, r_nonce: int, omega, sigs: RangeSignatures,
+                  bounds: tuple[int, int], rng) -> tuple[RangeProof, RangeProof]:
+    """Prove that C2 = mB + r*Omega commits to m in [b_l, b_u): one proof
+    per shift of `bounded_shifts` under the setup's digit base.
+
+    An out-of-range m still gets both proofs, and the one whose shifted
+    value leaves [0, u^l) cannot verify; a cheating prover is caught by a
+    false proof rather than by a missing one.
+    """
+    l, shifts = bounded_shifts(bounds, sigs.u)
+    proofs = []
+    for shift in shifts:
+        shifted = m - shift
+        prove = prove_range if 0 <= shifted < sigs.u**l else prove_range_unchecked
+        proofs.append(prove(group, shifted, r_nonce, omega, sigs, l, rng))
+    return tuple(proofs)
+
+
+def verify_bounded(ct, proofs, bounds: tuple[int, int], sigs: RangeSignatures,
+                   omega) -> bool:
+    """Check a `prove_bounded` pair against the ciphertext `ct`: each proof
+    has the setup's base and the minimal l, commits to ct.c2 minus its
+    shift times B, and verifies."""
+    group = sigs.group
+    l, shifts = bounded_shifts(bounds, sigs.u)
+    lower, upper = proofs
+    for proof, shift in zip((lower, upper), shifts):
+        if (proof.u, proof.l) != (sigs.u, l):
+            return False
+        if proof.c2 != ct.c2 - group.mul(shift, group.base()):
+            return False
+        if not verify_range(proof, sigs, omega):
+            return False
     return True
 
 

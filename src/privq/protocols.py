@@ -82,6 +82,19 @@ def build_tree(cn_ids, shape: str = "binary") -> CnTree:
     return CnTree(ids, parents, shape)
 
 
+def query_rounds(query) -> tuple:
+    """The proof types of the rounds every CN runs for `query`, in protocol
+    order: aggregation (CTA), obfuscation (CTO) for bit-wise results, the
+    noise shuffle (CDP) under DP privacy, and key switching (CTKS)."""
+    rounds = ["aggregation"]
+    if query.operation.uses_obfuscation:
+        rounds.append("obfuscation")
+    if query.dp_privacy:
+        rounds.append("shuffle")
+    rounds.append("keyswitch")
+    return tuple(rounds)
+
+
 # ---------------------------------------------------------------------------
 # Aggregation (CTA)
 

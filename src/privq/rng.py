@@ -39,10 +39,6 @@ class Drbg:
             if v < limit:
                 return v % bound
 
-    def fork(self, label: str) -> "Drbg":
-        """Derive an independent child generator; used to give each node its own stream."""
-        return Drbg(self._key + label.encode())
-
 
 class SystemRng:
     """OS entropy source with the same interface as Drbg."""

@@ -16,10 +16,6 @@ def pack_bytes(data: bytes) -> bytes:
     return struct.pack("<I", len(data)) + data
 
 
-def pack_many(*chunks: bytes) -> bytes:
-    return b"".join(pack_bytes(c) for c in chunks)
-
-
 class Reader:
     def __init__(self, data: bytes):
         self.data = data

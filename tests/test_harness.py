@@ -81,6 +81,20 @@ def test_dead_cn_aborts():
         sim.run(parse_query("SELECT sum heart_rate ON DP1,DP2,DP3,DP4", scale=100))
 
 
+def test_dead_vn_block_commits_with_f_h():
+    """One dead VN of 4 (f_h = 3): the leader assembles and seals the block
+    from the 3 live VNs once the missing map and signature time out."""
+    topo = Topology.build(n_cns=3, n_dps=3, n_vns=4, seed=26)
+    topo.dp_data = {"DP1": [{"x": 4}], "DP2": [{"x": 9}], "DP3": [{"x": 11}]}
+    sim = Simulation(topo, seed=26)
+    sim.kill("VN4")
+    out = sim.run(parse_query("SELECT sum x ON DP1,DP2,DP3", scale=100))
+    assert out.result.values[0] == 24.0
+    assert sorted(out.block.signatures) == ["VN1", "VN2", "VN3"]
+    assert len(sim.chain()) == 1
+    assert sim.audit(out.query_id).ok
+
+
 def test_declining_dp_hidden_in_count_only():
     sim = Simulation(_topo(6), seed=6, decline={"DP2"})
     out = sim.run(parse_query("SELECT average heart_rate ON DP1,DP2,DP3,DP4", scale=100))
@@ -98,6 +112,18 @@ def test_bitwise_pipeline(mode):
     assert out_and.result.values[0] == 0.0
     for qid in (out_or.query_id, out_and.query_id):
         assert sim.audit(qid).ok
+
+
+def test_bits_mode_range_proofs_audit_clean():
+    """A bits-mode OR over RANGE 0,2 proves each bit under the setup's digit
+    base; an honest run must audit clean."""
+    topo = Topology.build(n_cns=2, n_dps=2, n_vns=3, profile="pairing80", seed=25)
+    topo.dp_data = {"DP1": [{"flag": 1}], "DP2": [{"flag": 0}]}
+    sim = Simulation(topo, seed=25)
+    out = sim.run(parse_query("SELECT or flag ON DP1,DP2 RANGE 0,2", bitwise_mode="bits"))
+    assert out.result.values[0] == 1.0
+    report = sim.audit(out.query_id)
+    assert report.ok, [(p, t, i) for _, p, t, i, _ in report.false_entries]
 
 
 def test_minmax_pipeline():

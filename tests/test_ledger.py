@@ -90,8 +90,8 @@ def _query(kind="variance", dps=("dp1", "dp2"), bounds=None, dp_privacy=False,
 
 
 def test_expected_proofs_counting():
-    topo = SimpleNamespace(cn_ids=("cn1", "cn2", "cn3"), range_sigs=object())
-    expected = ledger.expected_proofs(_query(bounds=(0, 16)), topo)
+    expected = ledger.expected_proofs(_query(bounds=(0, 16)), ("cn1", "cn2", "cn3"),
+                                      range_sigs=object())
     range_keys = [m for m in expected.values() if m[1] == "range"]
     cn_keys = [m for m in expected.values() if m[1] != "range"]
     assert len(range_keys) == 4  # 2 DPs x dimension 2
@@ -99,22 +99,19 @@ def test_expected_proofs_counting():
 
 
 def test_expected_proofs_no_bounds_no_range_keys():
-    topo = SimpleNamespace(cn_ids=("cn1",), range_sigs=object())
-    expected = ledger.expected_proofs(_query(), topo)
+    expected = ledger.expected_proofs(_query(), ("cn1",), range_sigs=object())
     assert not [m for m in expected.values() if m[1] == "range"]
 
 
 def test_expected_proofs_deterministic_across_vns():
-    topo = SimpleNamespace(cn_ids=("cn1", "cn2"), range_sigs=object())
-    a = ledger.expected_proofs(_query(bounds=(0, 4)), topo)
-    b = ledger.expected_proofs(_query(bounds=(0, 4)), topo)
+    a = ledger.expected_proofs(_query(bounds=(0, 4)), ("cn1", "cn2"), range_sigs=object())
+    b = ledger.expected_proofs(_query(bounds=(0, 4)), ("cn1", "cn2"), range_sigs=object())
     assert a == b
 
 
 def test_expected_proofs_rounds():
-    topo = SimpleNamespace(cn_ids=("cn1",), range_sigs=None)
     q = _query(kind="or", dp_privacy=True, bitwise_mode="bits")
-    expected = ledger.expected_proofs(q, topo)
+    expected = ledger.expected_proofs(q, ("cn1",), range_sigs=None)
     types = sorted(m[1] for m in expected.values())
     assert types == ["aggregation", "keyswitch", "obfuscation", "shuffle"]
 

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from privq.elgamal import encrypt_with_nonce
 from privq.errors import MalformedProof, OutOfRange, PairingUnavailable
 from privq.group import get_group
 from privq.proofs import rangeproof as rp
@@ -149,15 +150,15 @@ def test_secret_not_in_proof_bytes(ctx):
 
 
 def test_shift_range():
-    assert rp.shift_range(70, (40, 100)) == (30, 16, 2)
-    assert rp.shift_range(40, (40, 100))[0] == 0
-    assert rp.shift_range(99, (40, 100))[0] == 59
+    # [40, 100) under base 16: l = 2, shifts b_l and b_u - 16^2
+    assert rp.bounded_shifts((40, 100), 16) == (2, (40, 100 - 256))
+    _, (lo, hi) = rp.bounded_shifts((40, 100), 16)
+    assert (70 - lo, 70 - hi) == (30, 226)
+    assert 40 - lo == 0 and 99 - lo == 59
+    assert 99 - hi == 255 and 100 - hi == 256  # b_u leaves [0, 16^2)
+    assert 39 - lo == -1
     with pytest.raises(OutOfRange):
-        rp.shift_range(100, (40, 100))
-    with pytest.raises(OutOfRange):
-        rp.shift_range(39, (40, 100))
-    with pytest.raises(OutOfRange):
-        rp.shift_range(5, (10, 10))
+        rp.bounded_shifts((10, 10), 16)
     # minimal l under the digit base
     assert rp.range_params((0, 16)) == (16, 1)
     assert rp.range_params((0, 17)) == (16, 2)
@@ -167,9 +168,27 @@ def test_shift_range():
 def test_two_sided_shift_pins_exact_range():
     """m in [b_l, b_u) iff both shifted values are in [0, u^l)."""
     bounds = (40, 100)
-    u, l = rp.range_params(bounds)
-    cap = u**l
+    l, shifts = rp.bounded_shifts(bounds, 16)
+    cap = 16**l
     for m in range(-50, 400):
-        lo_ok = 0 <= m - bounds[0] < cap
-        hi_ok = 0 <= rp.shift_range_upper(m, bounds)[0] < cap
-        assert (lo_ok and hi_ok) == (bounds[0] <= m < bounds[1]), m
+        both_ok = all(0 <= m - shift < cap for shift in shifts)
+        assert both_ok == (bounds[0] <= m < bounds[1]), m
+
+
+@pytest.mark.parametrize("width", [1, 2, 16, 17, 60])
+def test_bounded_pair_accepts_exactly_the_range(ctx, width):
+    """prove_bounded/verify_bounded under the setup's base 16: values just
+    inside both bounds verify, values just outside do not."""
+    group, rng, sigs, _, omega = ctx
+    solo = rp.RangeSignatures(group, sigs.u, sigs.z_points[:1], sigs.digit_sigs[:1])
+    bounds = (5, 5 + width)
+    for m in (bounds[0] - 1, bounds[0], bounds[1] - 1, bounds[1]):
+        nonce = group.random_scalar(rng)
+        ct = encrypt_with_nonce(group, m, omega, nonce)
+        proofs = rp.prove_bounded(group, m, nonce, omega, solo, bounds, rng)
+        assert all(p.u == 16 for p in proofs)
+        ok = rp.verify_bounded(ct, proofs, bounds, solo, omega)
+        assert ok == (bounds[0] <= m < bounds[1]), (bounds, m)
+        if ok:  # the pair is bound to its ciphertext
+            other = encrypt_with_nonce(group, m + 1, omega, nonce)
+            assert not rp.verify_bounded(other, proofs, bounds, solo, omega)
