@@ -132,10 +132,13 @@ class Ed25519Group:
             point._comb = mult.comb_table(point.co, _add, self.order.bit_length())
 
     def msm(self, pairs) -> Ed25519Point:
-        """sum(k_i * P_i) over a list of (int, point) pairs."""
+        """sum(k_i * P_i) over a list of (int, point) pairs; a single term
+        goes through `mul`, which uses the point's comb table if it has one."""
+        if len(pairs) == 1:
+            return self.mul(*pairs[0])
         native = [(k, p.co) for k, p in pairs]
         return Ed25519Point(
-            mult.multi_scalar_mul(native, _add, None, _IDENTITY, self.order)
+            mult.multi_scalar_mul(native, _add, _dbl, _IDENTITY, self.order)
         )
 
     def encode_scalar(self, s: int) -> bytes:

@@ -57,7 +57,7 @@ def comb_mul(k, tables, add, identity, width=4):
     return acc
 
 
-def multi_scalar_mul(pairs, add, neg, identity, order):
+def multi_scalar_mul(pairs, add, dbl, identity, order):
     """sum(k_i * P_i): Straus interleaving for few terms, Pippenger buckets
     for many.
 
@@ -69,13 +69,13 @@ def multi_scalar_mul(pairs, add, neg, identity, order):
         return identity
     if len(pairs) == 1:
         k, p = pairs[0]
-        return window_mul(k, p, add, lambda q: add(q, q), identity)
+        return window_mul(k, p, add, dbl, identity)
     if len(pairs) <= 192:
-        return _straus(pairs, add, identity)
-    return _pippenger(pairs, add, identity)
+        return _straus(pairs, add, dbl, identity)
+    return _pippenger(pairs, add, dbl, identity)
 
 
-def _straus(pairs, add, identity):
+def _straus(pairs, add, dbl, identity):
     """Shared doubling chain, one 4-bit table per point."""
     tables = []
     bits = 0
@@ -89,8 +89,7 @@ def _straus(pairs, add, identity):
     acc = identity
     for w in range(nwin - 1, -1, -1):
         if w != nwin - 1:
-            for _ in range(4):
-                acc = add(acc, acc)
+            acc = dbl(dbl(dbl(dbl(acc))))
         shift = 4 * w
         for k, row in tables:
             digit = (k >> shift) & 15
@@ -99,7 +98,7 @@ def _straus(pairs, add, identity):
     return acc
 
 
-def _pippenger(pairs, add, identity):
+def _pippenger(pairs, add, dbl, identity):
     m = len(pairs)
     c = 8 if m > 384 else 6
     bits = max(k.bit_length() for k, _ in pairs)
@@ -109,7 +108,7 @@ def _pippenger(pairs, add, identity):
     for w in range(nwin - 1, -1, -1):
         if result is not identity:
             for _ in range(c):
-                result = add(result, result)
+                result = dbl(result)
         buckets = [identity] * (mask + 1)
         shift = w * c
         for k, p in pairs:

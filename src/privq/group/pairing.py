@@ -238,8 +238,11 @@ class PairingGroup:
             point._comb = mult.comb_table(point, WeierstrassPoint.__add__, self.order.bit_length())
 
     def msm(self, pairs) -> WeierstrassPoint:
+        pairs = list(pairs)
+        if len(pairs) == 1:
+            return self.mul(*pairs[0])
         return mult.multi_scalar_mul(
-            list(pairs), WeierstrassPoint.__add__, None, self._identity, self.order
+            pairs, WeierstrassPoint.__add__, self._dbl, self._identity, self.order
         )
 
     def encode_scalar(self, s: int) -> bytes:

@@ -15,7 +15,10 @@ protocol steps, their verifiers and the round plan (`query_rounds`) in
 privq.protocols, the bounded range statement (`prove_bounded`,
 `verify_bounded`) in privq.proofs.rangeproof, and the expected proofs and
 block rules in privq.ledger. Provers sign and send their proof bundles
-with `emit_bundle`.
+with `emit_bundle`. A VN checks the shape of each sampled CTKS/CTO
+sub-proof (`protocols.round_proof`) and then verifies the linear proofs of
+the bundle with one batched `verify_linear` call; the bundle's verdict is
+all-or-nothing either way.
 """
 
 from __future__ import annotations
@@ -34,8 +37,7 @@ from ..encodings import (
 )
 from ..errors import CnUnavailable, InsufficientSignatures, PrivqError
 from ..proofs import rangeproof
-# unused here since the VN checks run in protocols; perfbench wraps this name
-from ..proofs.linear import verify_linear  # noqa: F401
+from ..proofs.linear import verify_linear
 from ..proofs.shuffle import decode_shuffle, shuffle_and_prove, verify_shuffle
 from ..proofs.signatures import sign, verify_signature
 from ..serial import Reader, pack_bytes, pack_u32
@@ -481,19 +483,23 @@ class VnNode(NodeBase):
         ):
             state.map.record(key, ledger.STATUS_FALSE)
             return
+        linear_proofs = []  # the sampled CTKS/CTO sub-proofs, checked as one batch
         status = ledger.probabilistic_verify(
             bundle, self.policy, self.rng,
-            lambda i: self._verify_sub(state, bundle, i),
+            lambda i: self._verify_sub(state, bundle, i, linear_proofs),
         )
+        if (status == ledger.STATUS_TRUE and linear_proofs
+                and not verify_linear(*linear_proofs)):
+            status = ledger.STATUS_FALSE
         state.map.record(key, status)
 
-    def _verify_sub(self, state, bundle, index) -> bool:
+    def _verify_sub(self, state, bundle, index, linear_proofs) -> bool:
         try:
+            if bundle.proof_type in ROUND_PROOF_TYPE.values():
+                return self._check_round(state, bundle, index, linear_proofs)
             handler = {
                 "range": self._check_range,
                 "aggregation": self._check_aggregation,
-                "keyswitch": self._check_round,
-                "obfuscation": self._check_round,
                 "shuffle": self._check_shuffle,
             }.get(bundle.proof_type)
             if handler is None:
@@ -533,16 +539,22 @@ class VnNode(NodeBase):
                         state.map.record(key, ledger.STATUS_FALSE)
         return ok
 
-    def _check_round(self, state, bundle, index) -> bool:
+    def _check_round(self, state, bundle, index, linear_proofs) -> bool:
+        """Shape check of one CTKS/CTO sub-proof; its proof joins
+        `linear_proofs`, which `on_proof_bundle` verifies as one batch."""
         # all CNs must run the round over the same ciphertext list; the
         # first bundle seen for the round fixes it
         digest = hashlib.sha256(protocols.round_inputs(bundle.payloads)).hexdigest()
         if state.round_ct_hash.setdefault(bundle.proof_type, digest) != digest:
             return False
-        return protocols.verify_round_payload(
+        proof = protocols.round_proof(
             self.topology.group, bundle.proof_type, bundle.payloads[index],
             cn_public=self.topology.keys[bundle.prover_id].public,
             target_pk=self.topology.keys[self.topology.querier_id].public)
+        if proof is None:
+            return False
+        linear_proofs.append(proof)
+        return True
 
     def _check_shuffle(self, state, bundle, index) -> bool:
         group = self.topology.group

@@ -8,6 +8,7 @@ all instances. Non-interactive via the transcript in `transcript.py`.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 from ..errors import MalformedProof
@@ -106,30 +107,70 @@ def prove_linear(statement: LinearStatement, secrets, rng,
     return LinearRelationProof(statement, tuple(commitments), c, responses)
 
 
-def verify_linear(proof: LinearRelationProof, label: str = "linear") -> bool:
-    """True iff the challenge recomputes and every equation
-    sum_i z_i*G_{j,i} == W_j + c*P_j holds."""
-    statement = proof.statement
-    if len(proof.commitments) != len(statement.targets):
-        return False
-    if len(proof.responses) != statement.n_secrets:
-        return False
-    group = _resolve_group(statement.targets[0])
-    tr = Transcript(group, label)
-    _absorb_statement(tr, statement)
-    tr.absorb(*proof.commitments)
-    if tr.challenge() != proof.challenge:
-        return False
-    c = proof.challenge
-    for row, target, w in zip(statement.bases, statement.targets, proof.commitments):
-        pairs = [(z, g) for z, g in zip(proof.responses, row) if g is not None]
-        pairs.append((-c, target))
-        if group.msm(pairs) != w:
+def verify_linear(*proofs: LinearRelationProof, label: str = "linear") -> bool:
+    """True iff every proof's challenge recomputes and every equation
+    sum_i z_i*G_{j,i} == W_j + c*P_j of every proof holds.
+
+    The equations are checked together by small-exponent batch verification
+    (Bellare, Garay & Rabin, EUROCRYPT 1998): equation e gets a 128-bit
+    weight r_e, and the batch is accepted iff
+    sum_e r_e*(sum_i z_i*G_{j,i} - c*P_j - W_j) is the identity, computed as
+    one MSM. The weights are hashed from every proof in the batch, so a
+    verdict is deterministic, and a batch holding any false equation is
+    accepted with probability at most 2^-128 per batch in a prime-order
+    group. Terms on the same point object share one MSM term.
+    """
+    if not proofs:
+        return True
+    group = _resolve_group(proofs[0].statement.targets[0])
+    digests = []
+    for proof in proofs:
+        statement = proof.statement
+        if len(proof.commitments) != len(statement.targets):
             return False
-    return True
+        if len(proof.responses) != statement.n_secrets:
+            return False
+        tr = Transcript(group, label)
+        _absorb_statement(tr, statement)
+        tr.absorb(*proof.commitments)
+        if tr.challenge() != proof.challenge:
+            return False
+        digests.append(tr.absorb(*proof.responses).digest())
+    n_eqs = sum(len(proof.commitments) for proof in proofs)
+    stream = hashlib.shake_256(b"privq/linear-batch" + b"".join(digests)).digest(16 * n_eqs)
+    weights = iter(int.from_bytes(stream[i:i + 16], "little")
+                   for i in range(0, len(stream), 16))
+    terms = {}  # id(point) -> [scalar, point]
+
+    def put(k, point):
+        slot = terms.get(id(point))
+        if slot is None:
+            terms[id(point)] = [k, point]
+        else:
+            slot[0] += k
+
+    for proof in proofs:
+        c = proof.challenge
+        for row, target, w in zip(proof.statement.bases, proof.statement.targets,
+                                  proof.commitments):
+            r = next(weights)
+            for z, g in zip(proof.responses, row):
+                if g is not None:
+                    put(r * z, g)
+            put(-r * c, target)
+            put(r, -w)  # on -W the weight stays 128 bits long
+    return group.msm([(k, point) for k, point in terms.values()]).is_identity()
 
 
-def decode_linear(group, data: bytes) -> LinearRelationProof:
+def decode_linear(group, data: bytes, known=()) -> LinearRelationProof:
+    """Decode a proof; a point encoded exactly like one in `known` is taken
+    as that point instead of being decoded again."""
+    known = {point.encode(): point for point in known if point is not None}
+
+    def point(raw):
+        hit = known.get(raw)
+        return hit if hit is not None else group.decode_point(raw)
+
     try:
         reader = Reader(data)
         if reader.u8() != _TAG:
@@ -145,14 +186,14 @@ def decode_linear(group, data: bytes) -> LinearRelationProof:
             for _ in range(n_secrets):
                 flag = reader.u8()
                 if flag == 1:
-                    row.append(group.decode_point(reader.take(pb)))
+                    row.append(point(reader.take(pb)))
                 elif flag == 0:
                     row.append(None)
                 else:
                     raise MalformedProof("non-canonical base flag")
             bases.append(tuple(row))
-        targets = tuple(group.decode_point(reader.take(pb)) for _ in range(n_eqs))
-        commitments = tuple(group.decode_point(reader.take(pb)) for _ in range(n_eqs))
+        targets = tuple(point(reader.take(pb)) for _ in range(n_eqs))
+        commitments = tuple(point(reader.take(pb)) for _ in range(n_eqs))
         challenge = group.decode_scalar(reader.take(group.scalar_bytes))
         responses = tuple(
             group.decode_scalar(reader.take(group.scalar_bytes)) for _ in range(n_secrets)

@@ -31,6 +31,10 @@ class Transcript:
             self._state = hashlib.sha512(self._state + pack_bytes(data)).digest()
         return self
 
+    def digest(self) -> bytes:
+        """The running state: a hash of everything absorbed so far."""
+        return self._state
+
     def challenge(self) -> int:
         block = hashlib.sha512(
             self._state + b"chal" + self._counter.to_bytes(4, "little")

@@ -295,34 +295,41 @@ def add_shares(share_sums, shares) -> list:
     return [total + share for total, share in zip(share_sums, shares)]
 
 
-def verify_round_payload(group, proof_type: str, payload: bytes,
-                         cn_public=None, target_pk=None) -> bool:
-    """Check one CTKS ("keyswitch") or CTO ("obfuscation") sub-proof.
+def round_proof(group, proof_type: str, payload: bytes, cn_public=None,
+                target_pk=None):
+    """The linear proof of one CTKS ("keyswitch") or CTO ("obfuscation")
+    payload if its statement has exactly the shape the step proves over the
+    payload's input ciphertext, else None. A key-switch proof must also use
+    the CN's published key `cn_public` and the target key `target_pk`.
 
-    The statement must have exactly the shape the step proves over the
-    payload's input ciphertext; a key-switch proof must also use the CN's
-    published key `cn_public` and the target key `target_pk`.
+    The fixed statement parts are matched by their encodings and never
+    decoded: only the input ciphertext and the points the prover chose are.
     """
     reader = Reader(payload)
     ct = elgamal.decode_ciphertext(group, reader.bytes_field())
-    proof = decode_linear(group, reader.rest())
-    st = proof.statement
     if proof_type == "keyswitch":
-        base = group.base()
-        if len(st.targets) != 3 or st.n_secrets != 2:
-            return False
-        if st.bases != ((base, None), (None, base), (-ct.c1, target_pk)):
-            return False
-        if st.targets[0] != cn_public:
-            return False
+        base, neg_c1 = group.base(), -ct.c1
+        bases = ((base, None), (None, base), (neg_c1, target_pk))
+        fixed = (base, neg_c1, target_pk, cn_public)
     elif proof_type == "obfuscation":
-        if len(st.targets) != 2 or st.n_secrets != 1:
-            return False
-        if st.bases != ((ct.c1,), (ct.c2,)):
-            return False
+        bases = ((ct.c1,), (ct.c2,))
+        fixed = (ct.c1, ct.c2)
     else:
-        return False
-    return verify_linear(proof)
+        return None
+    proof = decode_linear(group, reader.rest(), known=fixed)
+    if proof.statement.bases != bases:
+        return None
+    if proof_type == "keyswitch" and proof.statement.targets[0] != cn_public:
+        return None
+    return proof
+
+
+def verify_round_payload(group, proof_type: str, payload: bytes,
+                         cn_public=None, target_pk=None) -> bool:
+    """Check one CTKS or CTO sub-proof: `round_proof`'s shape check, then
+    the proof itself."""
+    proof = round_proof(group, proof_type, payload, cn_public, target_pk)
+    return proof is not None and verify_linear(proof)
 
 
 def ctks_switch(group, tree: CnTree, response, target_pk, cn_keys: dict, rng,

@@ -126,6 +126,43 @@ def test_bits_mode_range_proofs_audit_clean():
     assert report.ok, [(p, t, i) for _, p, t, i, _ in report.false_entries]
 
 
+def test_one_bad_keyswitch_sub_proof_flags_only_its_cn(monkeypatch):
+    """CN2's key-switch bundle carries one sub-proof with a wrong response:
+    the VNs' batched check must mark CN2's keyswitch proof false on every VN
+    and keep the honest CNs' keyswitch proofs true."""
+    from privq import ledger, protocols
+    from privq.proofs.linear import LinearRelationProof
+
+    topo = _topo(27)
+    bad_key = topo.keys["CN2"]
+    honest_share = protocols.ctks_share
+    shares_by_bad_cn = []
+
+    def ctks_share(group, c1, cn_key, target_pk, rng):
+        w1, w2, proof = honest_share(group, c1, cn_key, target_pk, rng)
+        if cn_key is bad_key:
+            shares_by_bad_cn.append(proof)
+            if len(shares_by_bad_cn) == 2:
+                z0, z1 = proof.responses
+                proof = LinearRelationProof(proof.statement, proof.commitments,
+                                            proof.challenge, (z0, (z1 + 1) % group.order))
+        return w1, w2, proof
+
+    monkeypatch.setattr(protocols, "ctks_share", ctks_share)
+    sim = Simulation(topo, seed=27)
+    out = sim.run(parse_query("SELECT variance heart_rate ON DP1,DP2,DP3,DP4", scale=100))
+    assert len(shares_by_bad_cn) == 3  # sum, sum of squares, count
+    assert out.result.values[0] == pytest.approx(statistics.pvariance(FLAT), abs=0.01)
+    for vn, proofs_map in out.block.maps.items():
+        for cn in topo.cn_ids:
+            key = ledger.proof_key(out.query_id, cn, "keyswitch", 0)
+            expect = ledger.STATUS_FALSE if cn == "CN2" else ledger.STATUS_TRUE
+            assert proofs_map.entries[key].status == expect, (vn, cn)
+    report = sim.audit(out.query_id)
+    assert [(p, t, i, vns) for _, p, t, i, vns in report.false_entries] == [
+        ("CN2", "keyswitch", 0, list(topo.vn_ids))]
+
+
 def test_minmax_pipeline():
     sim = Simulation(_topo(8), seed=8)
     out = sim.run(parse_query("SELECT min heart_rate ON DP1,DP2,DP3,DP4 RANGE 60,95"))

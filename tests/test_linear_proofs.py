@@ -155,3 +155,75 @@ def test_challenge_uniformity_chi_square(ctx):
     expected = 2000 / 256
     chi2 = sum((c - expected) ** 2 / expected for c in counts)
     assert chi2 < 310.46, chi2
+
+
+def _ctks_batch(group, rng, n):
+    """n key-switch proofs by one CN toward one querier key, as one CTKS
+    bundle carries them: the bases B, K_i and K' are shared objects."""
+    base = group.base()
+    k = group.random_scalar(rng)
+    cn_public = group.mul(k, base)
+    kq = group.mul(group.random_scalar(rng), base)
+    proofs = []
+    for _ in range(n):
+        a = group.random_scalar(rng)
+        neg_c1 = -group.mul(group.random_scalar(rng), base)
+        statement = LinearStatement(
+            bases=((base, None), (None, base), (neg_c1, kq)),
+            targets=(cn_public, group.mul(a, base), group.msm([(k, neg_c1), (a, kq)])),
+        )
+        proofs.append(prove_linear(statement, (k, a), rng))
+    return proofs
+
+
+def _tamper_response(group, proof, i):
+    responses = list(proof.responses)
+    responses[i] = (responses[i] + 1) % group.order
+    return LinearRelationProof(proof.statement, proof.commitments, proof.challenge,
+                               tuple(responses))
+
+
+def test_batch_matches_per_proof_verdicts_on_bitflip_corpus(ctx):
+    """The bit-flip corpus of `test_bitflip_fuzz_rejected`, each corrupted
+    proof placed in a batch between two honest ones: the batch verdict
+    equals the per-proof verdicts, and no batch is accepted."""
+    group, rng = ctx
+    statement, secrets = _ctks_instance(group, rng)
+    blob = prove_linear(statement, secrets, rng).encode()
+    honest = _ctks_batch(group, rng, 2)
+    assert verify_linear(*honest, decode_linear(group, blob))
+    flip = random.Random(1234)
+    compared = 0
+    for trial in range(1000):
+        data = bytearray(blob)
+        data[flip.randrange(len(data))] ^= 1 << flip.randrange(8)
+        try:
+            corrupted = decode_linear(group, bytes(data))
+        except MalformedProof:
+            continue
+        batch = list(honest)
+        batch.insert(trial % 3, corrupted)
+        verdict = verify_linear(*batch)
+        assert verdict == all(verify_linear(p) for p in batch)
+        assert not verdict
+        compared += 1
+    assert compared > 100
+
+
+def test_batch_of_21_rejects_one_tampered_proof_at_every_position(ctx):
+    group, rng = ctx
+    proofs = _ctks_batch(group, rng, 21)
+    assert verify_linear(*proofs)
+    for position in range(len(proofs)):
+        batch = list(proofs)
+        batch[position] = _tamper_response(group, proofs[position], position % 2)
+        assert not verify_linear(*batch), position
+
+
+def test_batch_verdict_is_deterministic(ctx):
+    group, rng = ctx
+    proofs = _ctks_batch(group, rng, 21)
+    tampered = list(proofs)
+    tampered[7] = _tamper_response(group, proofs[7], 1)
+    assert [verify_linear(*proofs) for _ in range(3)] == [True] * 3
+    assert [verify_linear(*tampered) for _ in range(3)] == [False] * 3
