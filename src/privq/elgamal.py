@@ -131,14 +131,6 @@ def decrypt_point(group, ct: Ciphertext, sk: int):
     return ct.c2 - group.mul(sk, ct.c1)
 
 
-def add(a: Ciphertext, b: Ciphertext) -> Ciphertext:
-    return a + b
-
-
-def scalar_mul_ct(alpha: int, ct: Ciphertext) -> Ciphertext:
-    return alpha * ct
-
-
 @dataclass(frozen=True)
 class FixedPoint:
     """Integer representation raw/scale of a real value."""

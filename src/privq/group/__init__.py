@@ -8,6 +8,10 @@ Profiles:
 All profiles expose: order, base(), identity(), random_scalar(rng),
 mul(k, P), msm(pairs), precompute(P), point/scalar encode-decode, and
 pairing profiles additionally pair(P, Q), gt_one(), decode_gt().
+
+`decode_point` accepts any curve point and does not check membership in
+the prime-order subgroup, so a decoded point may carry a small-order
+component; ROADMAP item 1 (ristretto255 as the wire group) closes this.
 """
 
 from __future__ import annotations

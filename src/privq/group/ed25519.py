@@ -168,18 +168,14 @@ class Ed25519Group:
             x = P - x
         return x
 
-    def decode_point(self, data: bytes, check_subgroup: bool = False) -> Ed25519Point:
+    def decode_point(self, data: bytes) -> Ed25519Point:
         if len(data) != 32:
             raise PrivqError("point encoding must be 32 bytes")
         v = int.from_bytes(data, "little")
         sign = v >> 255
         y = v & ((1 << 255) - 1)
         x = self._recover_x(y, sign)
-        point = Ed25519Point((x, y, 1, x * y % P))
-        if check_subgroup:
-            if not self.mul(self.order, point).is_identity():
-                raise PrivqError("point not in prime-order subgroup")
-        return point
+        return Ed25519Point((x, y, 1, x * y % P))
 
 
 GROUP = Ed25519Group()

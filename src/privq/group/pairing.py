@@ -256,7 +256,7 @@ class PairingGroup:
             raise PrivqError("non-canonical scalar encoding")
         return v
 
-    def decode_point(self, data: bytes, check_subgroup: bool = False) -> WeierstrassPoint:
+    def decode_point(self, data: bytes) -> WeierstrassPoint:
         if len(data) != self.point_bytes:
             raise PrivqError("bad point length")
         if data == bytes(self.point_bytes):
@@ -274,10 +274,7 @@ class PairingGroup:
             raise PrivqError("not a curve point")
         if int(y) & 1 != tag & 1:
             y = (-y) % self.p
-        point = WeierstrassPoint(x, y, self)
-        if check_subgroup and not self.mul(self.order, point).is_identity():
-            raise PrivqError("point not in prime-order subgroup")
-        return point
+        return WeierstrassPoint(x, y, self)
 
     def gt_one(self) -> GtElement:
         return GtElement(_wrap(1), _wrap(0), self)

@@ -93,10 +93,6 @@ class Bus:
     def post(self, query_id, round_, sender, recipient, payload=b"") -> None:
         self.send(Message(query_id, round_, sender, recipient, payload))
 
-    def broadcast(self, query_id, round_, sender, recipients, payload=b"") -> None:
-        for recipient in recipients:
-            self.post(query_id, round_, sender, recipient, payload)
-
     def _pick_link(self):
         live = [k for k, q in self.links.items() if q]
         if not live:

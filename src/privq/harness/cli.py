@@ -61,29 +61,25 @@ def keygen(config_path, cns, dps, vns, profile, seed):
               show_default=True)
 @click.option("--connect", default=None, help="host:port of a run-nodes server")
 def query(text, config_path, seed, dp_privacy, range_, bitwise, connect):
-    """Run a query, print the JSON result, and commit its ledger block."""
+    """Run a query, print the JSON result, and commit its block to the chain."""
     if range_:
         lo, hi = range_.split(",")
         text = f"{text} RANGE {int(lo)},{int(hi)}"
     if connect:
         host, port = connect.rsplit(":", 1)
-        doc = remote_query(host, int(port), text, seed=seed,
+        doc = remote_query(host, int(port), text,
                            dp_privacy=dp_privacy, bitwise_mode=bitwise)
         click.echo(json.dumps(doc, indent=2))
         return
     topo = Topology.from_config(config_path)
-    sim = Simulation(topo, seed=seed if seed is not None else topo.seed)
     parsed = parse_query(text, scale=topo.scale, max_records=topo.max_records,
                          bitwise_mode=bitwise, dp_privacy=dp_privacy)
-    try:
+    try:  # opening the node set's chain file checks every block in it
+        sim = Simulation(topo, seed=seed if seed is not None else topo.seed)
         outcome = sim.run(parsed)
     except PrivqError as exc:
         click.echo(json.dumps({"error": type(exc).__name__, "detail": str(exc)}))
         sys.exit(1)
-    if topo.chain_path:
-        chain = ledger.Chain(topo.chain_path)
-        if outcome.block.height == len(chain):
-            chain.append(outcome.block)
     doc = {
         "query_id": outcome.query_id,
         "values": outcome.result.values,
@@ -115,16 +111,16 @@ def run_nodes(config_path, host, port):
 @click.argument("query_id")
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 def audit(query_id, config_path):
-    """Verify the ledger block for a query and emit a JSON report."""
+    """Emit the JSON audit report of a query's block in the config's chain."""
     topo = Topology.from_config(config_path)
     if not topo.chain_path:
         click.echo(json.dumps({"error": "config has no chain_path"}))
         sys.exit(1)
     topo.generate_keys()
-    chain = ledger.Chain(topo.chain_path)
     vn_pubs = {vn: topo.keys[vn].public for vn in topo.vn_ids}
     try:
-        report = ledger.audit(query_id, chain, vn_pubs, topo.policy().f_h, topo.group)
+        chain = ledger.Chain(topo.group, vn_pubs, topo.policy().f_h, topo.chain_path)
+        report = ledger.audit(query_id, chain)
     except PrivqError as exc:
         click.echo(json.dumps({"error": type(exc).__name__, "detail": str(exc)}))
         sys.exit(1)

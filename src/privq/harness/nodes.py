@@ -7,7 +7,8 @@ arrives. Timeouts are modeled by the bus idle callback: a CN missing DP
 responses proceeds without them, a CN missing a peer CN's share aborts the
 query, and the leader VN starts block assembly once traffic has drained;
 on the hard timeout it assembles and seals with the f_h maps and
-signatures it holds.
+signatures it holds. A block enters a VN's or the querier's chain only
+through `ledger.Chain.append`; a `block_commit` it refuses is ignored.
 
 Each rule has one implementation outside this module, and the nodes here
 only route messages to it, keep per-query state and handle timeouts: the
@@ -35,7 +36,7 @@ from ..encodings import (
     neutral_response,
     train_logreg,
 )
-from ..errors import CnUnavailable, InsufficientSignatures, PrivqError
+from ..errors import CnUnavailable, PrivqError
 from ..proofs import rangeproof
 from ..proofs.linear import verify_linear
 from ..proofs.shuffle import decode_shuffle, shuffle_and_prove, verify_shuffle
@@ -77,9 +78,10 @@ def emit_bundle(node, query_id, proof_type, seq_index, payloads):
 
 
 class QuerierNode(NodeBase):
-    def __init__(self, identity, topology, rng, table):
+    def __init__(self, identity, topology, rng, table, chain):
         super().__init__(identity, topology, rng)
         self.table = table
+        self.chain = chain
 
     def start(self, query):
         state = SimpleNamespace(query=query, result=None, error=None,
@@ -127,7 +129,12 @@ class QuerierNode(NodeBase):
         self.states[msg.query_id].error = CnUnavailable(msg.payload.decode())
 
     def on_block_commit(self, msg):
-        self.states[msg.query_id].block = ledger.Block.decode(msg.payload)
+        try:
+            block = self.chain.accept(msg.payload)
+        except PrivqError:
+            return  # refused by the block rule
+        if block.query_id in self.states:
+            self.states[block.query_id].block = block
 
 
 # ---------------------------------------------------------------------------
@@ -430,12 +437,12 @@ class CnNode(NodeBase):
 class VnNode(NodeBase):
     opening_round = "query_vn"
 
-    def __init__(self, identity, topology, rng, policy, range_sigs=None):
+    def __init__(self, identity, topology, rng, policy, chain, range_sigs=None):
         super().__init__(identity, topology, rng)
         self.policy = policy
         self.range_sigs = range_sigs
         self.tree = protocols.build_tree(topology.cn_ids, topology.tree_shape)
-        self.chain = ledger.Chain()
+        self.chain = chain
         self.kv = {}  # proof key -> ProofBundle, every received proof is stored
 
     # ----- query intake and proof verification -----
@@ -649,8 +656,8 @@ class VnNode(NodeBase):
             return
         state.sealed = True
         try:
-            block = ledger.seal_block(state.block, state.signatures, self.policy.f_h)
-        except InsufficientSignatures as exc:
+            block = ledger.seal_block(self.chain, state.block, state.signatures)
+        except PrivqError as exc:
             self.send(query_id, "abort", self.topology.querier_id, str(exc).encode())
             return
         encoded = block.encode()
@@ -658,12 +665,13 @@ class VnNode(NodeBase):
             if vn != self.identity:
                 self.send(query_id, "block_commit", vn, encoded)
         self.send(query_id, "block_commit", self.topology.querier_id, encoded)
-        self.chain.append(block)
 
     def on_block_commit(self, msg):
-        block = ledger.Block.decode(msg.payload)
-        self.chain.append(block)
-        state = self.states.get(msg.query_id)
+        try:
+            block = self.chain.accept(msg.payload)
+        except PrivqError:
+            return  # refused by the block rule
+        state = self.states.get(block.query_id)
         if state is not None:
             # a committed block closes the query on every VN
             state.assembling = True

@@ -74,8 +74,12 @@ class Simulation:
                 topology.node_rng("cdp-eager"), scale=topology.scale,
             )
 
+        # one chain per node set: VN1's is file-backed, the others copy it
+        vn_pubs = {vn: topology.keys[vn].public for vn in topology.vn_ids}
+        chain = Chain(group, vn_pubs, policy.f_h, topology.chain_path)
         self.querier = QuerierNode(topology.querier_id, topology,
-                                   topology.node_rng(topology.querier_id), self.table)
+                                   topology.node_rng(topology.querier_id), self.table,
+                                   chain.copy())
         decline = decline or set()
         malicious = malicious or {}
         self.cns = {}
@@ -91,6 +95,7 @@ class Simulation:
         self.vns = {}
         for vn in topology.vn_ids:
             self.vns[vn] = VnNode(vn, topology, topology.node_rng(f"{vn}/vn"), policy,
+                                  chain if vn == topology.vn_ids[0] else chain.copy(),
                                   range_sigs=self.range_sigs)
         # one bus node per identity; colocated roles share a MultiRoleNode
         by_identity = {}
@@ -132,13 +137,11 @@ class Simulation:
         )
 
     def chain(self) -> Chain:
-        """The first VN's local chain copy (all honest VNs agree)."""
+        """VN1's chain, backed by `topology.chain_path` if set."""
         return self.vns[self.topology.vn_ids[0]].chain
 
     def audit(self, query_id: str):
-        vn_pubs = {vn: self.topology.keys[vn].public for vn in self.topology.vn_ids}
-        return ledger_audit(query_id, self.chain(), vn_pubs,
-                            self.policy.f_h, self.topology.group)
+        return ledger_audit(query_id, self.chain())
 
 
 def run_query(query_or_text, topology, scheduler: str = "serial", seed=None,

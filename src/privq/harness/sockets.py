@@ -5,7 +5,8 @@ process connects and exchanges the same length-prefixed frames the
 in-process bus uses (Message.frame). One request frame with round
 "query_text" runs the full pipeline server-side and returns a "result"
 frame with the JSON outcome, so the querier boundary crosses the wire
-while the node set shares a process.
+while the node set shares a process. The server keeps one node set, seeded
+from the topology, for its lifetime, so its blocks extend one chain.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ def _recv_exact(sock, n: int) -> bytes:
 class NodeServer:
     def __init__(self, topology, host: str = "127.0.0.1", port: int = 0):
         self.topology = topology
+        self.sim = Simulation(topology)
         self.listener = socket.create_server((host, port))
         self.port = self.listener.getsockname()[1]
         self._stop = threading.Event()
@@ -84,7 +86,6 @@ class NodeServer:
                                       b"unsupported round").frame())
             return
         params = json.loads(message.payload.decode())
-        sim = Simulation(self.topology, seed=params.get("seed", self.topology.seed))
         query = parse_query(
             params["text"],
             scale=self.topology.scale,
@@ -93,7 +94,7 @@ class NodeServer:
             dp_privacy=params.get("dp_privacy", False),
         )
         try:
-            outcome = sim.run(query)
+            outcome = self.sim.run(query)
             doc = {
                 "query_id": outcome.query_id,
                 "values": outcome.result.values,

@@ -7,7 +7,8 @@ opening a proof, T_sub per sub-proof), and records per-key verdicts. At
 end of query a round-robin leader assembles a block holding the query and
 every VN's map; VNs sign iff their own map is faithfully recorded, and the
 block commits once f_h signatures are gathered. Blocks hash-link into an
-append-only chain that `audit` replays.
+append-only chain whose `append` is the one rule that accepts a block;
+`audit` reports the verdicts of one accepted block.
 
 Coverage probabilities follow the published formulas
 
@@ -37,6 +38,7 @@ from .errors import (
     InsufficientSignatures,
     InvalidPolicy,
     MalformedQuery,
+    PrivqError,
 )
 from .proofs.signatures import sign, verify_signature
 from .protocols import query_rounds
@@ -321,32 +323,43 @@ GENESIS_HASH = b"\x00" * 32
 
 
 class Chain:
-    """Append-only block chain with optional file persistence.
+    """Append-only block chain of one VN set, optionally backed by a file.
 
-    File format: repeated length-prefixed serialized blocks; an in-memory
-    index maps query ids to positions.
+    `append` is the one block rule: a block extends the head (height and
+    `prev_hash`) and carries at least f_h signatures, each valid under a
+    known VN key. Opening a file replays its blocks through `accept`.
     """
 
-    def __init__(self, path: str | None = None):
-        self.path = path
+    def __init__(self, group, vn_pubs: dict, f_h: int, path: str | None = None):
+        self.group = group
+        self.vn_pubs = dict(vn_pubs)
+        self.f_h = f_h
+        self.path = None  # set after loading, so replayed blocks are not rewritten
         self.blocks: list[Block] = []
         self._index: dict[str, int] = {}
         if path and os.path.exists(path):
-            self._load()
-
-    def _load(self):
-        with open(self.path, "rb") as fh:
-            data = fh.read()
-        try:
-            reader = Reader(data)
+            with open(path, "rb") as fh:
+                reader = Reader(fh.read())
             while not reader.done():
-                block = Block.decode(reader.bytes_field())
-                self._index[block.query_id] = len(self.blocks)
-                self.blocks.append(block)
-        except BrokenChain:
-            raise
-        except Exception as exc:
-            raise BrokenChain(f"chain file corrupt: {exc}") from exc
+                self.accept(reader.bytes_field())
+        self.path = path
+
+    def accept(self, data: bytes) -> Block:
+        """`append` the block whose canonical encoding is `data`."""
+        try:
+            block = Block.decode(data)
+        except (PrivqError, ValueError, KeyError) as exc:
+            raise BrokenChain(f"malformed block: {exc}") from exc
+        if block.encode() != data:
+            raise BrokenChain(f"block {block.height} is not canonically encoded")
+        self.append(block)
+        return block
+
+    def copy(self) -> "Chain":
+        """An in-memory chain holding the blocks this one already accepted."""
+        other = Chain(self.group, self.vn_pubs, self.f_h)
+        other.blocks, other._index = list(self.blocks), dict(self._index)
+        return other
 
     def head_hash(self) -> bytes:
         return self.blocks[-1].block_hash() if self.blocks else GENESIS_HASH
@@ -355,7 +368,23 @@ class Chain:
         """An unsigned block for `query_id` extending the current head."""
         return Block(len(self), query_id, query_bytes, dict(maps), self.head_hash())
 
+    def valid_signatures(self, block: Block, signatures: dict) -> dict:
+        """The entries of `signatures` that a known VN made over `block`."""
+        body = block.body_bytes()
+        return {vn: sig for vn, sig in signatures.items()
+                if vn in self.vn_pubs
+                and verify_signature(self.group, self.vn_pubs[vn], body, sig)}
+
     def append(self, block: Block):
+        if block.height != len(self) or block.prev_hash != self.head_hash():
+            raise BrokenChain(f"block {block.height} does not extend the chain "
+                              f"at height {len(self)}")
+        invalid = sorted(set(block.signatures)
+                         - set(self.valid_signatures(block, block.signatures)))
+        if invalid:
+            raise BrokenChain(f"invalid signature from {invalid[0]!r} in block {block.height}")
+        if len(block.signatures) < self.f_h:
+            raise InsufficientSignatures(f"only {len(block.signatures)} block signatures")
         self.blocks.append(block)
         self._index[block.query_id] = len(self.blocks) - 1
         if self.path:
@@ -384,26 +413,25 @@ def sign_block(group, vn_id: str, sk: int, block: Block, own_map) -> bytes:
     return sign(group, sk, block.body_bytes())
 
 
-def seal_block(block: Block, signatures: dict, f_h: int) -> Block:
-    """Attach the non-empty signatures; a block commits with at least f_h."""
-    block.signatures = {vn: sig for vn, sig in signatures.items() if sig}
-    if len(block.signatures) < f_h:
-        raise InsufficientSignatures(f"only {len(block.signatures)} block signatures")
+def seal_block(chain: Chain, block: Block, signatures: dict) -> Block:
+    """Attach the signatures that verify and append the block to `chain`,
+    which raises InsufficientSignatures below f_h of them."""
+    block.signatures = chain.valid_signatures(block, signatures)
+    chain.append(block)
     return block
 
 
 def commit_block(query_id: str, query_bytes: bytes, maps: dict, vn_keys: dict,
-                 policy: VerificationPolicy, chain: Chain, group,
-                 local_maps: dict | None = None) -> Block:
+                 chain: Chain, local_maps: dict | None = None) -> Block:
     """Every VN in `vn_keys` signs the block over `maps` against its own
     map (`local_maps`, default `maps`); the block is appended to `chain`
     once f_h signatures seal it."""
     block = chain.next_block(query_id, query_bytes, maps)
     local_maps = local_maps if local_maps is not None else maps
-    signatures = {vn: sign_block(group, vn, vn_keys[vn].private, block, local_maps.get(vn))
+    signatures = {vn: sign_block(chain.group, vn, vn_keys[vn].private, block,
+                                 local_maps.get(vn))
                   for vn in sorted(vn_keys)}
-    chain.append(seal_block(block, signatures, policy.f_h))
-    return block
+    return seal_block(chain, block, signatures)
 
 
 @dataclass
@@ -431,27 +459,11 @@ class AuditReport:
         }
 
 
-def audit(query_id: str, chain: Chain, vn_pubs: dict, f_h: int, group) -> AuditReport:
-    """Verify chain linkage and signatures, then report per-proof verdicts
-    with the responsible prover for every false entry."""
-    prev = GENESIS_HASH
-    target = None
-    for block in chain.blocks:
-        if block.prev_hash != prev:
-            raise BrokenChain(f"hash link broken at height {block.height}")
-        prev = block.block_hash()
-        if block.query_id == query_id:
-            target = block
-    if target is None:
-        raise BlockNotFound(f"no block for query {query_id!r}")
-    body = target.body_bytes()
-    valid_sigs = 0
-    for vn, sig in target.signatures.items():
-        if vn not in vn_pubs or not verify_signature(group, vn_pubs[vn], body, sig):
-            raise BrokenChain(f"invalid signature from {vn!r} in block {target.height}")
-        valid_sigs += 1
-    if valid_sigs < f_h:
-        raise BrokenChain(f"only {valid_sigs} valid signatures < f_h={f_h}")
+def audit(query_id: str, chain: Chain) -> AuditReport:
+    """Report the per-proof verdicts in the block for `query_id`, with the
+    responsible prover for every false entry. The chain checked the block's
+    link and signatures when it accepted it."""
+    target = chain.get(query_id)
     false_entries: dict[str, list] = {}
     not_received = set()
     stored = set()
@@ -470,12 +482,7 @@ def audit(query_id: str, chain: Chain, vn_pubs: dict, f_h: int, group) -> AuditR
          sorted(vns))
         for key, vns in sorted(false_entries.items())
     ]
-    return AuditReport(
-        query_id=query_id,
-        ok=not falses and valid_sigs >= f_h,
-        signature_count=valid_sigs,
-        f_h=f_h,
-        false_entries=falses,
-        not_received=sorted(not_received),
-        stored_unverified=sorted(stored - set(false_entries)),
-    )
+    return AuditReport(query_id=query_id, ok=not falses,
+                       signature_count=len(target.signatures), f_h=chain.f_h,
+                       false_entries=falses, not_received=sorted(not_received),
+                       stored_unverified=sorted(stored - set(false_entries)))

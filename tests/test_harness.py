@@ -12,6 +12,7 @@ from privq.harness.pipeline import Simulation, run_iterative_extreme
 from privq.harness.queryparse import parse_query
 from privq.harness.topology import Topology, load_records
 from privq.rng import Drbg
+from privq.serial import Reader
 
 HEART = {
     "DP1": [{"heart_rate": 72, "state": "ok"}, {"heart_rate": 81, "state": "hyper"}],
@@ -93,6 +94,67 @@ def test_dead_vn_block_commits_with_f_h():
     assert sorted(out.block.signatures) == ["VN1", "VN2", "VN3"]
     assert len(sim.chain()) == 1
     assert sim.audit(out.query_id).ok
+
+
+def test_junk_block_signature_does_not_break_audit():
+    """One Byzantine VN of 4 (f_h = 3) answers the block sign request with
+    junk bytes: the leader seals the block with the three valid signatures,
+    and the block audits clean."""
+    topo = Topology.build(n_cns=3, n_dps=3, n_vns=4, seed=26)
+    topo.dp_data = {"DP1": [{"x": 4}], "DP2": [{"x": 9}], "DP3": [{"x": 11}]}
+    sim = Simulation(topo, seed=26)
+    vn3 = sim.vns["VN3"]
+    vn3.on_block_sign_request = lambda msg: vn3.send(
+        msg.query_id, "block_signature", msg.sender, b"\x01" * 64)
+    out = sim.run(parse_query("SELECT sum x ON DP1,DP2,DP3", scale=100))
+    assert out.result.values[0] == 24.0
+    assert sorted(out.block.signatures) == ["VN1", "VN2", "VN4"]
+    assert sim.audit(out.query_id).ok
+
+
+def test_forged_block_commit_ignored():
+    """A VN and the querier each get `block_commit`s whose block skips a
+    height, breaks the hash link, or has fewer than f_h valid signatures.
+    Neither appends one or closes the query with it; the honest block
+    still commits at the next height."""
+    from privq import ledger
+    from privq.harness.bus import Message
+    from privq.proofs.signatures import sign
+
+    topo = Topology.build(n_cns=2, n_dps=2, n_vns=3, seed=27)
+    topo.dp_data = {"DP1": [{"x": 10}], "DP2": [{"x": 32}]}
+    sim = Simulation(topo, seed=27)
+    sim.run(parse_query("SELECT sum x ON DP1,DP2", scale=100))
+    query = parse_query("SELECT mean x ON DP1,DP2", scale=100)
+    state = sim.querier.start(query)
+    vn2 = sim.vns["VN2"]
+    sim.bus.pump(done=lambda: query.query_id in vn2.states)
+    head = sim.chain().head_hash()
+
+    def forged(height, prev_hash, signers, junk=()):
+        block = ledger.Block(height, query.query_id, b"forged", {}, prev_hash)
+        block.signatures = {vn: sign(topo.group, topo.keys[vn].private, block.body_bytes())
+                            for vn in signers}
+        block.signatures.update({vn: b"\x01" * 64 for vn in junk})
+        return block
+
+    everyone = topo.vn_ids
+    for block in (forged(7, head, ()), forged(7, head, everyone),
+                  forged(1, b"\x00" * 32, everyone), forged(1, head, everyone[:2]),
+                  forged(1, head, everyone[:2], junk=everyone[2:])):
+        for node in (vn2, sim.querier):
+            node.handle(Message(query.query_id, "block_commit", "VN1", node.identity,
+                                block.encode()))
+            assert [b.height for b in node.chain.blocks] == [0]
+        assert vn2.states[query.query_id].block is None
+        assert state.block is None
+    sim.bus.pump(done=lambda: state.result is not None and state.block is not None)
+    sim.bus.pump()
+    assert state.result.values[0] == 21.0
+    assert state.block.height == 1
+    for node in (*sim.vns.values(), sim.querier):
+        assert [b.height for b in node.chain.blocks] == [0, 1]
+    assert sim.audit(query.query_id).ok
 
 
 def test_declining_dp_hidden_in_count_only():
@@ -360,6 +422,22 @@ def test_socket_transport_matches_in_process():
     assert doc["count"] == local.result.count
 
 
+def test_remote_queries_extend_one_chain():
+    """A node server keeps one node set, so its blocks extend one chain."""
+    from privq.harness.sockets import NodeServer, remote_query
+
+    topo = Topology.build(n_cns=2, n_dps=2, n_vns=3, seed=28)
+    topo.dp_data = {"DP1": [{"x": 10}], "DP2": [{"x": 32}]}
+    server = NodeServer(topo, port=0).start_background()
+    try:
+        docs = [remote_query("127.0.0.1", server.port, f"SELECT {op} x ON DP1,DP2")
+                for op in ("sum", "mean")]
+    finally:
+        server.stop()
+    assert [doc["block_height"] for doc in docs] == [0, 1]
+    assert [doc["values"] for doc in docs] == [[42.0], [21.0]]
+
+
 def test_cli_query_and_audit(tmp_path):
     from click.testing import CliRunner
 
@@ -390,6 +468,32 @@ def test_cli_query_and_audit(tmp_path):
     assert result.exit_code == 0, result.output
     report = json.loads(result.output)
     assert report["ok"] is True
+
+    # a second run on the same chain file commits the next block
+    result = runner.invoke(main, ["query", "SELECT mean x ON DP1,DP2",
+                                  "--config", str(cfg_path), "--seed", "3"])
+    assert result.exit_code == 0, result.output
+    doc2 = json.loads(result.output)
+    assert doc2["values"] == [10.5]
+    assert (doc["block_height"], doc2["block_height"]) == (0, 1)
+    for query_id in (doc["query_id"], doc2["query_id"]):
+        result = runner.invoke(main, ["audit", query_id, "--config", str(cfg_path)])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["ok"] is True
+    blocks = Reader(open(cfg["chain_path"], "rb").read())
+    stored = []
+    while not blocks.done():
+        stored.append(blocks.bytes_field())
+    assert len(stored) == 2
+
+    # a chain file with a flipped byte fails to open, for queries and audits
+    data = bytearray(open(cfg["chain_path"], "rb").read())
+    data[len(data) // 2] ^= 1
+    open(cfg["chain_path"], "wb").write(bytes(data))
+    for args in (["query", "SELECT sum x ON DP1,DP2"], ["audit", doc["query_id"]]):
+        result = runner.invoke(main, args + ["--config", str(cfg_path)])
+        assert result.exit_code == 1, result.output
+        assert json.loads(result.output)["error"] == "BrokenChain"
 
 
 def test_experiment_rows(tmp_path):

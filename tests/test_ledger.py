@@ -13,6 +13,7 @@ from privq.errors import (BlockNotFound, BrokenChain, InsufficientSignatures,
                           InvalidPolicy, PrivqError)
 from privq.group import get_group
 from privq.rng import Drbg
+from privq.serial import pack_bytes
 
 
 # ----- coverage -----
@@ -155,16 +156,16 @@ def block_ctx(tmp_path):
         for key in expected:
             pmap.record(key, ledger.STATUS_TRUE)
         maps[vn] = pmap
-    chain = ledger.Chain(str(tmp_path / "chain.bin"))
+    chain = ledger.Chain(group, vn_pubs, 5, str(tmp_path / "chain.bin"))
     policy = ledger.VerificationPolicy(1.0, 0.3, 5, 7)
     return group, vn_keys, vn_pubs, expected, maps, chain, policy
 
 
 def test_commit_and_audit_honest(block_ctx):
     group, vn_keys, vn_pubs, expected, maps, chain, policy = block_ctx
-    block = ledger.commit_block("q1", b"QUERY", maps, vn_keys, policy, chain, group)
+    block = ledger.commit_block("q1", b"QUERY", maps, vn_keys, chain)
     assert len(block.signatures) == 7
-    report = ledger.audit("q1", chain, vn_pubs, 5, group)
+    report = ledger.audit("q1", chain)
     assert report.ok and report.signature_count == 7
     assert not report.false_entries
 
@@ -175,13 +176,11 @@ def test_commit_threshold_arithmetic(block_ctx):
     local = dict(maps)
     local["vn0"] = refused
     local["vn1"] = refused
-    block = ledger.commit_block("q1", b"Q", maps, vn_keys, policy, chain, group,
-                                local_maps=local)
+    block = ledger.commit_block("q1", b"Q", maps, vn_keys, chain, local_maps=local)
     assert len(block.signatures) == 5  # 2 of 7 refuse, still >= f_h
     local["vn2"] = refused
     with pytest.raises(InsufficientSignatures):
-        ledger.commit_block("q2", b"Q", maps, vn_keys, policy, chain, group,
-                            local_maps=local)
+        ledger.commit_block("q2", b"Q", maps, vn_keys, chain, local_maps=local)
 
 
 def test_commit_refusal_patterns(block_ctx):
@@ -195,13 +194,13 @@ def test_commit_refusal_patterns(block_ctx):
             local[vn] = refused_map
         qid = f"q-pat-{trial}"
         if 7 - len(refusers) >= policy.f_h:
-            block = ledger.commit_block(qid, b"Q", maps, vn_keys, policy, chain,
-                                        group, local_maps=local)
+            block = ledger.commit_block(qid, b"Q", maps, vn_keys, chain,
+                                        local_maps=local)
             assert len(block.signatures) == 7 - len(refusers)
         else:
             with pytest.raises(InsufficientSignatures):
-                ledger.commit_block(qid, b"Q", maps, vn_keys, policy, chain,
-                                    group, local_maps=local)
+                ledger.commit_block(qid, b"Q", maps, vn_keys, chain,
+                                    local_maps=local)
 
 
 def test_false_entry_attribution(block_ctx):
@@ -214,8 +213,8 @@ def test_false_entry_attribution(block_ctx):
             pmap.record(key, ledger.STATUS_TRUE)
         pmap.record(bad_key, ledger.STATUS_FALSE)
         bad_maps[vn] = pmap
-    ledger.commit_block("q1", b"Q", bad_maps, vn_keys, policy, chain, group)
-    report = ledger.audit("q1", chain, vn_pubs, 5, group)
+    ledger.commit_block("q1", b"Q", bad_maps, vn_keys, chain)
+    report = ledger.audit("q1", chain)
     assert not report.ok
     assert len(report.false_entries) == 1
     key, prover, ptype, idx, vns = report.false_entries[0]
@@ -225,18 +224,18 @@ def test_false_entry_attribution(block_ctx):
 
 def test_chain_persistence_roundtrip(block_ctx, tmp_path):
     group, vn_keys, vn_pubs, expected, maps, chain, policy = block_ctx
-    ledger.commit_block("q1", b"A", maps, vn_keys, policy, chain, group)
-    ledger.commit_block("q2", b"B", maps, vn_keys, policy, chain, group)
-    reloaded = ledger.Chain(chain.path)
+    ledger.commit_block("q1", b"A", maps, vn_keys, chain)
+    ledger.commit_block("q2", b"B", maps, vn_keys, chain)
+    reloaded = ledger.Chain(group, vn_pubs, 5, chain.path)
     assert len(reloaded) == 2
     assert reloaded.get("q2").prev_hash == reloaded.get("q1").block_hash()
-    assert ledger.audit("q2", reloaded, vn_pubs, 5, group).ok
+    assert ledger.audit("q2", reloaded).ok
 
 
 def test_single_byte_tamper_always_detected(block_ctx, tmp_path):
     group, vn_keys, vn_pubs, expected, maps, chain, policy = block_ctx
-    ledger.commit_block("q1", b"A", maps, vn_keys, policy, chain, group)
-    ledger.commit_block("q2", b"B", maps, vn_keys, policy, chain, group)
+    ledger.commit_block("q1", b"A", maps, vn_keys, chain)
+    ledger.commit_block("q2", b"B", maps, vn_keys, chain)
     with open(chain.path, "rb") as fh:
         original = fh.read()
     rnd = random.Random(8)
@@ -246,23 +245,87 @@ def test_single_byte_tamper_always_detected(block_ctx, tmp_path):
         data[rnd.randrange(len(data))] ^= 1 << rnd.randrange(8)
         with open(tampered_path, "wb") as fh:
             fh.write(bytes(data))
-        with pytest.raises(PrivqError):
-            broken = ledger.Chain(tampered_path)
-            ledger.audit("q1", broken, vn_pubs, 5, group)
-            ledger.audit("q2", broken, vn_pubs, 5, group)
+        with pytest.raises(PrivqError):  # opening the file replays every block
+            ledger.Chain(group, vn_pubs, 5, tampered_path)
 
 
 def test_block_not_found(block_ctx):
     group, vn_keys, vn_pubs, expected, maps, chain, policy = block_ctx
-    ledger.commit_block("q1", b"A", maps, vn_keys, policy, chain, group)
+    ledger.commit_block("q1", b"A", maps, vn_keys, chain)
     with pytest.raises(BlockNotFound):
-        ledger.audit("missing", chain, vn_pubs, 5, group)
+        ledger.audit("missing", chain)
 
 
-def test_broken_link_detected(block_ctx):
+def test_broken_link_detected(block_ctx, tmp_path):
+    """A block whose prev_hash is not the head hash is refused on append,
+    and a chain file holding one fails to open."""
     group, vn_keys, vn_pubs, expected, maps, chain, policy = block_ctx
-    ledger.commit_block("q1", b"A", maps, vn_keys, policy, chain, group)
-    ledger.commit_block("q2", b"B", maps, vn_keys, policy, chain, group)
-    chain.blocks[1].prev_hash = b"\x00" * 32
+    ledger.commit_block("q1", b"A", maps, vn_keys, chain)
+    block = chain.next_block("q2", b"B", maps)
+    block.prev_hash = b"\x00" * 32
+    block.signatures = {vn: ledger.sign_block(group, vn, kp.private, block, maps[vn])
+                        for vn, kp in vn_keys.items()}
     with pytest.raises(BrokenChain):
-        ledger.audit("q2", chain, vn_pubs, 5, group)
+        chain.append(block)
+    assert len(chain) == 1
+    path = tmp_path / "relinked.bin"
+    path.write_bytes(open(chain.path, "rb").read() + pack_bytes(block.encode()))
+    with pytest.raises(BrokenChain):
+        ledger.Chain(group, vn_pubs, 5, str(path))
+
+
+def test_append_rule_refuses_bad_blocks(block_ctx):
+    """`Chain.append` refuses a block at the wrong height, one carrying a
+    signature under an unknown VN name or a junk signature, and one with
+    fewer than f_h signatures; the chain is left as it was."""
+    group, vn_keys, vn_pubs, expected, maps, chain, policy = block_ctx
+    ledger.commit_block("q1", b"A", maps, vn_keys, chain)
+
+    def signed(block, signers):
+        block.signatures = {vn: ledger.sign_block(group, vn, vn_keys[vn].private,
+                                                  block, maps[vn]) for vn in signers}
+        return block
+
+    skipped = ledger.Block(7, "q2", b"B", dict(maps), chain.head_hash())
+    outsider = signed(chain.next_block("q2", b"B", maps), sorted(vn_keys))
+    outsider.signatures["vn9"] = outsider.signatures["vn0"]
+    junk = signed(chain.next_block("q2", b"B", maps), sorted(vn_keys))
+    junk.signatures["vn3"] = b"\x01" * 64
+    short = signed(chain.next_block("q2", b"B", maps), ["vn0", "vn1", "vn2", "vn3"])
+    for block, error in ((signed(skipped, sorted(vn_keys)), BrokenChain),
+                         (outsider, BrokenChain), (junk, BrokenChain),
+                         (short, InsufficientSignatures)):
+        with pytest.raises(error):
+            chain.append(block)
+    assert [b.height for b in chain.blocks] == [0]
+    assert len(ledger.Chain(group, vn_pubs, 5, chain.path)) == 1
+
+
+def test_seal_block_attaches_only_valid_signatures(block_ctx):
+    group, vn_keys, vn_pubs, expected, maps, chain, policy = block_ctx
+    block = chain.next_block("q1", b"A", maps)
+    signatures = {vn: ledger.sign_block(group, vn, kp.private, block, maps[vn])
+                  for vn, kp in vn_keys.items()}
+    signatures["vn6"] = b"\x01" * 64
+    signatures["vn5"] = b""  # a refusal
+    ledger.seal_block(chain, block, signatures)
+    assert sorted(block.signatures) == ["vn0", "vn1", "vn2", "vn3", "vn4"]
+    assert ledger.audit("q1", chain).ok
+    block = chain.next_block("q2", b"B", maps)
+    with pytest.raises(InsufficientSignatures):
+        ledger.seal_block(chain, block, {"vn0": signatures["vn0"], "vn6": b"\x01" * 64})
+    assert len(chain) == 1
+
+
+def test_renamed_signer_in_file_detected(block_ctx, tmp_path):
+    """Renaming one signer of a stored block to another signer's name leaves
+    six valid signatures, but the file no longer holds the block's own
+    encoding, so it fails to open."""
+    group, vn_keys, vn_pubs, expected, maps, chain, policy = block_ctx
+    ledger.commit_block("q1", b"A", maps, vn_keys, chain)
+    data = open(chain.path, "rb").read()
+    sigs_at = data.index(pack_bytes(b"vn0") + pack_bytes(chain.blocks[0].signatures["vn0"]))
+    path = tmp_path / "renamed.bin"
+    path.write_bytes(data[:sigs_at + 6] + b"1" + data[sigs_at + 7:])
+    with pytest.raises(BrokenChain):
+        ledger.Chain(group, vn_pubs, 5, str(path))
