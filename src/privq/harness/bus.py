@@ -7,6 +7,11 @@ generator, modeling arbitrary interleaving while preserving per-link
 order. When every queue drains and the run is not finished, each node
 gets one idle callback (the timeout surrogate); if that produces no new
 traffic the pump stops.
+
+A node ends each query with `NodeBase.close`, which drops the query's
+state and parked messages. A message whose handler raises a `PrivqError`
+counts as never sent: the node drops it and logs it in `Bus.dropped`, and
+the timeouts then treat its sender as they treat a dead node.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from ..errors import TransportClosed
+from ..errors import PrivqError, TransportClosed
 from ..serial import Reader, pack_bytes
 
 
@@ -43,10 +48,9 @@ class Message:
     @classmethod
     def from_frame(cls, data: bytes, seq: int = 0) -> "Message":
         reader = Reader(data)
-        fields = [reader.bytes_field() for _ in range(5)]
+        fields = [reader.text() for _ in range(4)] + [reader.bytes_field()]
         reader.expect_done()
-        return cls(fields[0].decode(), fields[1].decode(), fields[2].decode(),
-                   fields[3].decode(), fields[4], seq)
+        return cls(*fields, seq)
 
 
 class Bus:
@@ -63,6 +67,7 @@ class Bus:
         self.closed = False
         self.dead: set[str] = set()
         self.trace: list[Message] | None = [] if record_trace else None
+        self.dropped: list[tuple] = []  # (recipient, round, sender, repr(error))
         self.delivered = 0
 
     def register(self, node) -> None:
@@ -136,7 +141,8 @@ class NodeBase:
     A node whose per-query state is opened by one round (`opening_round`)
     parks the query's other messages until that round arrives, since they
     may overtake it on other links, and replays them in arrival order right
-    after the opening handler has returned.
+    after the opening handler has returned. Each role calls `close` where
+    its part of a query ends.
     """
 
     opening_round: str | None = None
@@ -166,7 +172,16 @@ class NodeBase:
             raise TransportClosed(
                 f"{self.identity} has no handler for round {message.round!r}"
             )
-        handler(message)
+        try:
+            handler(message)
+        except PrivqError as exc:  # a message its handler cannot use never arrived
+            self.bus.dropped.append((self.identity, message.round, message.sender,
+                                     repr(exc)))
+
+    def close(self, query_id) -> None:
+        """End the query here: drop its state and parked messages."""
+        self.states.pop(query_id, None)
+        self._parked.pop(query_id, None)
 
     def on_idle(self, level: int = 0) -> None:
         pass

@@ -3,12 +3,19 @@
 All cross-node interaction goes through bus Messages. Per-query state
 lives in each node's `states` dictionary keyed by query id; a message that
 overtakes the one opening its query is parked by `NodeBase` until that one
-arrives. Timeouts are modeled by the bus idle callback: a CN missing DP
-responses proceeds without them, a CN missing a peer CN's share aborts the
-query, and the leader VN starts block assembly once traffic has drained;
-on the hard timeout it assembles and seals with the f_h maps and
+arrives. A message whose handler raises a `PrivqError` is dropped as if it
+never arrived. Timeouts are modeled by the bus idle callback: a CN missing
+DP responses proceeds without them, a CN missing a peer CN's share aborts
+the query, and the leader VN starts block assembly once traffic has
+drained; on the hard timeout it assembles and seals with the f_h maps and
 signatures it holds. A block enters a VN's or the querier's chain only
-through `ledger.Chain.append`; a `block_commit` it refuses is ignored.
+through `ledger.Chain.append`; a `block_commit` it refuses is dropped.
+
+A node ends its part of a query with `close`: the querier when
+`Simulation.run` returns, the root CN after the result or an abort, the
+other CNs after their key-switch share, any CN at the hard timeout, the
+leader VN once it seals or fails to seal, and the other VNs on the
+committed block or an abort. A VN keeps each query's bundle bytes (`kv`).
 
 Each rule has one implementation outside this module, and the nodes here
 only route messages to it, keep per-query state and handle timeouts: the
@@ -19,7 +26,8 @@ block rules in privq.ledger. Provers sign and send their proof bundles
 with `emit_bundle`. A VN checks the shape of each sampled CTKS/CTO
 sub-proof (`protocols.round_proof`) and then verifies the linear proofs of
 the bundle with one batched `verify_linear` call; the bundle's verdict is
-all-or-nothing either way.
+all-or-nothing either way. A shuffle-chain link is checked against both
+neighbours, whichever of the two bundles arrives first.
 """
 
 from __future__ import annotations
@@ -69,8 +77,9 @@ def emit_bundle(node, query_id, proof_type, seq_index, payloads):
     bundle = ledger.ProofBundle(query_id, node.identity, proof_type, seq_index,
                                 payloads).signed(
         node.topology.group, node.topology.keys[node.identity].private)
+    encoded = bundle.encode()
     for vn in node.topology.vn_ids:
-        node.send(query_id, "proof_bundle", vn, bundle.encode())
+        node.send(query_id, "proof_bundle", vn, encoded)
 
 
 # ---------------------------------------------------------------------------
@@ -126,13 +135,10 @@ class QuerierNode(NodeBase):
             state.error = exc
 
     def on_abort(self, msg):
-        self.states[msg.query_id].error = CnUnavailable(msg.payload.decode())
+        self.states[msg.query_id].error = CnUnavailable(msg.payload.decode(errors="replace"))
 
     def on_block_commit(self, msg):
-        try:
-            block = self.chain.accept(msg.payload)
-        except PrivqError:
-            return  # refused by the block rule
+        block = self.chain.accept(msg.payload)  # a block it refuses is dropped
         if block.query_id in self.states:
             self.states[block.query_id].block = block
 
@@ -209,15 +215,11 @@ class DpNode(NodeBase):
 class CnNode(NodeBase):
     opening_round = "query"
 
-    def __init__(self, identity, topology, rng, noise=None):
+    def __init__(self, identity, topology, rng):
         super().__init__(identity, topology, rng)
         self.tree = protocols.build_tree(topology.cn_ids, topology.tree_shape)
         self.index = self.tree.nodes.index(identity)
         self.is_root = self.index == 0
-        self.noise = noise  # pre-generated NoiseList for eager CDP, root only
-
-    def _state(self, query_id):
-        return self.states[query_id]
 
     def _parent(self):
         p = self.tree.parents[self.index]
@@ -236,26 +238,25 @@ class CnNode(NodeBase):
             inputs=[],  # (label, ct tuple) pairs: DP responses and child partials
             pending_children=set(self._children()),
             aggregated=False,
-            stage="aggregation",  # a query_rounds entry, then "done" or "failed"
+            stage="aggregation",  # root: the query_rounds entry it is running
             share_waits={},  # round tag -> set of children still pending
             share_sums={},  # round tag -> list of summed share ct-pairs
             round_cts={},  # round tag -> input cts of the round
             current=None,  # root: current EncodedResponse through the stages
-            timed_out_dps=set(),
         )
         for dp in my_dps:
             self.send(query.query_id, "query", dp, msg.payload)
         self._try_finish_collect(query.query_id)
 
     def on_dp_response(self, msg):
-        state = self._state(msg.query_id)
+        state = self.states[msg.query_id]
         response = unpack_response(self.topology.group, msg.payload)
         state.inputs.append((msg.sender, tuple(response.vector) + (response.count,)))
         state.expected_dps.discard(msg.sender)
         self._try_finish_collect(msg.query_id)
 
     def on_cta_partial(self, msg):
-        state = self._state(msg.query_id)
+        state = self.states[msg.query_id]
         reader = Reader(msg.payload)
         cts = tuple(unpack_cts(self.topology.group, reader))
         state.inputs.append((msg.sender, cts))
@@ -263,7 +264,7 @@ class CnNode(NodeBase):
         self._try_finish_collect(msg.query_id)
 
     def _try_finish_collect(self, query_id):
-        state = self._state(query_id)
+        state = self.states[query_id]
         if state.aggregated or state.expected_dps or state.pending_children:
             return
         if not state.inputs:
@@ -280,7 +281,6 @@ class CnNode(NodeBase):
         parent = self._parent()
         if parent is not None:
             self.send(query_id, "cta_partial", parent, pack_cts(agg.output))
-            state.stage = "done"
             return
         state.current = EncodedResponse(list(agg.output[:-1]), agg.output[-1])
         self._advance_root(query_id)
@@ -289,7 +289,7 @@ class CnNode(NodeBase):
 
     def _advance_root(self, query_id):
         """Start the round that follows the finished one in the query's plan."""
-        state = self._state(query_id)
+        state = self.states[query_id]
         rounds = protocols.query_rounds(state.query)
         state.stage = rounds[rounds.index(state.stage) + 1]
         if state.stage == "obfuscation":
@@ -301,7 +301,7 @@ class CnNode(NodeBase):
             self._start_tree_round(query_id, "ctks", cts)
 
     def _start_tree_round(self, query_id, tag, cts):
-        state = self._state(query_id)
+        state = self.states[query_id]
         state.round_cts[tag] = cts
         payload = pack_bytes(tag.encode()) + pack_cts(cts)
         for child in self._children():
@@ -320,21 +320,21 @@ class CnNode(NodeBase):
 
     def on_round_request(self, msg):
         reader = Reader(msg.payload)
-        tag = reader.bytes_field().decode()
+        tag = reader.text()
         cts = unpack_cts(self.topology.group, reader)
         self._start_tree_round(msg.query_id, tag, cts)
 
     def on_round_share(self, msg):
         reader = Reader(msg.payload)
-        tag = reader.bytes_field().decode()
+        tag = reader.text()
         shares = unpack_cts(self.topology.group, reader)
-        state = self._state(msg.query_id)
+        state = self.states[msg.query_id]
         state.share_sums[tag] = protocols.add_shares(state.share_sums[tag], shares)
         state.share_waits[tag].discard(msg.sender)
         self._try_finish_round(msg.query_id, tag)
 
     def _try_finish_round(self, query_id, tag):
-        state = self._state(query_id)
+        state = self.states[query_id]
         if state.share_waits.get(tag):
             return
         sums = state.share_sums[tag]
@@ -342,15 +342,16 @@ class CnNode(NodeBase):
         if parent is not None:
             self.send(query_id, "round_share", parent,
                       pack_bytes(tag.encode()) + pack_cts(sums))
+            if tag == "ctks":  # key switching is the last round
+                self.close(query_id)
             return
         if tag == "ctks":
             switched = protocols.ctks_combine(state.round_cts[tag], sums)
-            state.current = EncodedResponse(switched[:-1], switched[-1])
-            state.stage = "done"
             self.send(query_id, RESULT_ROUND, self.topology.querier_id,
-                      pack_response(state.current))
+                      pack_response(EncodedResponse(switched[:-1], switched[-1])))
             for vn in self.topology.vn_ids:
                 self.send(query_id, "end_query", vn)
+            self.close(query_id)
         else:  # cto: the summed blinded shares are the obfuscated vector
             state.current = EncodedResponse(sums, state.current.count)
             self._advance_root(query_id)
@@ -358,20 +359,9 @@ class CnNode(NodeBase):
     # ----- collective differential privacy -----
 
     def _start_cdp(self, query_id):
-        state = self._state(query_id)
-        group = self.topology.group
-        pk = self.topology.collective_key().public
-        if self.noise is not None and self.is_root:
-            # eager mode: noise generated ahead of the query; every CN signs
-            # and publishes its own pre-computed shuffle proof under this query
-            noise, steps = self.noise
-            for step in steps:
-                payload = b"".join(pack_bytes(p) for p in step.payloads)
-                self.send(query_id, "cdp_replay", step.cn_id, payload)
-            state.current = protocols.cdp_apply(state.current, noise)
-            self._advance_root(query_id)
-            return
-        _, initial = protocols.initial_noise(group, *self.topology.noise_params(), pk,
+        _, initial = protocols.initial_noise(self.topology.group,
+                                             *self.topology.noise_params(),
+                                             self.topology.collective_key().public,
                                              scale=self.topology.scale)
         self.send(query_id, "cdp_pass", self.tree.root, pack_cts(initial))
 
@@ -390,15 +380,8 @@ class CnNode(NodeBase):
             self.send(msg.query_id, "cdp_done", self.tree.root,
                       pack_cts(list(outputs)))
 
-    def on_cdp_replay(self, msg):
-        reader = Reader(msg.payload)
-        payloads = []
-        while not reader.done():
-            payloads.append(reader.bytes_field())
-        emit_bundle(self, msg.query_id, "shuffle", 0, tuple(payloads))
-
     def on_cdp_done(self, msg):
-        state = self._state(msg.query_id)
+        state = self.states[msg.query_id]
         group = self.topology.group
         reader = Reader(msg.payload)
         cts = unpack_cts(group, reader)
@@ -409,25 +392,28 @@ class CnNode(NodeBase):
     # ----- timeouts -----
 
     def on_idle(self, level: int = 0):
-        for query_id, state in self.states.items():
-            if state.stage in ("done", "failed"):
+        for query_id, state in list(self.states.items()):
+            if state.expected_dps:
+                # unresponsive DPs only reduce the number of responses
+                state.expected_dps = set()
+                self._try_finish_collect(query_id)
+            if level < 1:
                 continue
-            if not state.aggregated:
-                if state.expected_dps:
-                    # unresponsive DPs only reduce the number of responses
-                    state.timed_out_dps |= state.expected_dps
-                    state.expected_dps = set()
-                    self._try_finish_collect(query_id)
-                if (level >= 1 and not state.aggregated and state.pending_children):
-                    self._abort(query_id, state,
-                                f"unresponsive CNs: {sorted(state.pending_children)}")
-                continue
-            if level >= 1:  # aggregated but not done: the root is in a round
-                self._abort(query_id, state, f"round stalled in stage {state.stage}")
+            # hard timeout: the traffic has drained, so nothing more can
+            # arrive for the queries this CN still holds
+            if state.pending_children:
+                self._abort(query_id, f"unresponsive CNs: {sorted(state.pending_children)}")
+            elif self.is_root:
+                self._abort(query_id, f"round stalled in stage {state.stage}")
+            self.close(query_id)
 
-    def _abort(self, query_id, state, reason):
-        state.stage = "failed"
-        self.send(query_id, "abort", self.topology.querier_id, reason.encode())
+    def _abort(self, query_id, reason):
+        """Tell the querier, and from the root every VN, that the query failed."""
+        recipients = (self.topology.querier_id,)
+        if self.is_root:
+            recipients += tuple(self.topology.vn_ids)
+        for recipient in recipients:
+            self.send(query_id, "abort", recipient, reason.encode())
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +429,7 @@ class VnNode(NodeBase):
         self.range_sigs = range_sigs
         self.tree = protocols.build_tree(topology.cn_ids, topology.tree_shape)
         self.chain = chain
-        self.kv = {}  # proof key -> ProofBundle, every received proof is stored
+        self.kv = {}  # query id -> {proof key -> bundle bytes}: every bundle received
 
     # ----- query intake and proof verification -----
 
@@ -465,8 +451,7 @@ class VnNode(NodeBase):
             assembling=False,
             collected_maps={},
             signatures={},
-            block=None,
-            sealed=False,  # leader: the block was sealed (or failed to seal)
+            block=None,  # leader: the assembled block, not yet sealed
             dp_range_cts={},  # dp -> {element index -> Ciphertext}
             agg_inputs={},  # dp -> ct tuple seen in a CN aggregation proof
             round_ct_hash={},  # "keyswitch"/"obfuscation" -> first-seen input hash
@@ -474,15 +459,12 @@ class VnNode(NodeBase):
         )
 
     def on_proof_bundle(self, msg):
-        try:
-            bundle = ledger.ProofBundle.decode(msg.payload)
-        except PrivqError:
-            return
+        bundle = ledger.ProofBundle.decode(msg.payload)
         state = self.states.get(bundle.query_id)
         if state is None:
             return
         key = bundle.key
-        self.kv[key] = bundle  # stored regardless of verification
+        self.kv.setdefault(bundle.query_id, {})[key] = msg.payload  # kept unverified too
         prover_key = self.topology.keys.get(bundle.prover_id)
         group = self.topology.group
         if prover_key is None or not verify_signature(
@@ -573,6 +555,12 @@ class VnNode(NodeBase):
         inputs_enc = tuple(ct.encode() for ct in proof.inputs)
         outputs_enc = tuple(ct.encode() for ct in proof.outputs)
         state.shuffle_io[position] = (inputs_enc, outputs_enc)
+        later = state.shuffle_io.get(position + 1)
+        if later is not None and later[0] != outputs_enc:
+            # the next link's bundle came first and did not shuffle this output
+            key = ledger.proof_key(state.query.query_id, self.tree.nodes[position + 1],
+                                   "shuffle", 0)
+            state.map.record(key, ledger.STATUS_FALSE)
         if position == 0:
             _, initial = protocols.initial_noise(group, *self.topology.noise_params(),
                                                  collective, scale=self.topology.scale)
@@ -592,8 +580,8 @@ class VnNode(NodeBase):
             state.ended = True
 
     def on_idle(self, level: int = 0):
-        for query_id, state in self.states.items():
-            if (state.ended and not state.assembling and state.block is None
+        for query_id, state in list(self.states.items()):
+            if (state.ended and not state.assembling
                     and ledger.block_leader(self.topology.vn_ids, len(self.chain))
                     == self.identity):
                 state.assembling = True
@@ -649,33 +637,27 @@ class VnNode(NodeBase):
 
     def _maybe_seal(self, query_id, quorum=None):
         """Seal once `quorum` VNs answered, by default every VN; the leader
-        tries once and aborts the query if too few of them signed."""
+        tries once, which ends its part of the query, and sends the block,
+        or an abort if too few VNs signed, to the other VNs and the querier."""
         state = self.states[query_id]
-        if (state.block is None or state.sealed
+        if (state.block is None
                 or len(state.signatures) < (quorum or len(self.topology.vn_ids))):
             return
-        state.sealed = True
+        self.close(query_id)
         try:
-            block = ledger.seal_block(self.chain, state.block, state.signatures)
+            round_, payload = "block_commit", ledger.seal_block(
+                self.chain, state.block, state.signatures).encode()
         except PrivqError as exc:
-            self.send(query_id, "abort", self.topology.querier_id, str(exc).encode())
-            return
-        encoded = block.encode()
-        for vn in self.topology.vn_ids:
-            if vn != self.identity:
-                self.send(query_id, "block_commit", vn, encoded)
-        self.send(query_id, "block_commit", self.topology.querier_id, encoded)
+            round_, payload = "abort", str(exc).encode()
+        others = [vn for vn in self.topology.vn_ids if vn != self.identity]
+        for recipient in (*others, self.topology.querier_id):
+            self.send(query_id, round_, recipient, payload)
 
     def on_block_commit(self, msg):
-        try:
-            block = self.chain.accept(msg.payload)
-        except PrivqError:
-            return  # refused by the block rule
-        state = self.states.get(block.query_id)
-        if state is not None:
-            # a committed block closes the query on every VN
-            state.assembling = True
-            state.block = block
+        self.close(self.chain.accept(msg.payload).query_id)
+
+    def on_abort(self, msg):
+        self.close(msg.query_id)
 
 
 class MultiRoleNode(NodeBase):

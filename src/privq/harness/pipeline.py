@@ -9,7 +9,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .. import protocols
 from ..encodings import iterative_extreme
 from ..errors import CnUnavailable, DecodeFailure, PairingUnavailable
 from ..group import DlogTable
@@ -46,8 +45,7 @@ class Simulation:
 
     def __init__(self, topology, scheduler: str = "serial", seed=None,
                  decline: set | None = None, malicious: dict | None = None,
-                 eager_noise: bool = False, record_trace: bool = False,
-                 max_message: int | None = None):
+                 record_trace: bool = False):
         self.topology = topology
         seed = seed if seed is not None else topology.seed
         self.seed = seed
@@ -55,8 +53,7 @@ class Simulation:
         self.bus = Bus(scheduler, rng=sched_rng, record_trace=record_trace)
         group = topology.group
         topology.generate_keys()
-        self.max_message = max_message or topology.max_message
-        self.table = _shared_table(group, self.max_message)
+        self.table = _shared_table(group, topology.max_message)
         self.range_sigs = None
         if group.has_pairing:
             setup_rng = topology.node_rng("range-setup")
@@ -64,15 +61,6 @@ class Simulation:
                 group, 16, len(topology.cn_ids), setup_rng)
         policy = topology.policy()
         self.policy = policy
-
-        tree = protocols.build_tree(topology.cn_ids, topology.tree_shape)
-        noise = None
-        if eager_noise:
-            noise = protocols.cdp_generate(
-                group, *topology.noise_params(), tree,
-                topology.collective_key().public,
-                topology.node_rng("cdp-eager"), scale=topology.scale,
-            )
 
         # one chain per node set: VN1's is file-backed, the others copy it
         vn_pubs = {vn: topology.keys[vn].public for vn in topology.vn_ids}
@@ -82,10 +70,8 @@ class Simulation:
                                    chain.copy())
         decline = decline or set()
         malicious = malicious or {}
-        self.cns = {}
-        for cn in topology.cn_ids:
-            self.cns[cn] = CnNode(cn, topology, topology.node_rng(cn),
-                                  noise=noise if cn == tree.root else None)
+        self.cns = {cn: CnNode(cn, topology, topology.node_rng(cn))
+                    for cn in topology.cn_ids}
         self.dps = {}
         for dp in topology.dp_ids:
             self.dps[dp] = DpNode(dp, topology, topology.node_rng(dp),
@@ -112,11 +98,14 @@ class Simulation:
         t0 = time.perf_counter()
         delivered = self.bus.delivered
         state = self.querier.start(query)
-        self.bus.pump(done=lambda: state.error is not None
-                      or (state.result is not None and state.block is not None))
-        # drain remaining traffic (block commits to the other VNs) so every
-        # node's ledger copy is consistent before the next query
-        self.bus.pump()
+        try:
+            self.bus.pump(done=lambda: state.error is not None
+                          or (state.result is not None and state.block is not None))
+            # drain remaining traffic (block commits to the other VNs) so every
+            # node's ledger copy is consistent before the next query
+            self.bus.pump()
+        finally:
+            self.querier.close(query.query_id)
         if state.error is not None:
             raise state.error
         if state.result is None:
@@ -131,8 +120,8 @@ class Simulation:
             metrics={
                 "wall_time": time.perf_counter() - t0,
                 "messages": self.bus.delivered - delivered,
-                "proof_bundles": sum(1 for vn in self.vns.values() for bundle in vn.kv.values()
-                                     if bundle.query_id == query.query_id),
+                "proof_bundles": sum(len(vn.kv.get(query.query_id, ()))
+                                     for vn in self.vns.values()),
             },
         )
 

@@ -6,7 +6,8 @@ in-process bus uses (Message.frame). One request frame with round
 "query_text" runs the full pipeline server-side and returns a "result"
 frame with the JSON outcome, so the querier boundary crosses the wire
 while the node set shares a process. The server keeps one node set, seeded
-from the topology, for its lifetime, so its blocks extend one chain.
+from the topology, for its lifetime, so its blocks extend one chain. A
+request it cannot parse gets an "error" frame, and the server keeps serving.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ class NodeServer:
             with conn:
                 try:
                     self._handle(conn)
-                except TransportClosed:
+                except (TransportClosed, OSError):  # the client went away
                     pass
 
     def start_background(self):
@@ -80,33 +81,32 @@ class NodeServer:
             self._thread.join(timeout=2)
 
     def _handle(self, conn):
-        message = Message.from_frame(_recv_frame(conn))
-        if message.round != "query_text":
-            _send_frame(conn, Message("", "error", "server", message.sender,
-                                      b"unsupported round").frame())
-            return
-        params = json.loads(message.payload.decode())
-        query = parse_query(
-            params["text"],
-            scale=self.topology.scale,
-            max_records=self.topology.max_records,
-            bitwise_mode=params.get("bitwise_mode", "random"),
-            dp_privacy=params.get("dp_privacy", False),
-        )
-        try:
+        frame = _recv_frame(conn)
+        query_id, sender = "", ""
+        try:  # a request it cannot parse, like a node failure, gets an error frame
+            message = Message.from_frame(frame)
+            sender = message.sender
+            if message.round != "query_text":
+                raise TransportClosed("unsupported round")
+            params = json.loads(message.payload.decode())
+            query = parse_query(
+                params["text"],
+                scale=self.topology.scale,
+                max_records=self.topology.max_records,
+                bitwise_mode=params.get("bitwise_mode", "random"),
+                dp_privacy=params.get("dp_privacy", False),
+            )
+            query_id = query.query_id
             outcome = self.sim.run(query)
-            doc = {
+            round_, body = "result", json.dumps({
                 "query_id": outcome.query_id,
                 "values": outcome.result.values,
                 "count": outcome.result.count,
                 "block_height": outcome.block.height,
-            }
-            reply = Message(query.query_id, "result", "server", message.sender,
-                            json.dumps(doc).encode())
-        except Exception as exc:  # surface node failures to the remote querier
-            reply = Message(query.query_id, "error", "server", message.sender,
-                            str(exc).encode())
-        _send_frame(conn, reply.frame())
+            })
+        except Exception as exc:
+            round_, body = "error", str(exc)
+        _send_frame(conn, Message(query_id, round_, "server", sender, body.encode()).frame())
 
 
 def remote_query(host: str, port: int, text: str, sender: str = "Q", **params) -> dict:

@@ -37,6 +37,7 @@ from .errors import (
     BrokenChain,
     InsufficientSignatures,
     InvalidPolicy,
+    MalformedProof,
     MalformedQuery,
     PrivqError,
 )
@@ -158,9 +159,9 @@ class ProofBundle:
     @classmethod
     def decode(cls, data: bytes) -> "ProofBundle":
         reader = Reader(data)
-        query_id = reader.bytes_field().decode()
-        prover_id = reader.bytes_field().decode()
-        proof_type = reader.bytes_field().decode()
+        query_id = reader.text()
+        prover_id = reader.text()
+        proof_type = reader.text()
         seq_index = reader.u32()
         n = reader.u32()
         payloads = tuple(reader.bytes_field() for _ in range(n))
@@ -207,9 +208,11 @@ class QueryProofsMap:
         obj = cls({})
         for _ in range(n):
             key = reader.bytes_field().hex()
-            status = _CODE_STATUS[reader.u8()]
-            prover = reader.bytes_field().decode()
-            ptype = reader.bytes_field().decode()
+            status = _CODE_STATUS.get(reader.u8())
+            if status is None:
+                raise MalformedProof("unknown status code")
+            prover = reader.text()
+            ptype = reader.text()
             idx = reader.u32()
             obj.entries[key] = MapEntry(status, prover, ptype, idx)
         return obj
@@ -302,18 +305,18 @@ class Block:
     def decode(cls, data: bytes) -> "Block":
         reader = Reader(data)
         height = reader.u32()
-        query_id = reader.bytes_field().decode()
+        query_id = reader.text()
         query_bytes = reader.bytes_field()
         prev_hash = reader.bytes_field()
         n_maps = reader.u32()
         maps = {}
         for _ in range(n_maps):
-            vn = reader.bytes_field().decode()
+            vn = reader.text()
             maps[vn] = QueryProofsMap.decode(Reader(reader.bytes_field()))
         n_sigs = reader.u32()
         signatures = {}
         for _ in range(n_sigs):
-            vn = reader.bytes_field().decode()
+            vn = reader.text()
             signatures[vn] = reader.bytes_field()
         reader.expect_done()
         return cls(height, query_id, query_bytes, maps, prev_hash, signatures)
@@ -348,7 +351,7 @@ class Chain:
         """`append` the block whose canonical encoding is `data`."""
         try:
             block = Block.decode(data)
-        except (PrivqError, ValueError, KeyError) as exc:
+        except PrivqError as exc:
             raise BrokenChain(f"malformed block: {exc}") from exc
         if block.encode() != data:
             raise BrokenChain(f"block {block.height} is not canonically encoded")

@@ -137,7 +137,7 @@ class Aggregation:
         reader = Reader(data)
         labels, inputs = [], []
         for _ in range(reader.u32()):
-            labels.append(reader.bytes_field().decode())
+            labels.append(reader.text())
             inputs.append(tuple(unpack_cts(group, reader)))
         output = tuple(unpack_cts(group, reader))
         reader.expect_done()

@@ -32,6 +32,13 @@ class Reader:
         (n,) = struct.unpack("<I", self.take(4))
         return self.take(n)
 
+    def text(self) -> str:
+        """A length-prefixed UTF-8 field."""
+        try:
+            return self.bytes_field().decode()
+        except UnicodeDecodeError as exc:
+            raise MalformedProof(f"text field is not UTF-8: {exc}") from exc
+
     def u32(self) -> int:
         (n,) = struct.unpack("<I", self.take(4))
         return n

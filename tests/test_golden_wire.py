@@ -48,12 +48,6 @@ GOLDEN = {
         "4eec8444a77dbe7b54149fcf38206f9a60461a05c5b7c1149c158447b09f9e87",
         "2c17627f0c51045a76a9b1ae19c9a3e7351366e569bad00d81531ef4d7e6876e",
     ),
-    "dp_sum_eager": (
-        {}, f"SELECT sum x ON {DPS}", {"dp_privacy": True}, {"eager_noise": True},
-        67,
-        "f801a09c1d11cad8415cfaca6c67133117b14e7a91588fccfd28c3be7570c2de",
-        "2c17627f0c51045a76a9b1ae19c9a3e7351366e569bad00d81531ef4d7e6876e",
-    ),
     "variance_chain": (
         {"tree_shape": "chain"}, f"SELECT variance x ON {DPS}", {}, {},
         55,

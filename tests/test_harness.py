@@ -29,6 +29,13 @@ def _topo(seed, **kw):
     return topo
 
 
+def _assert_no_query_state(sim):
+    """Every live node has ended every query: no state, nothing parked."""
+    for node in (sim.querier, *sim.cns.values(), *sim.dps.values(), *sim.vns.values()):
+        if node.identity not in sim.bus.dead:
+            assert (node.states, node._parked) == ({}, {}), node.identity
+
+
 def test_run_query_one_shot():
     from privq.harness.pipeline import run_query
 
@@ -73,6 +80,7 @@ def test_dead_dp_reduces_count():
     out = sim.run(parse_query("SELECT average heart_rate ON DP1,DP2,DP3,DP4", scale=100))
     assert out.result.count == 4
     assert out.result.values[0] == pytest.approx((72 + 81 + 65 + 77) / 4)
+    _assert_no_query_state(sim)
 
 
 def test_dead_cn_aborts():
@@ -80,6 +88,33 @@ def test_dead_cn_aborts():
     sim.kill("CN2")
     with pytest.raises(CnUnavailable):
         sim.run(parse_query("SELECT sum heart_rate ON DP1,DP2,DP3,DP4", scale=100))
+    # the root CN's abort also ends the query on every VN
+    _assert_no_query_state(sim)
+
+
+def test_finished_queries_leave_no_state():
+    """Twenty queries on one node set: every node ends each query, so no
+    query state or parked message is left, and each VN keeps the bytes of
+    every query's bundles."""
+    topo = Topology.build(n_cns=3, n_dps=4, n_vns=3, seed=29)
+    topo.cdp_params = {"epsilon": 1.0, "delta_f": 1.0, "theta": 0.5, "list_size": 8}
+    topo.dp_data = {"DP1": [{"x": 12, "flag": 1}], "DP2": [{"x": 30, "flag": 0}],
+                    "DP3": [{"x": 7, "flag": 1}], "DP4": [{"x": 45, "flag": 0}]}
+    sim = Simulation(topo, seed=29)
+    kinds = [("sum x", {}, 94.0), ("variance x", {}, statistics.pvariance([12, 30, 7, 45])),
+             ("or flag", {"bitwise_mode": "bits"}, 1.0), ("sum x", {"dp_privacy": True}, None)]
+    for i in range(20):
+        text, options, expected = kinds[i % len(kinds)]
+        out = sim.run(parse_query(f"SELECT {text} ON DP1,DP2,DP3,DP4", scale=100,
+                                  query_id=f"q{i}", **options))
+        if expected is not None:
+            assert out.result.values[0] == pytest.approx(expected, abs=0.01), text
+        assert sim.audit(out.query_id).ok, text
+    _assert_no_query_state(sim)
+    for vn in sim.vns.values():
+        assert sorted(vn.kv) == sorted(f"q{i}" for i in range(20))
+        assert all(isinstance(data, bytes)
+                   for bundles in vn.kv.values() for data in bundles.values())
 
 
 def test_dead_vn_block_commits_with_f_h():
@@ -155,6 +190,60 @@ def test_forged_block_commit_ignored():
     for node in (*sim.vns.values(), sim.querier):
         assert [b.height for b in node.chain.blocks] == [0, 1]
     assert sim.audit(query.query_id).ok
+
+
+def test_junk_dp_response_dropped():
+    """A DP's unparsable response counts as no response: its CN times it
+    out and the query answers over the other DPs."""
+    sim = Simulation(_topo(31), seed=31)
+    dp1 = sim.dps["DP1"]
+    dp1.on_query = lambda msg: dp1.send(msg.query_id, "dp_response", msg.sender, b"junk")
+    out = sim.run(parse_query("SELECT sum heart_rate ON DP1,DP2,DP3,DP4", scale=100))
+    assert (out.result.values[0], out.result.count) == (65 + 90 + 77, 3)
+    assert sim.audit(out.query_id).ok
+    cn = sim.topology.dp_assignment["DP1"]
+    assert [entry[:3] for entry in sim.bus.dropped] == [(cn, "dp_response", "DP1")]
+
+
+def test_junk_map_submit_dropped():
+    """One VN of 4 (f_h = 3) answers the leader's map request with junk:
+    the leader assembles and seals from the three other VNs' maps."""
+    topo = Topology.build(n_cns=3, n_dps=3, n_vns=4, seed=26)
+    topo.dp_data = {"DP1": [{"x": 4}], "DP2": [{"x": 9}], "DP3": [{"x": 11}]}
+    sim = Simulation(topo, seed=26)
+    vn4 = sim.vns["VN4"]
+    vn4.on_map_request = lambda msg: vn4.send(msg.query_id, "map_submit", msg.sender,
+                                              b"junk")
+    out = sim.run(parse_query("SELECT sum x ON DP1,DP2,DP3", scale=100))
+    assert out.result.values[0] == 24.0
+    assert sorted(out.block.signatures) == ["VN1", "VN2", "VN3"]
+    assert sim.audit(out.query_id).ok
+    _assert_no_query_state(sim)
+
+
+def test_bundle_with_non_utf8_query_id_dropped():
+    """A bundle whose query id is not UTF-8 is a malformed message from its
+    sender, not a crash of the VNs that receive it."""
+    from privq import ledger
+    from privq.serial import pack_bytes
+
+    sim = Simulation(_topo(32), seed=32)
+    cn2 = sim.cns["CN2"]
+    honest_on_query = cn2.on_query
+
+    def on_query(msg):
+        honest_on_query(msg)
+        bundle = ledger.ProofBundle(msg.query_id, "CN2", "aggregation", 0, (b"x",)).signed(
+            cn2.topology.group, cn2.topology.keys["CN2"].private)
+        junk = bundle.encode().replace(pack_bytes(msg.query_id.encode()),
+                                       pack_bytes(b"\xff\xfe"), 1)
+        for vn in cn2.topology.vn_ids:
+            cn2.send(msg.query_id, "proof_bundle", vn, junk)
+
+    cn2.on_query = on_query
+    out = sim.run(parse_query("SELECT sum heart_rate ON DP1,DP2,DP3,DP4", scale=100))
+    assert out.result.values[0] == sum(FLAT)
+    assert sim.audit(out.query_id).ok
 
 
 def test_declining_dp_hidden_in_count_only():
@@ -237,13 +326,45 @@ def test_cdp_noise_lazy_and_eager():
     topo = Topology.build(n_cns=3, n_dps=3, n_vns=3, seed=9)
     topo.cdp_params = {"epsilon": 1.0, "delta_f": 1.0, "theta": 0.5, "list_size": 16}
     topo.dp_data = {"DP1": [{"x": 10}], "DP2": [{"x": 20}], "DP3": [{"x": 30}]}
-    for eager in (False, True):
-        sim = Simulation(topo, seed=9 if eager else 10, eager_noise=eager)
-        out = sim.run(parse_query("SELECT sum x ON DP1,DP2,DP3", scale=100,
-                                  dp_privacy=True))
-        noise = out.result.values[0] - 60.0
-        assert abs(noise * 2 - round(noise * 2)) < 1e-9  # quantized at theta = 0.5
-        assert sim.audit(out.query_id).ok, eager
+    sim = Simulation(topo, seed=10)
+    out = sim.run(parse_query("SELECT sum x ON DP1,DP2,DP3", scale=100,
+                              dp_privacy=True))
+    noise = out.result.values[0] - 60.0
+    assert abs(noise * 2 - round(noise * 2)) < 1e-9  # quantized at theta = 0.5
+    assert sim.audit(out.query_id).ok
+
+
+def test_shuffle_link_checked_whichever_bundle_arrives_first():
+    """CN2, second in the shuffle chain, sends its shuffle bundle before CN1
+    has shuffled: over an all-zero list it encrypted itself, whose shuffle
+    it then forwards in place of CN1's output. The sum comes back
+    noise-free, but every VN marks CN2's shuffle false, and nothing else."""
+    from privq import elgamal
+    from privq.harness import nodes
+
+    topo = Topology.build(n_cns=3, n_dps=3, n_vns=3, seed=30)
+    topo.cdp_params = {"epsilon": 1.0, "delta_f": 1.0, "theta": 2, "list_size": 8}
+    topo.dp_data = {"DP1": [{"x": 10}], "DP2": [{"x": 20}], "DP3": [{"x": 30}]}
+    sim = Simulation(topo, seed=30)
+    cn2 = sim.cns["CN2"]
+    honest_on_query = cn2.on_query
+    forged = {}
+
+    def on_query(msg):
+        honest_on_query(msg)
+        group, pk = topo.group, topo.collective_key().public
+        zeros = [elgamal.encrypt(group, 0, pk, cn2.rng) for _ in range(8)]
+        forged[msg.query_id], proof = nodes.shuffle_and_prove(group, zeros, pk, cn2.rng)
+        nodes.emit_bundle(cn2, msg.query_id, "shuffle", 0, (proof.encode(),))
+
+    cn2.on_query = on_query
+    cn2.on_cdp_pass = lambda msg: cn2.send(msg.query_id, "cdp_pass", "CN3",
+                                           elgamal.pack_cts(list(forged[msg.query_id])))
+    out = sim.run(parse_query("SELECT sum x ON DP1,DP2,DP3", scale=100, dp_privacy=True))
+    assert out.result.values[0] == 60.0
+    report = sim.audit(out.query_id)
+    assert [(p, t, vns) for _, p, t, _, vns in report.false_entries] == [
+        ("CN2", "shuffle", list(topo.vn_ids))]
 
 
 def test_cdp_shuffle_chain_order_with_ten_cns():
@@ -420,6 +541,26 @@ def test_socket_transport_matches_in_process():
                                                       scale=topo.scale))
     assert doc["values"] == local.result.values
     assert doc["count"] == local.result.count
+
+
+def test_node_server_answers_junk_frame_and_keeps_serving():
+    import socket
+
+    from privq.harness.bus import Message
+    from privq.harness.sockets import NodeServer, _recv_frame, _send_frame, remote_query
+
+    topo = Topology.build(n_cns=2, n_dps=2, n_vns=3, seed=16)
+    topo.dp_data = {"DP1": [{"x": 10}], "DP2": [{"x": 32}]}
+    server = NodeServer(topo, port=0).start_background()
+    try:
+        with socket.create_connection(("127.0.0.1", server.port), timeout=30) as sock:
+            _send_frame(sock, b"\x01\x02\x03")
+            reply = Message.from_frame(_recv_frame(sock))
+        doc = remote_query("127.0.0.1", server.port, "SELECT sum x ON DP1,DP2")
+    finally:
+        server.stop()
+    assert reply.round == "error"
+    assert doc["values"] == [42.0]
 
 
 def test_remote_queries_extend_one_chain():

@@ -10,7 +10,7 @@ from privq import ledger
 from privq.elgamal import KeyPair
 from privq.encodings import OperationSpec
 from privq.errors import (BlockNotFound, BrokenChain, InsufficientSignatures,
-                          InvalidPolicy, PrivqError)
+                          InvalidPolicy, MalformedProof, PrivqError)
 from privq.group import get_group
 from privq.rng import Drbg
 from privq.serial import pack_bytes
@@ -329,3 +329,24 @@ def test_renamed_signer_in_file_detected(block_ctx, tmp_path):
     path.write_bytes(data[:sigs_at + 6] + b"1" + data[sigs_at + 7:])
     with pytest.raises(BrokenChain):
         ledger.Chain(group, vn_pubs, 5, str(path))
+
+
+@pytest.mark.parametrize("field", ["query_id", "status"])
+def test_malformed_block_field_refused(block_ctx, field):
+    """A query id that is not UTF-8, or an unknown status code, is a
+    malformed block: decoding raises MalformedProof and `accept` BrokenChain."""
+    group, vn_keys, vn_pubs, expected, maps, chain, policy = block_ctx
+    data = ledger.commit_block("qid-x", b"A", maps, vn_keys,
+                               ledger.Chain(group, vn_pubs, 5)).encode()
+    if field == "query_id":
+        old, new = pack_bytes(b"qid-x"), pack_bytes(b"\xff\xfe")
+    else:
+        key = pack_bytes(bytes.fromhex(next(iter(expected))))
+        old, new = key + b"\x01", key + b"\x09"
+    assert old in data
+    junk = data.replace(old, new, 1)
+    with pytest.raises(MalformedProof):
+        ledger.Block.decode(junk)
+    with pytest.raises(BrokenChain):
+        chain.accept(junk)
+    assert len(chain) == 0
