@@ -6,8 +6,9 @@ Profiles:
   - "pairing80":  same construction at reduced size, for fast test runs.
 
 All profiles expose: order, base(), identity(), random_scalar(rng),
-mul(k, P), msm(pairs), precompute(P), point/scalar encode-decode, and
-pairing profiles additionally pair(P, Q), gt_one(), decode_gt().
+mul(k, P), msm(pairs), precompute(P), walk(start, step, n), point/scalar
+encode-decode and encode_many(points) (one inversion per call), and pairing
+profiles additionally pair(P, Q), gt_msm(pairs), gt_one(), decode_gt().
 
 `decode_point` accepts any curve point and does not check membership in
 the prime-order subgroup, so a decoded point may carry a small-order

@@ -12,6 +12,7 @@ from __future__ import annotations
 from ..errors import OutOfTableRange
 
 _FULL_TABLE_LIMIT = 1 << 16
+_CHUNK = 1024  # baby steps per walk: one inversion each, little memory
 
 
 class DlogTable:
@@ -29,10 +30,12 @@ class DlogTable:
                 baby = min(1 << 16, 1 << ((max_message.bit_length() + 1) // 2))
         self.baby = min(baby, max_message + 1)
         self._table = {}
-        point = group.identity()
-        for m in range(self.baby):
-            self._table[point.encode()] = m
-            point = point + self.base
+        start = group.identity()
+        for lo in range(0, self.baby, _CHUNK):
+            points = group.walk(start, self.base, min(_CHUNK, self.baby - lo) + 1)
+            start = points.pop()
+            for m, enc in enumerate(group.encode_many(points), lo):
+                self._table[enc] = m
         self._stride = group.mul(self.baby, self.base)
         self._giant_max = (max_message + self.baby) // self.baby
 

@@ -141,6 +141,20 @@ class Ed25519Group:
             mult.multi_scalar_mul(native, _add, _dbl, _IDENTITY, self.order)
         )
 
+    def walk(self, start: Ed25519Point, step: Ed25519Point, n: int) -> list:
+        """[start + k*step for k in range(n)]."""
+        out, cur = [], start.co
+        for _ in range(n):
+            out.append(Ed25519Point(cur))
+            cur = _add(cur, step.co)
+        return out
+
+    def encode_many(self, points) -> list:
+        """`[P.encode() for P in points]` with one field inversion in all."""
+        cos = [q.co for q in points]
+        return [((y * zi % P) | ((x * zi % P & 1) << 255)).to_bytes(32, "little")
+                for (x, y, _, _), zi in zip(cos, mult.batch_inverse([c[2] for c in cos], P))]
+
     def encode_scalar(self, s: int) -> bytes:
         return (s % self.order).to_bytes(32, "little")
 

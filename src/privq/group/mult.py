@@ -7,6 +7,20 @@ All functions work on backend-native coordinate objects through the supplied
 from __future__ import annotations
 
 
+def batch_inverse(values, modulus):
+    """Inverses of `values` mod `modulus` with one modular inversion
+    (Montgomery's simultaneous inversion); a zero maps to zero."""
+    prefix, acc = [], 1
+    for v in values:
+        prefix.append(acc)
+        acc = acc * v % modulus if v else acc
+    inv, out = pow(acc, -1, modulus), []
+    for v, before in zip(reversed(values), reversed(prefix)):
+        out.append(inv * before % modulus if v else 0)
+        inv = inv * v % modulus if v else inv
+    return out[::-1]
+
+
 def window_mul(k, point, add, dbl, identity):
     """Fixed 4-bit window multiplication for a one-off variable base."""
     if k == 0:

@@ -1,11 +1,22 @@
 """Pairing-friendly curve profile: supersingular y^2 = x^3 + x over F_p.
 
 p = 3 (mod 4) makes the curve supersingular with #E(F_p) = p + 1; group
-operations happen in the order-r subgroup (r prime, r | p + 1). The
-symmetric pairing is the reduced Tate pairing composed with the distortion
-map (x, y) -> (-x, iy) into E(F_p^2), F_p^2 = F_p[i]/(i^2 + 1), computed
-with Miller's algorithm (denominators eliminated by the final
-exponentiation) followed by the exponentiation to (p^2 - 1)/r.
+operations happen in the order-r subgroup (r prime, r | p + 1).
+
+Coordinates: a `WeierstrassPoint` is the affine (x, y) that is encoded,
+compared and hashed. Arithmetic runs in Jacobian (X, Y, Z), x = X/Z^2 and
+y = Y/Z^3, Z = 0 for the identity, with the EFD formulas dbl-2007-bl and
+add-2007-bl (madd-2007-bl when Z2 = 1) for a = 1, and normalizes once per
+`mul`, `msm` or `+`. Comb tables are normalized to Z = 1 with one
+simultaneous inversion. An inversion costs 25-40 multiplications mod p.
+
+Pairing: the reduced Tate pairing composed with the distortion map
+(x, y) -> (-x, iy) into E(F_p^2), F_p^2 = F_p[i]/(i^2 + 1). Miller's loop
+keeps T in Jacobian coordinates and scales each line by a factor in F_p
+(Barreto-Kim-Lynn-Scott, CRYPTO 2002) and skips the last vertical line;
+the final exponentiation to (p - 1)(p + 1)/r removes both. Its f^(p-1) =
+conj(f)^2/N(f) costs one inversion and has norm 1, so the power to the
+cofactor squares with (a + bi)^2 = (2a^2 - 1) + ((a + b)^2 - 1)i.
 
 Two parameter sets: "pairing128" (1536-bit p, production default) and
 "pairing80" (512-bit p, reduced security for fast test runs).
@@ -29,7 +40,7 @@ try:
         return int(_gmpy_invert(a, p))
 
     _wrap = mpz
-except ImportError:  # pure-int fallback, ~4x slower field inversion
+except ImportError:  # pure-int fallback: CPython's pow(a, -1, p), the slow case
 
     def _inv(a, p):
         return pow(a, -1, p)
@@ -77,6 +88,8 @@ PARAMS = {
     ),
 }
 
+_INF = (1, 1, 0)  # Jacobian identity: any (X, Y, 0)
+
 
 class WeierstrassPoint:
     """Affine point on the supersingular curve; None coordinates mean the identity."""
@@ -94,20 +107,7 @@ class WeierstrassPoint:
 
     def __add__(self, other):
         g = self.group
-        if self.is_identity():
-            return other
-        if other.is_identity():
-            return self
-        p = g.p
-        x1, y1, x2, y2 = self.x, self.y, other.x, other.y
-        if x1 == x2:
-            if (y1 + y2) % p == 0:
-                return g.identity()
-            lam = (3 * x1 * x1 + 1) * _inv(2 * y1, p) % p
-        else:
-            lam = (y2 - y1) * _inv(x2 - x1, p) % p
-        x3 = (lam * lam - x1 - x2) % p
-        return WeierstrassPoint(x3, (lam * (x1 - x3) - y1) % p, g)
+        return g._affine([g._jadd(g._jacobian(self), g._jacobian(other))])[0]
 
     def __neg__(self):
         if self.is_identity():
@@ -153,8 +153,7 @@ class GtElement:
     def __mul__(self, other):
         p = self.group.p
         a, b, c, d = self.re, self.im, other.re, other.im
-        t1 = a * c % p
-        t2 = b * d % p
+        t1, t2 = a * c, b * d
         return GtElement((t1 - t2) % p, ((a + b) * (c + d) - t1 - t2) % p, self.group)
 
     def __pow__(self, e):
@@ -196,6 +195,12 @@ class GtElement:
         return f"GtElement({self.encode().hex()[:16]}...)"
 
 
+def _unit_sqr(a):
+    """Square of a norm-1 element: (a + bi)^2 = (2a^2 - 1) + ((a + b)^2 - 1)i."""
+    p = a.group.p
+    return GtElement((2 * a.re * a.re - 1) % p, ((a.re + a.im) ** 2 - 1) % p, a.group)
+
+
 class PairingGroup:
     has_pairing = True
 
@@ -222,28 +227,95 @@ class PairingGroup:
     def random_scalar(self, rng) -> int:
         return rng.randbelow(self.order)
 
-    def _dbl(self, point):
-        return point + point
+    def _jacobian(self, point):
+        return _INF if point.x is None else (point.x, point.y, 1)
+
+    def _normalize(self, points):
+        """Jacobian points with Z = 1 (the identity kept), one inversion in all."""
+        p = self.p
+        out = []
+        for (x, y, z), zi in zip(points, mult.batch_inverse([q[2] for q in points], p)):
+            zi2 = zi * zi % p
+            out.append((x * zi2 % p, y * zi2 % p * zi % p, 1) if z else _INF)
+        return out
+
+    def _affine(self, points):
+        return [WeierstrassPoint(x, y, self) if z else self._identity
+                for x, y, z in self._normalize(points)]
+
+    def _jdbl(self, a):
+        """dbl-2007-bl for a = 1, its squared sums written as products."""
+        p = self.p
+        x, y, z = a
+        yy = y * y % p
+        zz = z * z % p
+        m = (3 * x * x + zz * zz) % p
+        s = 4 * x * yy % p
+        x3 = (m * m - 2 * s) % p
+        return (x3, (m * (s - x3) - 8 * yy * yy) % p, 2 * y * z % p)
+
+    def _jadd(self, a, b):
+        """add-2007-bl, or madd-2007-bl when b has Z = 1; P + P doubles and
+        P + (-P) gives the identity."""
+        x1, y1, z1 = a
+        x2, y2, z2 = b
+        if not z1:
+            return b
+        if not z2:
+            return a
+        p = self.p
+        z1z1 = z1 * z1 % p
+        if z2 == 1:
+            u1, s1, zz = x1, y1, z1
+        else:
+            z2z2 = z2 * z2 % p
+            u1, s1, zz = x1 * z2z2 % p, y1 * z2 % p * z2z2 % p, z1 * z2 % p
+        h = (x2 * z1z1 - u1) % p
+        r = 2 * (y2 * z1 % p * z1z1 - s1) % p
+        if not h:
+            return self._jdbl(a) if not r else _INF
+        i = 4 * h * h % p
+        j = h * i % p
+        v = u1 * i % p
+        x3 = (r * r - j - 2 * v) % p
+        return (x3, (r * (v - x3) - 2 * s1 * j) % p, 2 * zz * h % p)
 
     def mul(self, k: int, point: WeierstrassPoint) -> WeierstrassPoint:
         k = k % self.order
         if k == 0 or point.is_identity():
             return self._identity
         if point._comb is not None:
-            return mult.comb_mul(k, point._comb, WeierstrassPoint.__add__, self._identity)
-        return mult.window_mul(k, point, WeierstrassPoint.__add__, self._dbl, self._identity)
+            return self._affine([mult.comb_mul(k, point._comb, self._jadd, _INF)])[0]
+        jac = self._jacobian(point)
+        return self._affine([mult.window_mul(k, jac, self._jadd, self._jdbl, _INF)])[0]
 
     def precompute(self, point: WeierstrassPoint) -> None:
+        """Attach a comb table whose entries have Z = 1."""
         if point._comb is None and not point.is_identity():
-            point._comb = mult.comb_table(point, WeierstrassPoint.__add__, self.order.bit_length())
+            rows = mult.comb_table(self._jacobian(point), self._jadd, self.order.bit_length())
+            flat = self._normalize([q for row in rows for q in row[1:]])
+            step = len(rows[0]) - 1
+            point._comb = [[None] + flat[i:i + step] for i in range(0, len(flat), step)]
 
     def msm(self, pairs) -> WeierstrassPoint:
         pairs = list(pairs)
         if len(pairs) == 1:
             return self.mul(*pairs[0])
-        return mult.multi_scalar_mul(
-            pairs, WeierstrassPoint.__add__, self._dbl, self._identity, self.order
-        )
+        native = [(k, self._jacobian(q)) for k, q in pairs]
+        return self._affine([mult.multi_scalar_mul(native, self._jadd, self._jdbl, _INF,
+                                                   self.order)])[0]
+
+    def walk(self, start: WeierstrassPoint, step: WeierstrassPoint, n: int) -> list:
+        """[start + k*step for k in range(n)], added in Jacobian coordinates."""
+        cur, inc, out = self._jacobian(start), self._jacobian(step), []
+        for _ in range(n):
+            out.append(cur)
+            cur = self._jadd(cur, inc)
+        return self._affine(out)
+
+    def encode_many(self, points) -> list:
+        """`[P.encode() for P in points]`; affine points need no inversion."""
+        return [q.encode() for q in points]
 
     def encode_scalar(self, s: int) -> bytes:
         return (s % self.order).to_bytes(self.scalar_bytes, "little")
@@ -306,48 +378,59 @@ class PairingGroup:
             self._pair_cache[key] = result
         return result
 
+    def gt_msm(self, pairs) -> GtElement:
+        """prod(g ** (k mod r)) over (int k, GtElement g) pairs, one squaring chain.
+        It squares with the norm-1 formula, so it accepts only pairing outputs
+        and their conjugates; any other element needs `**`."""
+        return mult.multi_scalar_mul(list(pairs), GtElement.__mul__, _unit_sqr,
+                                     self.gt_one(), self.gt_order)
+
     def _tate(self, P, Q):
         p = self.p
         mxq = (-Q.x) % p
         neg_yq = (-Q.y) % p
-        one = _wrap(1)
-        fr, fi = one, _wrap(0)
-        tx, ty = P.x, P.y
         px, py = P.x, P.y
+        mxq_px = (mxq - px) % p
+        fr, fi = _wrap(1), _wrap(0)
+        x, y, z = px, py, _wrap(1)  # T in Jacobian coordinates
         done = False
         for bit in bin(self.order)[3:]:
-            # f <- f^2 * line_{T,T}(phi Q); line = (lam(-xq - xT) + yT) - i*yq
-            lam = (3 * tx * tx + 1) * _inv(2 * ty, p) % p
-            lre = (lam * (mxq - tx) + ty) % p
-            t1 = fr * fr % p
-            t2 = fi * fi % p
-            sr, si = (t1 - t2) % p, 2 * fr * fi % p
-            u1 = sr * lre % p
-            u2 = si * neg_yq % p
-            fr = (u1 - u2) % p
-            fi = ((sr + si) * (lre + neg_yq) - u1 - u2) % p
-            x3 = (lam * lam - 2 * tx) % p
-            ty = (lam * (tx - x3) - ty) % p
-            tx = x3
-            if bit == "1":
-                if done:
+            if not y:  # T of order 2 (P outside the order-r subgroup): fail closed
+                raise ValueError("tangent at a point of order 2 in the Miller loop")
+            # f <- f^2 * line_{T,T}(phi Q) = (lam(-xq - xT) + yT) - i*yq, scaled by z3*Z^2
+            yy = y * y % p
+            zz = z * z % p
+            m = (3 * x * x + zz * zz) % p
+            z3 = 2 * y * z % p
+            lre = (m * (mxq * zz - x) + 2 * yy) % p
+            lim = neg_yq * z3 % p * zz % p
+            sr, si = (fr + fi) * (fr - fi) % p, 2 * fr * fi % p
+            u1, u2 = sr * lre, si * lim
+            fr, fi = (u1 - u2) % p, ((sr + si) * (lre + lim) - u1 - u2) % p
+            s = 4 * x * yy % p
+            x = (m * m - 2 * s) % p
+            y = (m * (s - x) - 8 * yy * yy) % p
+            z = z3
+            if bit == "1" and not done:
+                zz = z * z % p
+                h = (px * zz - x) % p
+                if not h:
+                    if py * z % p * zz % p == y:  # T = P: no chord, fail closed
+                        raise ValueError("T = P in the Miller loop")
+                    done = True  # T = -P: vertical line, eliminated by final exponentiation
                     continue
-                if tx == px and (ty + py) % p == 0:
-                    done = True  # vertical line, eliminated by final exponentiation
-                    continue
-                lam = (py - ty) * _inv(px - tx, p) % p
-                lre = (lam * (mxq - tx) + ty) % p
-                u1 = fr * lre % p
-                u2 = fi * neg_yq % p
-                fr, fi = (u1 - u2) % p, ((fr + fi) * (lre + neg_yq) - u1 - u2) % p
-                x3 = (lam * lam - tx - px) % p
-                ty = (lam * (tx - x3) - ty) % p
-                tx = x3
-        # final exponentiation: f^(p-1) via conjugate/inverse, then ^cofactor
+                # f <- f * line_{T,P}(phi Q) through P: lam = r/z3, scaled by z3
+                z3 = 2 * z * h % p
+                lre = (2 * (py * z % p * zz - y) * mxq_px + py * z3) % p
+                lim = neg_yq * z3 % p
+                u1, u2 = fr * lre, fi * lim
+                fr, fi = (u1 - u2) % p, ((fr + fi) * (lre + lim) - u1 - u2) % p
+                x, y, z = self._jadd((x, y, z), (px, py, 1))
+        # final exponentiation: f^(p-1) = conj(f)^2 / N(f), then ^cofactor
         norm = _inv(fr * fr + fi * fi, p)
         gr = fr * fr % p - fi * fi % p
         g = GtElement(gr * norm % p, (-2 * fr * fi) % p * norm % p, self)
-        return g ** self.cofactor
+        return mult.window_mul(self.cofactor, g, GtElement.__mul__, _unit_sqr, self.gt_one())
 
 
 def build(name: str) -> PairingGroup:

@@ -337,6 +337,7 @@ class Chain:
         self.group = group
         self.vn_pubs = dict(vn_pubs)
         self.f_h = f_h
+        self._verified = (None, {})  # (body, {vn: signature}) last found valid
         self.path = None  # set after loading, so replayed blocks are not rewritten
         self.blocks: list[Block] = []
         self._index: dict[str, int] = {}
@@ -372,11 +373,16 @@ class Chain:
         return Block(len(self), query_id, query_bytes, dict(maps), self.head_hash())
 
     def valid_signatures(self, block: Block, signatures: dict) -> dict:
-        """The entries of `signatures` that a known VN made over `block`."""
+        """The entries of `signatures` that a known VN made over `block`; those
+        valid over the last body are kept, so `seal_block` verifies each once."""
         body = block.body_bytes()
-        return {vn: sig for vn, sig in signatures.items()
-                if vn in self.vn_pubs
-                and verify_signature(self.group, self.vn_pubs[vn], body, sig)}
+        known = self._verified[1] if self._verified[0] == body else {}
+        valid = {vn: sig for vn, sig in signatures.items()
+                 if known.get(vn) == sig
+                 or (vn in self.vn_pubs
+                     and verify_signature(self.group, self.vn_pubs[vn], body, sig))}
+        self._verified = (body, {**known, **valid})
+        return valid
 
     def append(self, block: Block):
         if block.height != len(self) or block.prev_hash != self.head_hash():

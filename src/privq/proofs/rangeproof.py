@@ -196,7 +196,7 @@ def prove_range_unchecked(group, m: int, r_nonce: int, omega,
             v_ij = group.mul(v_j, sigs.digit_sigs[i][digits[j]])
             v_points[i].append(v_ij)
             e_vb = group.pair(v_ij, base)
-            a_elems[i].append((e_vb.conjugate() ** s_j) * (e_bb**t_j))
+            a_elems[i].append(group.gt_msm([(s_j, e_vb.conjugate()), (t_j, e_bb)]))
     n_nonce = group.random_scalar(rng)
     d_point = group.msm(
         [(pow(u, j, order) * s_list[j] % order, base) for j in range(l)]
@@ -231,10 +231,8 @@ def verify_range(proof: RangeProof, sigs: RangeSignatures, omega) -> bool:
         return False
     order = group.order
     base = group.base()
-    rhs = group.msm(
-        [(c, proof.c2), (proof.z_r, omega)]
-        + [(pow(u, j, order) * proof.z_m[j] % order, base) for j in range(l)]
-    )
+    digits_term = sum(pow(u, j, order) * proof.z_m[j] for j in range(l)) % order
+    rhs = group.msm([(c, proof.c2), (proof.z_r, omega), (digits_term, base)])
     if rhs != proof.d_point:
         return False
     e_bb = group.pair(base, base)
@@ -242,11 +240,11 @@ def verify_range(proof: RangeProof, sigs: RangeSignatures, omega) -> bool:
         z_i = sigs.z_points[i]
         for j in range(l):
             v_ij = proof.v_points[i][j]
-            expected = (
-                (group.pair(v_ij, z_i) ** c)
-                * (group.pair(v_ij, base).conjugate() ** proof.z_m[j])
-                * (e_bb ** proof.z_v[j])
-            )
+            expected = group.gt_msm([
+                (c, group.pair(v_ij, z_i)),
+                (proof.z_m[j], group.pair(v_ij, base).conjugate()),
+                (proof.z_v[j], e_bb),
+            ])
             if expected != proof.a_elems[i][j]:
                 return False
     return True
