@@ -6,9 +6,14 @@ Profiles:
   - "pairing80":  same construction at reduced size, for fast test runs.
 
 All profiles expose: order, base(), identity(), random_scalar(rng),
-mul(k, P), msm(pairs), precompute(P), walk(start, step, n), point/scalar
-encode-decode and encode_many(points) (one inversion per call), and pairing
-profiles additionally pair(P, Q), gt_msm(pairs), gt_one(), decode_gt().
+mul(k, P), msm(pairs), precompute(P), walk(start, step, n), and point and
+scalar encode-decode; pairing profiles additionally pair(P, Q),
+gt_msm(pairs), gt_one(), decode_gt().
+
+Points of every profile follow one rule (`curve.Point`): a point holds its
+affine coordinates and its group, so `encode()`, `==` and `hash` never
+invert, and each operation that makes a point runs in projective
+coordinates and normalizes its result once.
 
 `decode_point` accepts any curve point and does not check membership in
 the prime-order subgroup, so a decoded point may carry a small-order
@@ -30,7 +35,9 @@ def get_group(profile: str = "ed25519"):
     if profile in _cache:
         return _cache[profile]
     if profile == "ed25519":
-        from .ed25519 import GROUP as group
+        from .ed25519 import Ed25519Group
+
+        group = Ed25519Group()
     elif profile in ("pairing128", "pairing80"):
         from . import pairing
 

@@ -34,8 +34,8 @@ class DlogTable:
         for lo in range(0, self.baby, _CHUNK):
             points = group.walk(start, self.base, min(_CHUNK, self.baby - lo) + 1)
             start = points.pop()
-            for m, enc in enumerate(group.encode_many(points), lo):
-                self._table[enc] = m
+            for m, point in enumerate(points, lo):
+                self._table[point.encode()] = m
         self._stride = group.mul(self.baby, self.base)
         self._giant_max = (max_message + self.baby) // self.baby
 

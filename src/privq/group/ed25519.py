@@ -1,23 +1,24 @@
 """Ed25519 prime-order group: the fast curve profile (no pairing).
 
-Points live in the prime-order subgroup and are represented internally in
-extended homogeneous coordinates (X, Y, Z, T) with x = X/Z, y = Y/Z,
-T = XY/Z. Wire encoding is the usual 32-byte little-endian y with the sign
-of x in the top bit; encodings are canonical and round-trip bit-exactly.
+A point is the affine (x, y) of `curve.Point`, with (0, 1) the identity;
+arithmetic runs in extended homogeneous coordinates (X, Y, Z, T) with
+x = X/Z, y = Y/Z, T = XY/Z. Wire encoding is the usual 32-byte
+little-endian y with the sign of x in the top bit; encodings are canonical
+and round-trip bit-exactly. Decoding takes one exponentiation (RFC 8032,
+section 5.1.3).
 """
 
 from __future__ import annotations
 
 from ..errors import PrivqError
 from . import mult
+from .curve import CurveGroup, Point
 
 P = 2**255 - 19
 ORDER = 2**252 + 27742317777372353535851937790883648493
 D = (-121665 * pow(121666, -1, P)) % P
 D2 = (2 * D) % P
 SQRT_M1 = pow(2, (P - 1) // 4, P)
-
-_IDENTITY = (0, 1, 1, 0)
 
 
 def _add(a, b):
@@ -46,150 +47,64 @@ def _dbl(a):
     return (e * f % P, g * h % P, f * g % P, e * h % P)
 
 
-class Ed25519Point:
-    """Immutable group element; supports +, -, unary -, and int multiplication."""
-
-    __slots__ = ("co", "_comb")
-
-    def __init__(self, co):
-        self.co = co
-        self._comb = None
-
-    def __add__(self, other):
-        return Ed25519Point(_add(self.co, other.co))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        x, y, z, t = self.co
-        return Ed25519Point(((-x) % P, y, z, (-t) % P))
-
-    def __rmul__(self, k):
-        return GROUP.mul(k, self)
-
-    __mul__ = __rmul__
-
-    def __eq__(self, other):
-        if not isinstance(other, Ed25519Point):
-            return NotImplemented
-        x1, y1, z1, _ = self.co
-        x2, y2, z2, _ = other.co
-        return (x1 * z2 - x2 * z1) % P == 0 and (y1 * z2 - y2 * z1) % P == 0
-
-    def __hash__(self):
-        return hash(self.encode())
-
-    def is_identity(self):
-        x, y, z, _ = self.co
-        return x == 0 and (y - z) % P == 0
-
-    def encode(self) -> bytes:
-        x, y, z, _ = self.co
-        zi = pow(z, -1, P)
-        xa = x * zi % P
-        ya = y * zi % P
-        return (ya | ((xa & 1) << 255)).to_bytes(32, "little")
-
-    def __repr__(self):
-        return f"Ed25519Point({self.encode().hex()[:16]}...)"
+def _recover_x(y, sign):
+    """x with the given sign bit and (x, y) on the curve: the square root of
+    u/v, u = y^2 - 1 and v = d*y^2 + 1, as x = u*v^3*(u*v^7)^((p-5)/8)."""
+    if y >= P:
+        raise PrivqError("point encoding not canonical")
+    yy = y * y % P
+    u, v = (yy - 1) % P, (D * yy + 1) % P
+    v3 = v * v % P * v % P
+    uv3 = u * v3 % P
+    x = uv3 * pow(uv3 * v3 % P * v % P, (P - 5) // 8, P) % P
+    vxx = v * x % P * x % P
+    if vxx != u:
+        if vxx != P - u:
+            raise PrivqError("not a curve point")
+        x = x * SQRT_M1 % P
+    if x == 0 and sign == 1:
+        raise PrivqError("point encoding not canonical")
+    if x & 1 != sign:
+        x = P - x
+    return x
 
 
-class Ed25519Group:
+class Ed25519Group(CurveGroup):
     name = "ed25519"
     order = ORDER
     has_pairing = False
     point_bytes = 32
     scalar_bytes = 32
+    _INF = (0, 1, 1, 0)
+    _add = staticmethod(_add)
+    _dbl = staticmethod(_dbl)
+    # defined in this body, not inherited: perfbench wraps them per class
+    mul, msm = CurveGroup.mul, CurveGroup.msm
 
     def __init__(self):
-        self._identity = Ed25519Point(_IDENTITY)
+        self._identity = Point(0, 1, self)
         by = 4 * pow(5, -1, P) % P
-        bx = self._recover_x(by, 0)
-        self._base = Ed25519Point((bx, by, 1, bx * by % P))
+        self._base = Point(_recover_x(by, 0), by, self)
         self.precompute(self._base)
 
-    def base(self):
-        return self._base
+    @staticmethod
+    def _proj(point):
+        return (point.x, point.y, 1, point.x * point.y % P)
 
-    def identity(self):
-        return self._identity
+    def _affine(self, points):
+        return [Point(x * zi % P, y * zi % P, self)
+                for (x, y, _, _), zi in zip(points, mult.batch_inverse([q[2] for q in points], P))]
 
-    def random_scalar(self, rng) -> int:
-        return rng.randbelow(self.order)
-
-    def mul(self, k: int, point: Ed25519Point) -> Ed25519Point:
-        k = k % self.order
-        if k == 0:
-            return self._identity
-        if point._comb is not None:
-            return Ed25519Point(mult.comb_mul(k, point._comb, _add, _IDENTITY))
-        return Ed25519Point(mult.window_mul(k, point.co, _add, _dbl, _IDENTITY))
-
-    def precompute(self, point: Ed25519Point) -> None:
-        """Attach a fixed-base table; later multiplications of this instance get ~5x faster."""
-        if point._comb is None:
-            point._comb = mult.comb_table(point.co, _add, self.order.bit_length())
-
-    def msm(self, pairs) -> Ed25519Point:
-        """sum(k_i * P_i) over a list of (int, point) pairs; a single term
-        goes through `mul`, which uses the point's comb table if it has one."""
-        if len(pairs) == 1:
-            return self.mul(*pairs[0])
-        native = [(k, p.co) for k, p in pairs]
-        return Ed25519Point(
-            mult.multi_scalar_mul(native, _add, _dbl, _IDENTITY, self.order)
-        )
-
-    def walk(self, start: Ed25519Point, step: Ed25519Point, n: int) -> list:
-        """[start + k*step for k in range(n)]."""
-        out, cur = [], start.co
-        for _ in range(n):
-            out.append(Ed25519Point(cur))
-            cur = _add(cur, step.co)
-        return out
-
-    def encode_many(self, points) -> list:
-        """`[P.encode() for P in points]` with one field inversion in all."""
-        cos = [q.co for q in points]
-        return [((y * zi % P) | ((x * zi % P & 1) << 255)).to_bytes(32, "little")
-                for (x, y, _, _), zi in zip(cos, mult.batch_inverse([c[2] for c in cos], P))]
-
-    def encode_scalar(self, s: int) -> bytes:
-        return (s % self.order).to_bytes(32, "little")
-
-    def decode_scalar(self, data: bytes) -> int:
-        if len(data) != 32:
-            raise PrivqError("scalar encoding must be 32 bytes")
-        v = int.from_bytes(data, "little")
-        if v >= self.order:
-            raise PrivqError("non-canonical scalar encoding")
-        return v
+    def _neg(self, point):
+        return Point((-point.x) % P, point.y, self)
 
     @staticmethod
-    def _recover_x(y, sign):
-        if y >= P:
-            raise PrivqError("point encoding not canonical")
-        x2 = (y * y - 1) * pow(D * y * y % P + 1, -1, P) % P
-        x = pow(x2, (P + 3) // 8, P)
-        if (x * x - x2) % P != 0:
-            x = x * SQRT_M1 % P
-        if (x * x - x2) % P != 0:
-            raise PrivqError("not a curve point")
-        if x == 0 and sign == 1:
-            raise PrivqError("point encoding not canonical")
-        if x & 1 != sign:
-            x = P - x
-        return x
+    def _encode(point):
+        return (point.y | ((point.x & 1) << 255)).to_bytes(32, "little")
 
-    def decode_point(self, data: bytes) -> Ed25519Point:
+    def decode_point(self, data: bytes) -> Point:
         if len(data) != 32:
             raise PrivqError("point encoding must be 32 bytes")
         v = int.from_bytes(data, "little")
-        sign = v >> 255
         y = v & ((1 << 255) - 1)
-        x = self._recover_x(y, sign)
-        return Ed25519Point((x, y, 1, x * y % P))
-
-
-GROUP = Ed25519Group()
+        return Point(_recover_x(y, v >> 255), y, self)

@@ -21,25 +21,6 @@ def batch_inverse(values, modulus):
     return out[::-1]
 
 
-def window_mul(k, point, add, dbl, identity):
-    """Fixed 4-bit window multiplication for a one-off variable base."""
-    if k == 0:
-        return identity
-    tbl = [identity, point]
-    for _ in range(14):
-        tbl.append(add(tbl[-1], point))
-    nibbles = []
-    while k:
-        nibbles.append(k & 15)
-        k >>= 4
-    acc = tbl[nibbles[-1]]
-    for nib in reversed(nibbles[:-1]):
-        acc = dbl(dbl(dbl(dbl(acc))))
-        if nib:
-            acc = add(acc, tbl[nib])
-    return acc
-
-
 def comb_table(point, add, bits, width=4):
     """Precompute per-window multiples of a fixed base.
 
@@ -79,18 +60,15 @@ def multi_scalar_mul(pairs, add, dbl, identity, order):
     """
     pairs = [(k % order, p) for k, p in pairs]
     pairs = [(k, p) for k, p in pairs if k]
-    if not pairs:
-        return identity
-    if len(pairs) == 1:
-        k, p = pairs[0]
-        return window_mul(k, p, add, dbl, identity)
     if len(pairs) <= 192:
-        return _straus(pairs, add, dbl, identity)
+        return straus(pairs, add, dbl, identity)
     return _pippenger(pairs, add, dbl, identity)
 
 
-def _straus(pairs, add, dbl, identity):
-    """Shared doubling chain, one 4-bit table per point."""
+def straus(pairs, add, dbl, identity):
+    """sum(k_i * P_i) for non-negative k_i: one 4-bit window table per point
+    and one shared doubling chain. With one pair this is fixed-window
+    multiplication, and with a multiplicative `add`/`dbl` it is a power."""
     tables = []
     bits = 0
     for k, p in pairs:
@@ -99,17 +77,15 @@ def _straus(pairs, add, dbl, identity):
             row.append(add(row[-1], p))
         tables.append((k, row))
         bits = max(bits, k.bit_length())
-    nwin = (bits + 3) // 4
-    acc = identity
-    for w in range(nwin - 1, -1, -1):
-        if w != nwin - 1:
+    acc = None  # the identity until the first nonzero digit
+    for shift in range(4 * ((bits - 1) // 4), -1, -4):
+        if acc is not None:
             acc = dbl(dbl(dbl(dbl(acc))))
-        shift = 4 * w
         for k, row in tables:
             digit = (k >> shift) & 15
             if digit:
-                acc = add(acc, row[digit])
-    return acc
+                acc = row[digit] if acc is None else add(acc, row[digit])
+    return identity if acc is None else acc
 
 
 def _pippenger(pairs, add, dbl, identity):

@@ -3,12 +3,11 @@
 p = 3 (mod 4) makes the curve supersingular with #E(F_p) = p + 1; group
 operations happen in the order-r subgroup (r prime, r | p + 1).
 
-Coordinates: a `WeierstrassPoint` is the affine (x, y) that is encoded,
-compared and hashed. Arithmetic runs in Jacobian (X, Y, Z), x = X/Z^2 and
-y = Y/Z^3, Z = 0 for the identity, with the EFD formulas dbl-2007-bl and
-add-2007-bl (madd-2007-bl when Z2 = 1) for a = 1, and normalizes once per
-`mul`, `msm` or `+`. Comb tables are normalized to Z = 1 with one
-simultaneous inversion. An inversion costs 25-40 multiplications mod p.
+Coordinates: a point is the affine (x, y) of `curve.Point`, with no
+coordinates for the identity. Arithmetic runs in Jacobian (X, Y, Z),
+x = X/Z^2 and y = Y/Z^3, Z = 0 for the identity, with the EFD formulas
+dbl-2007-bl and add-2007-bl (madd-2007-bl when Z2 = 1) for a = 1. An
+inversion costs 25-40 multiplications mod p.
 
 Pairing: the reduced Tate pairing composed with the distortion map
 (x, y) -> (-x, iy) into E(F_p^2), F_p^2 = F_p[i]/(i^2 + 1). Miller's loop
@@ -32,22 +31,7 @@ from __future__ import annotations
 
 from ..errors import PairingUnavailable, PrivqError
 from . import mult
-
-try:
-    from gmpy2 import mpz, invert as _gmpy_invert
-
-    def _inv(a, p):
-        return int(_gmpy_invert(a, p))
-
-    _wrap = mpz
-except ImportError:  # pure-int fallback: CPython's pow(a, -1, p), the slow case
-
-    def _inv(a, p):
-        return pow(a, -1, p)
-
-    def _wrap(x):
-        return x
-
+from .curve import CurveGroup, Point
 
 PARAMS = {
     "pairing80": dict(
@@ -88,57 +72,6 @@ PARAMS = {
     ),
 }
 
-_INF = (1, 1, 0)  # Jacobian identity: any (X, Y, 0)
-
-
-class WeierstrassPoint:
-    """Affine point on the supersingular curve; None coordinates mean the identity."""
-
-    __slots__ = ("x", "y", "group", "_comb")
-
-    def __init__(self, x, y, group):
-        self.x = x
-        self.y = y
-        self.group = group
-        self._comb = None
-
-    def is_identity(self):
-        return self.x is None
-
-    def __add__(self, other):
-        g = self.group
-        return g._affine([g._jadd(g._jacobian(self), g._jacobian(other))])[0]
-
-    def __neg__(self):
-        if self.is_identity():
-            return self
-        return WeierstrassPoint(self.x, (-self.y) % self.group.p, self.group)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rmul__(self, k):
-        return self.group.mul(k, self)
-
-    __mul__ = __rmul__
-
-    def __eq__(self, other):
-        if not isinstance(other, WeierstrassPoint):
-            return NotImplemented
-        return self.x == other.x and self.y == other.y
-
-    def __hash__(self):
-        return hash(self.encode())
-
-    def encode(self) -> bytes:
-        n = self.group.point_bytes - 1
-        if self.is_identity():
-            return bytes(n + 1)
-        return int(self.x).to_bytes(n, "little") + bytes([2 | (int(self.y) & 1)])
-
-    def __repr__(self):
-        return f"WeierstrassPoint({self.encode().hex()[:16]}...)"
-
 
 class GtElement:
     """Target-group element in F_p^2; multiplicative notation."""
@@ -157,22 +90,13 @@ class GtElement:
         return GtElement((t1 - t2) % p, ((a + b) * (c + d) - t1 - t2) % p, self.group)
 
     def __pow__(self, e):
-        g = self.group
-        base = self
-        if e < 0:
-            base = self.inverse()
-            e = -e
-        result = GtElement(_wrap(1), _wrap(0), g)
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        base = self.inverse() if e < 0 else self
+        return mult.straus([(abs(e), base)], GtElement.__mul__, lambda a: a * a,
+                           self.group.gt_one())
 
     def inverse(self):
         p = self.group.p
-        n = _inv(self.re * self.re + self.im * self.im, p)
+        n = pow(self.re * self.re + self.im * self.im, -1, p)
         return GtElement(self.re * n % p, (-self.im) * n % p, self.group)
 
     def conjugate(self):
@@ -185,11 +109,11 @@ class GtElement:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((int(self.re), int(self.im)))
+        return hash((self.re, self.im))
 
     def encode(self) -> bytes:
         n = self.group.point_bytes - 1
-        return int(self.re).to_bytes(n, "little") + int(self.im).to_bytes(n, "little")
+        return self.re.to_bytes(n, "little") + self.im.to_bytes(n, "little")
 
     def __repr__(self):
         return f"GtElement({self.encode().hex()[:16]}...)"
@@ -201,49 +125,53 @@ def _unit_sqr(a):
     return GtElement((2 * a.re * a.re - 1) % p, ((a.re + a.im) ** 2 - 1) % p, a.group)
 
 
-class PairingGroup:
+class PairingGroup(CurveGroup):
     has_pairing = True
+    _INF = (1, 1, 0)  # Jacobian identity: any (X, Y, 0)
+    # defined in this body, not inherited: perfbench wraps them per class
+    mul, msm = CurveGroup.mul, CurveGroup.msm
 
     def __init__(self, name: str):
         params = PARAMS[name]
         self.name = name
-        self.p = _wrap(params["p"])
+        self.p = params["p"]
         self.order = params["r"]
         self.cofactor = (params["p"] + 1) // params["r"]
         self.gt_order = params["r"]
         self.point_bytes = (params["p"].bit_length() + 7) // 8 + 1
         self.scalar_bytes = (params["r"].bit_length() + 7) // 8
-        self._identity = WeierstrassPoint(None, None, self)
-        self._base = WeierstrassPoint(_wrap(params["base_x"]), _wrap(params["base_y"]), self)
+        self._identity = Point(None, None, self)
+        self._base = Point(params["base_x"], params["base_y"], self)
         self._pair_cache = {}
         self.precompute(self._base)
 
-    def base(self):
-        return self._base
-
-    def identity(self):
-        return self._identity
-
-    def random_scalar(self, rng) -> int:
-        return rng.randbelow(self.order)
-
-    def _jacobian(self, point):
-        return _INF if point.x is None else (point.x, point.y, 1)
-
-    def _normalize(self, points):
-        """Jacobian points with Z = 1 (the identity kept), one inversion in all."""
-        p = self.p
-        out = []
-        for (x, y, z), zi in zip(points, mult.batch_inverse([q[2] for q in points], p)):
-            zi2 = zi * zi % p
-            out.append((x * zi2 % p, y * zi2 % p * zi % p, 1) if z else _INF)
-        return out
+    def _proj(self, point):
+        return self._INF if point.x is None else (point.x, point.y, 1)
 
     def _affine(self, points):
-        return [WeierstrassPoint(x, y, self) if z else self._identity
-                for x, y, z in self._normalize(points)]
+        p, out = self.p, []
+        for (x, y, z), zi in zip(points, mult.batch_inverse([q[2] for q in points], p)):
+            zi2 = zi * zi % p
+            out.append(Point(x * zi2 % p, y * zi2 % p * zi % p, self) if z else self._identity)
+        return out
 
-    def _jdbl(self, a):
+    def _comb_rows(self, rows):
+        """Comb rows normalized to Z = 1 with one inversion, so `comb_mul`
+        adds them with madd-2007-bl."""
+        flat = [self._proj(q) for q in self._affine([q for row in rows for q in row[1:]])]
+        step = len(rows[0]) - 1
+        return [[None] + flat[i:i + step] for i in range(0, len(flat), step)]
+
+    def _neg(self, point):
+        return point if point.x is None else Point(point.x, (-point.y) % self.p, self)
+
+    def _encode(self, point):
+        n = self.point_bytes - 1
+        if point.x is None:
+            return bytes(n + 1)
+        return point.x.to_bytes(n, "little") + bytes([2 | (point.y & 1)])
+
+    def _dbl(self, a):
         """dbl-2007-bl for a = 1, its squared sums written as products."""
         p = self.p
         x, y, z = a
@@ -254,7 +182,7 @@ class PairingGroup:
         x3 = (m * m - 2 * s) % p
         return (x3, (m * (s - x3) - 8 * yy * yy) % p, 2 * y * z % p)
 
-    def _jadd(self, a, b):
+    def _add(self, a, b):
         """add-2007-bl, or madd-2007-bl when b has Z = 1; P + P doubles and
         P + (-P) gives the identity."""
         x1, y1, z1 = a
@@ -273,62 +201,14 @@ class PairingGroup:
         h = (x2 * z1z1 - u1) % p
         r = 2 * (y2 * z1 % p * z1z1 - s1) % p
         if not h:
-            return self._jdbl(a) if not r else _INF
+            return self._dbl(a) if not r else self._INF
         i = 4 * h * h % p
         j = h * i % p
         v = u1 * i % p
         x3 = (r * r - j - 2 * v) % p
         return (x3, (r * (v - x3) - 2 * s1 * j) % p, 2 * zz * h % p)
 
-    def mul(self, k: int, point: WeierstrassPoint) -> WeierstrassPoint:
-        k = k % self.order
-        if k == 0 or point.is_identity():
-            return self._identity
-        if point._comb is not None:
-            return self._affine([mult.comb_mul(k, point._comb, self._jadd, _INF)])[0]
-        jac = self._jacobian(point)
-        return self._affine([mult.window_mul(k, jac, self._jadd, self._jdbl, _INF)])[0]
-
-    def precompute(self, point: WeierstrassPoint) -> None:
-        """Attach a comb table whose entries have Z = 1."""
-        if point._comb is None and not point.is_identity():
-            rows = mult.comb_table(self._jacobian(point), self._jadd, self.order.bit_length())
-            flat = self._normalize([q for row in rows for q in row[1:]])
-            step = len(rows[0]) - 1
-            point._comb = [[None] + flat[i:i + step] for i in range(0, len(flat), step)]
-
-    def msm(self, pairs) -> WeierstrassPoint:
-        pairs = list(pairs)
-        if len(pairs) == 1:
-            return self.mul(*pairs[0])
-        native = [(k, self._jacobian(q)) for k, q in pairs]
-        return self._affine([mult.multi_scalar_mul(native, self._jadd, self._jdbl, _INF,
-                                                   self.order)])[0]
-
-    def walk(self, start: WeierstrassPoint, step: WeierstrassPoint, n: int) -> list:
-        """[start + k*step for k in range(n)], added in Jacobian coordinates."""
-        cur, inc, out = self._jacobian(start), self._jacobian(step), []
-        for _ in range(n):
-            out.append(cur)
-            cur = self._jadd(cur, inc)
-        return self._affine(out)
-
-    def encode_many(self, points) -> list:
-        """`[P.encode() for P in points]`; affine points need no inversion."""
-        return [q.encode() for q in points]
-
-    def encode_scalar(self, s: int) -> bytes:
-        return (s % self.order).to_bytes(self.scalar_bytes, "little")
-
-    def decode_scalar(self, data: bytes) -> int:
-        if len(data) != self.scalar_bytes:
-            raise PrivqError("bad scalar length")
-        v = int.from_bytes(data, "little")
-        if v >= self.order:
-            raise PrivqError("non-canonical scalar encoding")
-        return v
-
-    def decode_point(self, data: bytes) -> WeierstrassPoint:
+    def decode_point(self, data: bytes) -> Point:
         if len(data) != self.point_bytes:
             raise PrivqError("bad point length")
         if data == bytes(self.point_bytes):
@@ -339,17 +219,16 @@ class PairingGroup:
         x = int.from_bytes(data[:-1], "little")
         if x >= self.p:
             raise PrivqError("point encoding not canonical")
-        x = _wrap(x)
         y2 = (x * x * x + x) % self.p
         y = pow(y2, (self.p + 1) // 4, self.p)
         if y * y % self.p != y2:
             raise PrivqError("not a curve point")
-        if int(y) & 1 != tag & 1:
+        if y & 1 != tag & 1:
             y = (-y) % self.p
-        return WeierstrassPoint(x, y, self)
+        return Point(x, y, self)
 
     def gt_one(self) -> GtElement:
-        return GtElement(_wrap(1), _wrap(0), self)
+        return GtElement(1, 0, self)
 
     def decode_gt(self, data: bytes) -> GtElement:
         n = self.point_bytes - 1
@@ -359,24 +238,20 @@ class PairingGroup:
         im = int.from_bytes(data[n:], "little")
         if re >= self.p or im >= self.p:
             raise PrivqError("target-group encoding not canonical")
-        return GtElement(_wrap(re), _wrap(im), self)
+        return GtElement(re, im, self)
 
-    def pair(self, P: WeierstrassPoint, Q: WeierstrassPoint, cache: bool = True) -> GtElement:
+    def pair(self, P: Point, Q: Point) -> GtElement:
         """Symmetric pairing e(P, Q); results are memoized since proof verification
         re-evaluates the same argument pairs many times."""
         if P.is_identity() or Q.is_identity():
             return self.gt_one()
-        if cache:
-            key = (P.encode(), Q.encode())
-            hit = self._pair_cache.get(key)
-            if hit is not None:
-                return hit
-        result = self._tate(P, Q)
-        if cache:
+        key = (P.encode(), Q.encode())
+        hit = self._pair_cache.get(key)
+        if hit is None:
             if len(self._pair_cache) > 8192:
                 self._pair_cache.clear()
-            self._pair_cache[key] = result
-        return result
+            hit = self._pair_cache[key] = self._tate(P, Q)
+        return hit
 
     def gt_msm(self, pairs) -> GtElement:
         """prod(g ** (k mod r)) over (int k, GtElement g) pairs, one squaring chain.
@@ -391,8 +266,8 @@ class PairingGroup:
         neg_yq = (-Q.y) % p
         px, py = P.x, P.y
         mxq_px = (mxq - px) % p
-        fr, fi = _wrap(1), _wrap(0)
-        x, y, z = px, py, _wrap(1)  # T in Jacobian coordinates
+        fr, fi = 1, 0
+        x, y, z = px, py, 1  # T in Jacobian coordinates
         done = False
         for bit in bin(self.order)[3:]:
             if not y:  # T of order 2 (P outside the order-r subgroup): fail closed
@@ -425,12 +300,12 @@ class PairingGroup:
                 lim = neg_yq * z3 % p
                 u1, u2 = fr * lre, fi * lim
                 fr, fi = (u1 - u2) % p, ((fr + fi) * (lre + lim) - u1 - u2) % p
-                x, y, z = self._jadd((x, y, z), (px, py, 1))
+                x, y, z = self._add((x, y, z), (px, py, 1))
         # final exponentiation: f^(p-1) = conj(f)^2 / N(f), then ^cofactor
-        norm = _inv(fr * fr + fi * fi, p)
+        norm = pow(fr * fr + fi * fi, -1, p)
         gr = fr * fr % p - fi * fi % p
         g = GtElement(gr * norm % p, (-2 * fr * fi) % p * norm % p, self)
-        return mult.window_mul(self.cofactor, g, GtElement.__mul__, _unit_sqr, self.gt_one())
+        return mult.straus([(self.cofactor, g)], GtElement.__mul__, _unit_sqr, self.gt_one())
 
 
 def build(name: str) -> PairingGroup:

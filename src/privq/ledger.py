@@ -330,7 +330,9 @@ class Chain:
 
     `append` is the one block rule: a block extends the head (height and
     `prev_hash`) and carries at least f_h signatures, each valid under a
-    known VN key. Opening a file replays its blocks through `accept`.
+    known VN key. Opening a file replays its blocks through `accept`; a
+    file-backed chain appends only while the file still ends where this
+    chain last read or wrote it.
     """
 
     def __init__(self, group, vn_pubs: dict, f_h: int, path: str | None = None):
@@ -341,11 +343,14 @@ class Chain:
         self.path = None  # set after loading, so replayed blocks are not rewritten
         self.blocks: list[Block] = []
         self._index: dict[str, int] = {}
+        self._file_size = 0  # where the file ended when this chain last read or wrote it
         if path and os.path.exists(path):
             with open(path, "rb") as fh:
-                reader = Reader(fh.read())
+                data = fh.read()
+            reader = Reader(data)
             while not reader.done():
                 self.accept(reader.bytes_field())
+            self._file_size = len(data)
         self.path = path
 
     def accept(self, data: bytes) -> Block:
@@ -394,11 +399,17 @@ class Chain:
             raise BrokenChain(f"invalid signature from {invalid[0]!r} in block {block.height}")
         if len(block.signatures) < self.f_h:
             raise InsufficientSignatures(f"only {len(block.signatures)} block signatures")
+        if self.path:
+            size = os.path.getsize(self.path) if os.path.exists(self.path) else 0
+            if size != self._file_size:
+                raise BrokenChain(f"chain file {self.path} changed since this chain "
+                                  f"last read or wrote it")
+            record = pack_bytes(block.encode())
+            with open(self.path, "ab") as fh:
+                fh.write(record)
+            self._file_size += len(record)
         self.blocks.append(block)
         self._index[block.query_id] = len(self.blocks) - 1
-        if self.path:
-            with open(self.path, "ab") as fh:
-                fh.write(pack_bytes(block.encode()))
 
     def get(self, query_id: str) -> Block:
         if query_id not in self._index:

@@ -8,12 +8,11 @@ all instances. Non-interactive via the transcript in `transcript.py`.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 from ..errors import MalformedProof
 from ..serial import Reader, pack_u8, pack_u32
-from .transcript import Transcript
+from .transcript import Transcript, batch_weights
 
 _TAG = 0x01
 
@@ -46,7 +45,7 @@ class LinearRelationProof:
     responses: tuple  # z_i per secret
 
     def encode(self) -> bytes:
-        group = _resolve_group(self.statement.targets[0])
+        group = self.statement.targets[0].group
         out = [pack_u8(_TAG), pack_u32(len(self.statement.targets)),
                pack_u32(self.statement.n_secrets)]
         for row in self.statement.bases:
@@ -66,21 +65,6 @@ class LinearRelationProof:
         return b"".join(out)
 
 
-# ed25519 points carry no group backref; resolve lazily to avoid an import cycle
-_ED = None
-
-
-def _resolve_group(point):
-    global _ED
-    if hasattr(point, "group"):
-        return point.group
-    if _ED is None:
-        from ..group.ed25519 import GROUP as _ed
-
-        _ED = _ed
-    return _ED
-
-
 def _absorb_statement(tr: Transcript, statement: LinearStatement):
     tr.absorb(len(statement.targets), statement.n_secrets)
     for row in statement.bases:
@@ -93,7 +77,7 @@ def _absorb_statement(tr: Transcript, statement: LinearStatement):
 def prove_linear(statement: LinearStatement, secrets, rng,
                  label: str = "linear") -> LinearRelationProof:
     """Prover side; `secrets` must genuinely satisfy the statement."""
-    group = _resolve_group(statement.targets[0])
+    group = statement.targets[0].group
     nonces = [group.random_scalar(rng) for _ in range(statement.n_secrets)]
     commitments = []
     for row in statement.bases:
@@ -122,7 +106,7 @@ def verify_linear(*proofs: LinearRelationProof, label: str = "linear") -> bool:
     """
     if not proofs:
         return True
-    group = _resolve_group(proofs[0].statement.targets[0])
+    group = proofs[0].statement.targets[0].group
     digests = []
     for proof in proofs:
         statement = proof.statement
@@ -136,10 +120,8 @@ def verify_linear(*proofs: LinearRelationProof, label: str = "linear") -> bool:
         if tr.challenge() != proof.challenge:
             return False
         digests.append(tr.absorb(*proof.responses).digest())
-    n_eqs = sum(len(proof.commitments) for proof in proofs)
-    stream = hashlib.shake_256(b"privq/linear-batch" + b"".join(digests)).digest(16 * n_eqs)
-    weights = iter(int.from_bytes(stream[i:i + 16], "little")
-                   for i in range(0, len(stream), 16))
+    weights = batch_weights(b"privq/linear-batch", b"".join(digests),
+                            sum(len(proof.commitments) for proof in proofs))
     terms = {}  # id(point) -> [scalar, point]
 
     def put(k, point):

@@ -95,8 +95,7 @@ class RangeProof:
     l: int
 
     def encode(self) -> bytes:
-        group = self.c2.group if hasattr(self.c2, "group") else None
-        enc_s = group.encode_scalar
+        enc_s = self.c2.group.encode_scalar
         out = [
             pack_u8(_TAG),
             pack_u32(self.u),

@@ -16,7 +16,7 @@ transcript, in absorb order, is:
     round 5   : alpha_i (2n responses)
 
 Verification checks (batched into one multi-scalar multiplication with
-random 128-bit weights):
+128-bit weights hashed from the whole transcript):
 
     Theta_i == alpha_i*Rh_i - alpha_{i+1}*Sh_i          (i < n)
     Theta_i == alpha_i*Gamma - alpha_{(i+1) mod 2n}*B   (n <= i < 2n)
@@ -34,14 +34,12 @@ factor per pair, of the permuted input pair.
 
 from __future__ import annotations
 
-import secrets
 from dataclasses import dataclass
 
 from ..elgamal import Ciphertext
 from ..errors import EmptyList, MalformedProof
 from ..serial import Reader, pack_u8, pack_u32
-from .linear import _resolve_group
-from .transcript import Transcript
+from .transcript import Transcript, batch_weights
 
 _TAG = 0x03
 
@@ -65,8 +63,7 @@ class ShuffleProof:
     alpha: tuple  # 2n scalars
 
     def encode(self) -> bytes:
-        group = _resolve_group(self.gamma_pt)
-        enc_s = group.encode_scalar
+        enc_s = self.gamma_pt.group.encode_scalar
         n = len(self.inputs)
         out = [pack_u8(_TAG), pack_u32(n), self.omega.encode()]
         for ct in self.inputs:
@@ -205,7 +202,7 @@ def verify_shuffle(proof: ShuffleProof) -> bool:
     ):
         if len(series) != want:
             return False
-    group = _resolve_group(proof.gamma_pt)
+    group = proof.gamma_pt.group
     order = group.order
     base = group.base()
 
@@ -221,6 +218,8 @@ def verify_shuffle(proof: ShuffleProof) -> bool:
     c = tr.challenge()
     if proof.alpha[0] != c:
         return False
+    weights = batch_weights(b"privq/shuffle-batch", tr.absorb(*proof.alpha).digest(),
+                            3 * n + 2)
 
     # One random-linear-combination accumulator over every check equation.
     acc: dict[bytes, list] = {}
@@ -236,14 +235,11 @@ def verify_shuffle(proof: ShuffleProof) -> bool:
         else:
             slot[0] = (slot[0] + coeff) % order
 
-    def weight():
-        return int.from_bytes(secrets.token_bytes(16), "little")
-
     alpha = proof.alpha
     for i in range(n):
         # theta_i == alpha_i*(A_i + lam*rho_i*B - lam*U_i - t*B)
         #          - alpha_{i+1}*(C_i + lam*D_i - t*Gamma)
-        g1 = weight()
+        g1 = next(weights)
         a_i, a_n = alpha[i], alpha[(i + 1) % (2 * n)]
         put(g1 * a_i, proof.a_pts[i])
         put(g1 * (a_i * (lam * rho[i] - t)) % order, base)
@@ -253,23 +249,23 @@ def verify_shuffle(proof: ShuffleProof) -> bool:
         put(g1 * a_n * t, proof.gamma_pt)
         put(-g1, proof.theta_pts[i])
     for i in range(n, 2 * n):
-        g1 = weight()
+        g1 = next(weights)
         put(g1 * alpha[i], proof.gamma_pt)
         put(-g1 * alpha[(i + 1) % (2 * n)], base)
         put(-g1, proof.theta_pts[i])
     for i in range(n):
         # sigma_i*Gamma == W_i + D_i
-        g1 = weight()
+        g1 = next(weights)
         put(g1 * proof.sigma[i], proof.gamma_pt)
         put(-g1, proof.w_pts[i])
         put(-g1, proof.d_pts[i])
-    g1 = weight()
+    g1 = next(weights)
     for i in range(n):
         put(g1 * proof.sigma[i], proof.outputs[i].c1)
         put(-g1 * rho[i], proof.inputs[i].c1)
     put(-g1, proof.lambda1)
     put(-g1 * proof.tau, base)
-    g2 = weight()
+    g2 = next(weights)
     for i in range(n):
         put(g2 * proof.sigma[i], proof.outputs[i].c2)
         put(-g2 * rho[i], proof.inputs[i].c2)

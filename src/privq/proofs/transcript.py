@@ -44,3 +44,11 @@ class Transcript:
 
     def challenge_vector(self, n: int) -> list[int]:
         return [self.challenge() for _ in range(n)]
+
+
+def batch_weights(domain: bytes, digest: bytes, n: int):
+    """n 128-bit weights for small-exponent batch verification, read from
+    SHAKE-256 over `digest`, a hash of everything the batch checks, so a
+    verdict is deterministic."""
+    stream = hashlib.shake_256(domain + digest).digest(16 * n)
+    return iter(int.from_bytes(stream[i:i + 16], "little") for i in range(0, 16 * n, 16))

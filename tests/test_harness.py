@@ -662,3 +662,17 @@ def test_experiment_threshold_sweep_reports_p_fh():
     assert p_fhs[0] == pytest.approx(0.8348, abs=1e-3)
     assert p_fhs[1] == pytest.approx(0.9848, abs=1e-3)
     assert p_fhs[2] == 1.0
+
+
+def test_shared_chain_file_refuses_a_stale_writer(tmp_path):
+    """Two live Simulations over one chain file: the one whose view of the
+    file is stale fails its query, naming the file, and writes nothing."""
+    from privq.errors import PrivqError
+
+    path = str(tmp_path / "chain.bin")
+    topo = _topo(21, chain_path=path)
+    first, second = Simulation(topo, seed=21), Simulation(topo, seed=22)
+    first.run(parse_query("SELECT sum heart_rate ON DP1,DP2", scale=1))
+    with pytest.raises(PrivqError, match="chain.bin"):
+        second.run(parse_query("SELECT sum heart_rate ON DP3,DP4", scale=1))
+    assert len(Simulation(topo, seed=23).chain()) == 1

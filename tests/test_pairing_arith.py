@@ -175,7 +175,7 @@ def test_walk_matches_repeated_addition():
 @given(a=SCALARS, b=SCALARS)
 def test_pair_matches_affine_reference(a, b):
     P, Q = fresh(a), fresh(b)
-    assert PG.pair(P, Q, cache=False) == ref_pair(P, Q)
+    assert PG.pair(P, Q) == ref_pair(P, Q)
 
 
 def test_pair_fails_closed_outside_the_subgroup():
@@ -185,9 +185,9 @@ def test_pair_fails_closed_outside_the_subgroup():
     with pytest.raises(ValueError):
         ref_pair(T, PG.base())
     with pytest.raises(ValueError):
-        PG.pair(T, PG.base(), cache=False)
+        PG.pair(T, PG.base())
     for P, Q in ((PG.base(), T), (fresh(5) + T, fresh(9))):
-        assert PG.pair(P, Q, cache=False) == ref_pair(P, Q)
+        assert PG.pair(P, Q) == ref_pair(P, Q)
 
 
 def test_order_two_digit_signature_forgery_rejected():
@@ -218,9 +218,9 @@ def test_order_two_digit_signature_forgery_rejected():
 @given(a=SCALARS, b=SCALARS)
 def test_pairing_bilinear(a, b):
     P, Q = fresh(3), fresh(5)
-    lhs = PG.pair(PG.mul(a, P), PG.mul(b, Q), cache=False)
-    assert lhs == PG.pair(P, Q, cache=False) ** (a * b % R)
-    assert lhs == PG.pair(PG.mul(b, Q), PG.mul(a, P), cache=False)
+    lhs = PG.pair(PG.mul(a, P), PG.mul(b, Q))
+    assert lhs == PG.pair(P, Q) ** (a * b % R)
+    assert lhs == PG.pair(PG.mul(b, Q), PG.mul(a, P))
 
 
 @FAST
@@ -242,14 +242,6 @@ def test_gt_msm_empty_and_zero_is_one():
 
 # ---------------------------------------------------------------------------
 # batched normalization
-
-
-@pytest.mark.parametrize("group", [PG, ED], ids=["pairing80", "ed25519"])
-def test_encode_many_matches_encode(group, rng):
-    points = [group.mul(group.random_scalar(rng), group.base()) for _ in range(5)]
-    points += [group.identity(), points[0] + points[1], -points[2]]
-    assert group.encode_many(points) == [P.encode() for P in points]
-    assert group.encode_many([]) == []
 
 
 def test_batch_inverse_maps_zero_to_zero():

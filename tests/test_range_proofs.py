@@ -36,7 +36,7 @@ def test_setup_signature_wellformedness(ctx):
     for i in range(sigs.n_cns):
         for b in range(sigs.u):
             lhs = group.pair(sigs.digit_sigs[i][b],
-                             sigs.z_points[i] + group.mul(b, base), cache=False)
+                             sigs.z_points[i] + group.mul(b, base))
             assert lhs == e_bb, (i, b)
 
 

@@ -124,3 +124,24 @@ def test_permutation_and_factors_not_leaked(ctx):
     blob = proof.encode()
     for beta in betas:
         assert group.encode_scalar(beta) not in blob
+
+
+def test_verdict_reads_no_os_randomness(ctx, monkeypatch):
+    """Batch weights come from the transcript, so a verdict needs no OS
+    entropy and is the same on every verifying node."""
+    import dataclasses
+    import secrets
+
+    group, rng, kp, _ = ctx
+    cts = _encrypt_list(ctx, [1, 2, 3])
+    _, proof = shuffle_and_prove(group, cts, kp.public, rng)
+    # alpha_1 enters no challenge, so only the weighted equations catch it
+    alpha = (proof.alpha[0], (proof.alpha[1] + 1) % group.order, *proof.alpha[2:])
+    bad = dataclasses.replace(proof, alpha=alpha)
+
+    def no_entropy(n):
+        raise AssertionError("verify_shuffle read OS randomness")
+
+    monkeypatch.setattr(secrets, "token_bytes", no_entropy)
+    assert verify_shuffle(proof)
+    assert not verify_shuffle(bad)
