@@ -327,19 +327,10 @@ def encode_logreg_raw(records, op: OperationSpec) -> list[int]:
 # encryption wrappers
 
 
-def encode(group, op: OperationSpec, records, pk, rng,
-           max_message: int = elgamal.DEFAULT_MAX_MESSAGE):
-    """Encrypt the local encoding; returns (EncodedResponse, raw ints).
-
-    The raw values are what range proofs commit to; callers that need the
-    encryption nonces use `encode_with_nonces`.
-    """
-    response, raws, _ = encode_with_nonces(group, op, records, pk, rng, max_message)
-    return response, raws
-
-
 def encode_with_nonces(group, op: OperationSpec, records, pk, rng,
                        max_message: int = elgamal.DEFAULT_MAX_MESSAGE):
+    """Encrypt the local encoding; returns (EncodedResponse, raw ints,
+    nonces). Range proofs commit to the raw values under those nonces."""
     raws, c = plaintext_encode(op, records, rng)
     nonces = [group.random_scalar(rng) for _ in raws]
     vector = []

@@ -34,11 +34,7 @@ class EmptyList(PrivqError):
 
 
 class DimensionMismatch(PrivqError):
-    """Encoded responses have inconsistent vector dimensions."""
-
-
-class KeyMismatch(PrivqError):
-    """Ciphertext key does not match the collective key of the node set."""
+    """An aggregation input is not the operation's vector plus the count."""
 
 
 class InvalidPrivacyParams(PrivqError):

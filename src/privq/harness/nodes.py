@@ -19,7 +19,8 @@ committed block or an abort. A VN keeps each query's bundle bytes (`kv`).
 
 Each rule has one implementation outside this module, and the nodes here
 only route messages to it, keep per-query state and handle timeouts: the
-protocol steps, their verifiers and the round plan (`query_rounds`) in
+protocol steps, their verifiers, the width rule of an aggregation input
+(`check_input`) and the round plan (`query_rounds`) in
 privq.protocols, the bounded range statement (`prove_bounded`,
 `verify_bounded`) in privq.proofs.rangeproof, and the expected proofs and
 block rules in privq.ledger. Provers sign and send their proof bundles
@@ -250,16 +251,18 @@ class CnNode(NodeBase):
 
     def on_dp_response(self, msg):
         state = self.states[msg.query_id]
-        response = unpack_response(self.topology.group, msg.payload)
-        state.inputs.append((msg.sender, tuple(response.vector) + (response.count,)))
+        reader = Reader(msg.payload)
+        cts = unpack_cts(self.topology.group, reader)
+        reader.expect_done()
+        state.inputs.append((msg.sender, protocols.check_input(state.query.operation, cts)))
         state.expected_dps.discard(msg.sender)
         self._try_finish_collect(msg.query_id)
 
     def on_cta_partial(self, msg):
         state = self.states[msg.query_id]
         reader = Reader(msg.payload)
-        cts = tuple(unpack_cts(self.topology.group, reader))
-        state.inputs.append((msg.sender, cts))
+        cts = unpack_cts(self.topology.group, reader)
+        state.inputs.append((msg.sender, protocols.check_input(state.query.operation, cts)))
         state.pending_children.discard(msg.sender)
         self._try_finish_collect(msg.query_id)
 
@@ -271,8 +274,8 @@ class CnNode(NodeBase):
             # nothing from below and no local DPs: contribute a neutral zero
             group = self.topology.group
             pk = self.topology.collective_key().public
-            dim = state.query.operation.dimension
-            zeros = tuple(elgamal.encrypt(group, 0, pk, self.rng) for _ in range(dim + 1))
+            width = protocols.input_width(state.query.operation)
+            zeros = tuple(elgamal.encrypt(group, 0, pk, self.rng) for _ in range(width))
             state.inputs.append((self.identity + "/neutral", zeros))
         state.aggregated = True
         agg = protocols.aggregate([label for label, _ in state.inputs],
@@ -382,11 +385,8 @@ class CnNode(NodeBase):
 
     def on_cdp_done(self, msg):
         state = self.states[msg.query_id]
-        group = self.topology.group
-        reader = Reader(msg.payload)
-        cts = unpack_cts(group, reader)
-        noise = protocols.NoiseList(0, 0, 0, [], cts)
-        state.current = protocols.cdp_apply(state.current, noise)
+        noise_cts = unpack_cts(self.topology.group, Reader(msg.payload))
+        state.current = protocols.cdp_apply(state.current, noise_cts)
         self._advance_root(msg.query_id)
 
     # ----- timeouts -----

@@ -441,19 +441,6 @@ def seal_block(chain: Chain, block: Block, signatures: dict) -> Block:
     return block
 
 
-def commit_block(query_id: str, query_bytes: bytes, maps: dict, vn_keys: dict,
-                 chain: Chain, local_maps: dict | None = None) -> Block:
-    """Every VN in `vn_keys` signs the block over `maps` against its own
-    map (`local_maps`, default `maps`); the block is appended to `chain`
-    once f_h signatures seal it."""
-    block = chain.next_block(query_id, query_bytes, maps)
-    local_maps = local_maps if local_maps is not None else maps
-    signatures = {vn: sign_block(chain.group, vn, vn_keys[vn].private, block,
-                                 local_maps.get(vn))
-                  for vn in sorted(vn_keys)}
-    return seal_block(chain, block, signatures)
-
-
 @dataclass
 class AuditReport:
     query_id: str

@@ -11,25 +11,22 @@
 
 Every per-CN step is a function here that returns its output and its
 proof payloads; the ledger module wraps payloads into signed bundles
-addressed to the verifying nodes. The node runtimes (harness.nodes) and
-the offline API below (cta_aggregate, ctks_switch, cto_obfuscate,
-cdp_generate, which loop over the CNs without a bus) call the same steps,
-and the verifying nodes check payloads with the verifiers defined here.
+addressed to the verifying nodes. The node runtimes (harness.nodes) are
+the only callers: the CNs run the steps, applying the width rule
+(`check_input`) to every aggregation input they receive, and the verifying
+nodes check payloads with the verifiers defined here.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import elgamal
 from .elgamal import Ciphertext, pack_cts, unpack_cts
-from .errors import (
-    DimensionMismatch,
-    InvalidPrivacyParams,
-    KeyMismatch,
-    NoiseExhausted,
-)
+from .errors import DimensionMismatch, InvalidPrivacyParams, NoiseExhausted
+# verify_linear and shuffle_and_prove are not called here: they are
+# imported because perfbench/spans.py patches them on this module
 from .proofs.linear import LinearStatement, decode_linear, prove_linear, verify_linear
 from .proofs.shuffle import shuffle_and_prove
 from .serial import Reader, pack_bytes, pack_u32
@@ -144,6 +141,20 @@ class Aggregation:
         return cls(tuple(labels), tuple(inputs), output)
 
 
+def input_width(operation) -> int:
+    """The width rule: every aggregation input, a DP's response or a child
+    CN's partial sum, is the operation's vector plus the count."""
+    return operation.dimension + 1
+
+
+def check_input(operation, cts) -> tuple:
+    """`cts` as a tuple if it obeys the width rule, else DimensionMismatch."""
+    if len(cts) != input_width(operation):
+        raise DimensionMismatch(f"aggregation input of {len(cts)} ciphertexts, "
+                                f"{input_width(operation)} expected")
+    return tuple(cts)
+
+
 def aggregate(labels, input_lists) -> Aggregation:
     """CTA step: sum the labelled inputs; the result is also the payload."""
     return Aggregation(tuple(labels), tuple(input_lists), _sum_vectors(input_lists))
@@ -156,56 +167,6 @@ def verify_aggregation(agg: Aggregation) -> bool:
     if any(len(cts) != width for cts in agg.inputs):
         return False
     return _sum_vectors(agg.inputs) == agg.output
-
-
-@dataclass
-class ProtocolStep:
-    """One CN's contribution to a protocol round: serialized sub-proofs."""
-
-    cn_id: str
-    proof_type: str
-    payloads: list = field(default_factory=list)
-
-
-def _response_cts(response) -> tuple:
-    return tuple(response.vector) + (response.count,)
-
-
-def cta_aggregate(tree: CnTree, contributions: dict):
-    """Aggregate every DP's encoded response up the CN tree.
-
-    `contributions` maps cn_id -> list of EncodedResponse from its DPs; the
-    i-th response of a CN is labelled "<cn_id>/<i>", a child's partial sum
-    by the child's id. Returns (aggregate EncodedResponse, [ProtocolStep per
-    CN]).
-    """
-    from .encodings import EncodedResponse  # local import, no cycle at module load
-
-    dims = {len(r.vector) for rs in contributions.values() for r in rs}
-    if len(dims) > 1:
-        raise DimensionMismatch(f"mixed response dimensions {sorted(dims)}")
-    partials = {}
-    steps = []
-    for idx in tree.bottom_up():
-        cn = tree.nodes[idx]
-        labels, parts = [], []
-        for i, r in enumerate(contributions.get(cn, [])):
-            labels.append(f"{cn}/{i}")
-            parts.append(_response_cts(r))
-        for child in tree.children(idx):
-            if partials[child] is not None:
-                labels.append(tree.nodes[child])
-                parts.append(partials[child])
-        if not parts:
-            partials[idx] = None
-            continue
-        agg = aggregate(labels, parts)
-        partials[idx] = agg.output
-        steps.append(ProtocolStep(cn, "aggregation", [agg.encode()]))
-    result = partials[0]
-    if result is None:
-        raise DimensionMismatch("no contributions to aggregate")
-    return EncodedResponse(list(result[:-1]), result[-1]), steps
 
 
 # ---------------------------------------------------------------------------
@@ -324,69 +285,8 @@ def round_proof(group, proof_type: str, payload: bytes, cn_public=None,
     return proof
 
 
-def verify_round_payload(group, proof_type: str, payload: bytes,
-                         cn_public=None, target_pk=None) -> bool:
-    """Check one CTKS or CTO sub-proof: `round_proof`'s shape check, then
-    the proof itself."""
-    proof = round_proof(group, proof_type, payload, cn_public, target_pk)
-    return proof is not None and verify_linear(proof)
-
-
-def ctks_switch(group, tree: CnTree, response, target_pk, cn_keys: dict, rng,
-                collective_pk=None):
-    """Switch every ciphertext of `response` from the CNs' collective key to
-    `target_pk`. Returns (switched EncodedResponse, [ProtocolStep per CN])."""
-    from .encodings import EncodedResponse
-
-    if collective_pk is not None:
-        expect = None
-        for cn in tree.nodes:
-            pk = cn_keys[cn].public
-            expect = pk if expect is None else expect + pk
-        if expect != collective_pk:
-            raise KeyMismatch("ciphertext key is not this CN set's collective key")
-    cts = _response_cts(response)
-    sums = None
-    steps = []
-    for cn in tree.nodes:
-        shares, payloads = ctks_shares(group, cts, cn_keys[cn], target_pk, rng)
-        sums = shares if sums is None else add_shares(sums, shares)
-        steps.append(ProtocolStep(cn, "keyswitch", payloads))
-    switched = ctks_combine(cts, sums)
-    return EncodedResponse(switched[:-1], switched[-1]), steps
-
-
-def cto_obfuscate(group, tree: CnTree, response_or_ct, rng):
-    """Blind each ciphertext by s = sum of fresh per-CN secrets; zero maps to
-    zero. Accepts a single Ciphertext or an EncodedResponse (vector only, the
-    count stays readable). Returns (same shape, [ProtocolStep per CN])."""
-    from .encodings import EncodedResponse
-
-    single = isinstance(response_or_ct, Ciphertext)
-    cts = [response_or_ct] if single else list(response_or_ct.vector)
-    sums = None
-    steps = []
-    for cn in tree.nodes:
-        shares, payloads = cto_shares(group, cts, rng)
-        sums = shares if sums is None else add_shares(sums, shares)
-        steps.append(ProtocolStep(cn, "obfuscation", payloads))
-    if single:
-        return sums[0], steps
-    return EncodedResponse(sums, response_or_ct.count), steps
-
-
 # ---------------------------------------------------------------------------
 # Collective differential privacy (CDP)
-
-
-@dataclass
-class NoiseList:
-    epsilon: float
-    delta_f: float
-    theta: float
-    values: list  # plaintext quantized noise, multiples of theta
-    encrypted: list  # ciphertext list after the CN shuffle chain
-    consumed: int = 0
 
 
 def quantize_laplace(epsilon: float, delta_f: float, theta: float, l_count: int):
@@ -422,16 +322,15 @@ def quantize_laplace(epsilon: float, delta_f: float, theta: float, l_count: int)
         if cum[-1] >= l_count:
             break
         k += 1
+    # cum[0] > l/2 and cum[-1] == l: n0 >= 1 zeros, and l values in all
     n0 = 2 * cum[0] - l_count
-    values = [0.0] * max(n0, 0)
+    values = [0.0] * n0
     for k in range(1, len(cum)):
         n_k = cum[k] - cum[k - 1]
         values.extend([k * theta] * n_k)
         values.extend([-k * theta] * n_k)
-    while len(values) < l_count:  # defensive; the mirrored counts sum to l exactly
-        values.append(0.0)
     values.sort()
-    return values[:l_count]
+    return values
 
 
 def initial_noise(group, epsilon, delta_f, theta, l_count, collective_pk,
@@ -448,33 +347,12 @@ def initial_noise(group, epsilon, delta_f, theta, l_count, collective_pk,
     ]
 
 
-def cdp_generate(group, epsilon, delta_f, theta, l_count, tree: CnTree,
-                 collective_pk, rng, scale: int = elgamal.DEFAULT_SCALE):
-    """Build the public noise list and run the sequential shuffle chain
-    through every CN in `tree.nodes` order.
-    Returns (NoiseList, [ProtocolStep per CN]).
-    """
-    values, current = initial_noise(group, epsilon, delta_f, theta, l_count,
-                                    collective_pk, scale)
-    steps = []
-    for cn in tree.nodes:
-        outputs, proof = shuffle_and_prove(group, current, collective_pk, rng)
-        current = list(outputs)
-        steps.append(ProtocolStep(cn, "shuffle", [proof.encode()]))
-    return NoiseList(epsilon, delta_f, theta, values, current), steps
-
-
-def cdp_apply(response, noise: NoiseList):
-    """Add the leading unconsumed noise ciphertexts to the response vector."""
+def cdp_apply(response, noise_cts):
+    """Add the leading noise ciphertexts to the response vector."""
     from .encodings import EncodedResponse
 
     d = len(response.vector)
-    if noise.consumed + d > len(noise.encrypted):
-        raise NoiseExhausted(
-            f"need {d} noise ciphertexts, {len(noise.encrypted) - noise.consumed} left"
-        )
-    noisy = [
-        response.vector[j] + noise.encrypted[noise.consumed + j] for j in range(d)
-    ]
-    noise.consumed += d
-    return EncodedResponse(noisy, response.count)
+    if d > len(noise_cts):
+        raise NoiseExhausted(f"need {d} noise ciphertexts, {len(noise_cts)} in the list")
+    return EncodedResponse([ct + noise for ct, noise in zip(response.vector, noise_cts)],
+                           response.count)

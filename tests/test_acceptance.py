@@ -26,6 +26,8 @@ from privq.harness.topology import Topology
 from privq.proofs import linear as lp, rangeproof as rp, shuffle as sp
 from privq.rng import Drbg
 
+from protocol_steps import noise_chain
+
 
 class _budget:
     """Assert the criterion stays inside its runtime bound and print verdict."""
@@ -282,8 +284,8 @@ def test_logistic_regression_desk_scale():
         plain_sum = None
         for shard in shards:
             records = [tuple(map(float, Xtr[i])) + (int(ytr[i]),) for i in shard]
-            resp, raws = enc.encode(group, op, records, kp.public, rng,
-                                    max_message=1 << 24)
+            resp, raws, _ = enc.encode_with_nonces(group, op, records, kp.public, rng,
+                                                   max_message=1 << 24)
             if agg_vector is None:
                 agg_vector, agg_count, plain_sum = list(resp.vector), resp.count, list(raws)
             else:
@@ -469,11 +471,11 @@ def test_cdp_distribution():
         sk = sum(k.private for k in cn_keys) % group.order
         tree = protocols.build_tree(["cn1", "cn2", "cn3"])
         table = DlogTable(group, 1 << 16)
-        noise, steps = protocols.cdp_generate(group, 1.0, 1.0, 0.5, 100, tree,
-                                              collective.public, rng, scale=100)
+        noise_values, encrypted, steps = noise_chain(group, 1.0, 1.0, 0.5, 100, tree,
+                                                     collective.public, rng, scale=100)
         decrypted = sorted(elgamal.decrypt(group, ct, sk, table)
-                           for ct in noise.encrypted)
-        expected = sorted(int(round(v * 100)) for v in noise.values)
+                           for ct in encrypted)
+        expected = sorted(int(round(v * 100)) for v in noise_values)
         assert decrypted == expected
-        for step in steps:
-            assert sp.verify_shuffle(sp.decode_shuffle(group, step.payloads[0]))
+        for _, payloads in steps:
+            assert sp.verify_shuffle(sp.decode_shuffle(group, payloads[0]))

@@ -30,8 +30,8 @@ def ctx():
 def aggregate_and_decode(ctx, op, dp_records):
     """Encrypted pipeline without protocols: encode per DP, sum, decrypt."""
     group, rng, kp, table = ctx
-    responses = [enc.encode(group, op, recs, kp.public, rng,
-                            max_message=1 << 22)[0] for recs in dp_records]
+    responses = [enc.encode_with_nonces(group, op, recs, kp.public, rng,
+                                        max_message=1 << 22)[0] for recs in dp_records]
     vector = responses[0].vector
     count = responses[0].count
     for resp in responses[1:]:
@@ -98,7 +98,7 @@ def test_stddev(ctx):
 def test_sum_empty_records_is_neutral(ctx):
     group, rng, kp, table = ctx
     op = enc.OperationSpec("sum")
-    resp, raws = enc.encode(group, op, [], kp.public, rng)
+    resp, raws, _ = enc.encode_with_nonces(group, op, [], kp.public, rng)
     assert raws == [0]
     assert elgamal.decrypt(group, resp.count, kp.private, table) == 0
 
@@ -166,7 +166,7 @@ def test_neutral_indistinguishable_shape(ctx):
     group, rng, kp, _ = ctx
     op = enc.OperationSpec("variance")
     neutral = enc.neutral_response(group, op, kp.public, rng)
-    real, _ = enc.encode(group, op, [(5,)], kp.public, rng)
+    real, _, _ = enc.encode_with_nonces(group, op, [(5,)], kp.public, rng)
     assert len(neutral.vector) == len(real.vector)
     assert neutral.vector[0].encode() != real.vector[0].encode()
     other = enc.neutral_response(group, op, kp.public, rng)

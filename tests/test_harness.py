@@ -7,6 +7,7 @@ import statistics
 
 import pytest
 
+from privq.elgamal import pack_cts, unpack_cts
 from privq.errors import CnUnavailable, ConfigError
 from privq.harness.pipeline import Simulation, run_iterative_extreme
 from privq.harness.queryparse import parse_query
@@ -192,17 +193,51 @@ def test_forged_block_commit_ignored():
     assert sim.audit(query.query_id).ok
 
 
-def test_junk_dp_response_dropped():
-    """A DP's unparsable response counts as no response: its CN times it
-    out and the query answers over the other DPs."""
+@pytest.mark.parametrize("forge", [
+    lambda cts: b"junk",
+    lambda cts: pack_cts(cts + cts[:1]),
+    lambda cts: pack_cts(cts[:-1]),
+], ids=["junk", "extra_ciphertext", "missing_ciphertext"])
+def test_junk_dp_response_dropped(forge):
+    """A DP's unparsable response, or one that is not the operation's
+    vector plus the count, counts as no response: its CN times it out and
+    the query answers over the other DPs. DP1's response is its CN's first
+    input."""
     sim = Simulation(_topo(31), seed=31)
     dp1 = sim.dps["DP1"]
-    dp1.on_query = lambda msg: dp1.send(msg.query_id, "dp_response", msg.sender, b"junk")
+    honest_send = dp1.send
+
+    def send(query_id, round_, recipient, payload=b""):
+        if round_ == "dp_response":
+            payload = forge(unpack_cts(sim.topology.group, Reader(payload)))
+        honest_send(query_id, round_, recipient, payload)
+
+    dp1.send = send
     out = sim.run(parse_query("SELECT sum heart_rate ON DP1,DP2,DP3,DP4", scale=100))
     assert (out.result.values[0], out.result.count) == (65 + 90 + 77, 3)
     assert sim.audit(out.query_id).ok
     cn = sim.topology.dp_assignment["DP1"]
     assert [entry[:3] for entry in sim.bus.dropped] == [(cn, "dp_response", "DP1")]
+
+
+def test_wide_child_partial_names_the_child():
+    """CN2 sends CN1 a partial sum with one extra ciphertext: CN1 drops it
+    and aborts at the timeout, naming CN2 as the CN that did not answer."""
+    sim = Simulation(_topo(32), seed=32)
+    cn2 = sim.cns["CN2"]
+    honest_send = cn2.send
+
+    def send(query_id, round_, recipient, payload=b""):
+        if round_ == "cta_partial":
+            cts = unpack_cts(sim.topology.group, Reader(payload))
+            payload = pack_cts(cts + cts[:1])
+        honest_send(query_id, round_, recipient, payload)
+
+    cn2.send = send
+    with pytest.raises(CnUnavailable, match=r"unresponsive CNs: \['CN2'\]"):
+        sim.run(parse_query("SELECT sum heart_rate ON DP1,DP2,DP3,DP4", scale=100))
+    assert [entry[:3] for entry in sim.bus.dropped] == [("CN1", "cta_partial", "CN2")]
+    _assert_no_query_state(sim)
 
 
 def test_junk_map_submit_dropped():
@@ -332,6 +367,23 @@ def test_cdp_noise_lazy_and_eager():
     noise = out.result.values[0] - 60.0
     assert abs(noise * 2 - round(noise * 2)) < 1e-9  # quantized at theta = 0.5
     assert sim.audit(out.query_id).ok
+
+
+def test_noise_list_shorter_than_the_result_aborts():
+    """A DP-privacy variance needs two noise ciphertexts: with a one-entry
+    noise list the root CN drops the shuffled list and the query aborts in
+    the shuffle stage."""
+    topo = Topology.build(n_cns=3, n_dps=3, n_vns=3, seed=34)
+    topo.cdp_params = {"epsilon": 1.0, "delta_f": 1.0, "theta": 0.5, "list_size": 1}
+    topo.dp_data = {"DP1": [{"x": 10}], "DP2": [{"x": 20}], "DP3": [{"x": 30}]}
+    sim = Simulation(topo, seed=34)
+    with pytest.raises(CnUnavailable, match="stage shuffle"):
+        sim.run(parse_query("SELECT variance x ON DP1,DP2,DP3", scale=100,
+                            dp_privacy=True))
+    [(recipient, round_, _, error)] = sim.bus.dropped
+    assert (recipient, round_) == (topo.cn_ids[0], "cdp_done")
+    assert error.startswith("NoiseExhausted(")
+    _assert_no_query_state(sim)
 
 
 def test_shuffle_link_checked_whichever_bundle_arrives_first():

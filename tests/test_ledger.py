@@ -15,6 +15,8 @@ from privq.group import get_group
 from privq.rng import Drbg
 from privq.serial import pack_bytes
 
+from protocol_steps import commit_block
+
 
 # ----- coverage -----
 
@@ -163,7 +165,7 @@ def block_ctx(tmp_path):
 
 def test_commit_and_audit_honest(block_ctx):
     group, vn_keys, vn_pubs, expected, maps, chain, policy = block_ctx
-    block = ledger.commit_block("q1", b"QUERY", maps, vn_keys, chain)
+    block = commit_block("q1", b"QUERY", maps, vn_keys, chain)
     assert len(block.signatures) == 7
     report = ledger.audit("q1", chain)
     assert report.ok and report.signature_count == 7
@@ -176,11 +178,11 @@ def test_commit_threshold_arithmetic(block_ctx):
     local = dict(maps)
     local["vn0"] = refused
     local["vn1"] = refused
-    block = ledger.commit_block("q1", b"Q", maps, vn_keys, chain, local_maps=local)
+    block = commit_block("q1", b"Q", maps, vn_keys, chain, local_maps=local)
     assert len(block.signatures) == 5  # 2 of 7 refuse, still >= f_h
     local["vn2"] = refused
     with pytest.raises(InsufficientSignatures):
-        ledger.commit_block("q2", b"Q", maps, vn_keys, chain, local_maps=local)
+        commit_block("q2", b"Q", maps, vn_keys, chain, local_maps=local)
 
 
 def test_commit_refusal_patterns(block_ctx):
@@ -194,12 +196,12 @@ def test_commit_refusal_patterns(block_ctx):
             local[vn] = refused_map
         qid = f"q-pat-{trial}"
         if 7 - len(refusers) >= policy.f_h:
-            block = ledger.commit_block(qid, b"Q", maps, vn_keys, chain,
+            block = commit_block(qid, b"Q", maps, vn_keys, chain,
                                         local_maps=local)
             assert len(block.signatures) == 7 - len(refusers)
         else:
             with pytest.raises(InsufficientSignatures):
-                ledger.commit_block(qid, b"Q", maps, vn_keys, chain,
+                commit_block(qid, b"Q", maps, vn_keys, chain,
                                     local_maps=local)
 
 
@@ -213,7 +215,7 @@ def test_false_entry_attribution(block_ctx):
             pmap.record(key, ledger.STATUS_TRUE)
         pmap.record(bad_key, ledger.STATUS_FALSE)
         bad_maps[vn] = pmap
-    ledger.commit_block("q1", b"Q", bad_maps, vn_keys, chain)
+    commit_block("q1", b"Q", bad_maps, vn_keys, chain)
     report = ledger.audit("q1", chain)
     assert not report.ok
     assert len(report.false_entries) == 1
@@ -224,8 +226,8 @@ def test_false_entry_attribution(block_ctx):
 
 def test_chain_persistence_roundtrip(block_ctx, tmp_path):
     group, vn_keys, vn_pubs, expected, maps, chain, policy = block_ctx
-    ledger.commit_block("q1", b"A", maps, vn_keys, chain)
-    ledger.commit_block("q2", b"B", maps, vn_keys, chain)
+    commit_block("q1", b"A", maps, vn_keys, chain)
+    commit_block("q2", b"B", maps, vn_keys, chain)
     reloaded = ledger.Chain(group, vn_pubs, 5, chain.path)
     assert len(reloaded) == 2
     assert reloaded.get("q2").prev_hash == reloaded.get("q1").block_hash()
@@ -234,8 +236,8 @@ def test_chain_persistence_roundtrip(block_ctx, tmp_path):
 
 def test_single_byte_tamper_always_detected(block_ctx, tmp_path):
     group, vn_keys, vn_pubs, expected, maps, chain, policy = block_ctx
-    ledger.commit_block("q1", b"A", maps, vn_keys, chain)
-    ledger.commit_block("q2", b"B", maps, vn_keys, chain)
+    commit_block("q1", b"A", maps, vn_keys, chain)
+    commit_block("q2", b"B", maps, vn_keys, chain)
     with open(chain.path, "rb") as fh:
         original = fh.read()
     rnd = random.Random(8)
@@ -251,7 +253,7 @@ def test_single_byte_tamper_always_detected(block_ctx, tmp_path):
 
 def test_block_not_found(block_ctx):
     group, vn_keys, vn_pubs, expected, maps, chain, policy = block_ctx
-    ledger.commit_block("q1", b"A", maps, vn_keys, chain)
+    commit_block("q1", b"A", maps, vn_keys, chain)
     with pytest.raises(BlockNotFound):
         ledger.audit("missing", chain)
 
@@ -260,7 +262,7 @@ def test_broken_link_detected(block_ctx, tmp_path):
     """A block whose prev_hash is not the head hash is refused on append,
     and a chain file holding one fails to open."""
     group, vn_keys, vn_pubs, expected, maps, chain, policy = block_ctx
-    ledger.commit_block("q1", b"A", maps, vn_keys, chain)
+    commit_block("q1", b"A", maps, vn_keys, chain)
     block = chain.next_block("q2", b"B", maps)
     block.prev_hash = b"\x00" * 32
     block.signatures = {vn: ledger.sign_block(group, vn, kp.private, block, maps[vn])
@@ -279,7 +281,7 @@ def test_append_rule_refuses_bad_blocks(block_ctx):
     signature under an unknown VN name or a junk signature, and one with
     fewer than f_h signatures; the chain is left as it was."""
     group, vn_keys, vn_pubs, expected, maps, chain, policy = block_ctx
-    ledger.commit_block("q1", b"A", maps, vn_keys, chain)
+    commit_block("q1", b"A", maps, vn_keys, chain)
 
     def signed(block, signers):
         block.signatures = {vn: ledger.sign_block(group, vn, vn_keys[vn].private,
@@ -322,7 +324,7 @@ def test_renamed_signer_in_file_detected(block_ctx, tmp_path):
     six valid signatures, but the file no longer holds the block's own
     encoding, so it fails to open."""
     group, vn_keys, vn_pubs, expected, maps, chain, policy = block_ctx
-    ledger.commit_block("q1", b"A", maps, vn_keys, chain)
+    commit_block("q1", b"A", maps, vn_keys, chain)
     data = open(chain.path, "rb").read()
     sigs_at = data.index(pack_bytes(b"vn0") + pack_bytes(chain.blocks[0].signatures["vn0"]))
     path = tmp_path / "renamed.bin"
@@ -336,7 +338,7 @@ def test_malformed_block_field_refused(block_ctx, field):
     """A query id that is not UTF-8, or an unknown status code, is a
     malformed block: decoding raises MalformedProof and `accept` BrokenChain."""
     group, vn_keys, vn_pubs, expected, maps, chain, policy = block_ctx
-    data = ledger.commit_block("qid-x", b"A", maps, vn_keys,
+    data = commit_block("qid-x", b"A", maps, vn_keys,
                                ledger.Chain(group, vn_pubs, 5)).encode()
     if field == "query_id":
         old, new = pack_bytes(b"qid-x"), pack_bytes(b"\xff\xfe")

@@ -142,8 +142,8 @@ def test_encrypted_training_matches_plaintext_trainer():
     plain_fixed_sum = None
     for shard in shards:
         records = [(float(X[i, 0]), float(X[i, 1]), int(y[i])) for i in shard]
-        resp, raws = enc.encode(group, op, records, kp.public, rng,
-                                max_message=1 << 22)
+        resp, raws, _ = enc.encode_with_nonces(group, op, records, kp.public, rng,
+                                               max_message=1 << 22)
         if agg_vector is None:
             agg_vector, agg_count = list(resp.vector), resp.count
             plain_fixed_sum = list(raws)

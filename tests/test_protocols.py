@@ -6,13 +6,21 @@ import math
 import pytest
 
 from privq import elgamal, protocols
-from privq.encodings import EncodedResponse
-from privq.errors import (DimensionMismatch, InvalidPrivacyParams, KeyMismatch,
-                          NoiseExhausted, OutOfTableRange)
+from privq.encodings import EncodedResponse, OperationSpec
+from privq.errors import (DimensionMismatch, InvalidPrivacyParams, NoiseExhausted,
+                          OutOfTableRange)
 from privq.group import DlogTable, get_group
+from privq.harness.pipeline import Simulation
+from privq.harness.queryparse import parse_query
+from privq.harness.topology import Topology
+from privq.proofs.linear import verify_linear
 from privq.proofs.shuffle import decode_shuffle, verify_shuffle
 from privq.rng import Drbg
 from privq.serial import pack_bytes
+
+import protocol_steps as ps
+
+SUM = OperationSpec("sum")
 
 
 @pytest.fixture(scope="module")
@@ -52,7 +60,7 @@ def test_cta_single_dp(ctx):
     group, rng, cn_ids, keys, collective, sk, table = ctx
     tree = protocols.build_tree(cn_ids)
     resp = _response(ctx, [7])
-    agg, steps = protocols.cta_aggregate(tree, {"cn1": [resp]})
+    agg, steps = ps.aggregate_tree(tree, SUM, {"cn1": [resp]})
     assert elgamal.decrypt(group, agg.vector[0], sk, table) == 7
     assert elgamal.decrypt(group, agg.count, sk, table) == 1
 
@@ -62,12 +70,12 @@ def test_cta_homomorphic_sum(ctx):
     tree = protocols.build_tree(cn_ids)
     contributions = {"cn1": [_response(ctx, [2])], "cn2": [_response(ctx, [3])],
                      "cn3": [_response(ctx, [4])]}
-    agg, steps = protocols.cta_aggregate(tree, contributions)
+    agg, steps = ps.aggregate_tree(tree, SUM, contributions)
     assert elgamal.decrypt(group, agg.vector[0], sk, table) == 9
     assert elgamal.decrypt(group, agg.count, sk, table) == 3
-    for step in steps:
-        agg = protocols.Aggregation.decode(group, step.payloads[0])
-        assert protocols.verify_aggregation(agg), step.cn_id
+    for cn, payloads in steps:
+        agg = protocols.Aggregation.decode(group, payloads[0])
+        assert protocols.verify_aggregation(agg), cn
 
 
 def test_cta_sixty_dps_matches_plaintext(ctx):
@@ -77,7 +85,7 @@ def test_cta_sixty_dps_matches_plaintext(ctx):
     contributions = {cn: [] for cn in cn_ids}
     for i, v in enumerate(values):
         contributions[cn_ids[i % len(cn_ids)]].append(_response(ctx, [v]))
-    agg, _ = protocols.cta_aggregate(tree, contributions)
+    agg, _ = ps.aggregate_tree(tree, SUM, contributions)
     assert elgamal.decrypt(group, agg.vector[0], sk, table) == sum(values)
     assert elgamal.decrypt(group, agg.count, sk, table) == 60
 
@@ -86,19 +94,21 @@ def test_cta_dimension_mismatch(ctx):
     _, _, cn_ids, _, _, _, _ = ctx
     tree = protocols.build_tree(cn_ids)
     with pytest.raises(DimensionMismatch):
-        protocols.cta_aggregate(tree, {"cn1": [_response(ctx, [1])],
-                                       "cn2": [_response(ctx, [1, 2])]})
+        ps.aggregate_tree(tree, SUM, {"cn1": [_response(ctx, [1])],
+                                      "cn2": [_response(ctx, [1, 2])]})
 
 
-def test_cta_tree_shape_independence(ctx):
-    group, rng, cn_ids, _, _, sk, table = ctx
-    contributions = {cn: [_response(ctx, [i + 1, (i + 1) ** 2])]
-                     for i, cn in enumerate(cn_ids)}
+def test_cta_tree_shape_independence():
+    """Six CNs, one DP each, run as a binary tree, a chain and a star."""
+    dps = ",".join(f"DP{i + 1}" for i in range(6))
     results = []
     for shape in ("binary", "chain", "star"):
-        tree = protocols.build_tree(cn_ids, shape)
-        agg, _ = protocols.cta_aggregate(tree, contributions)
-        results.append([elgamal.decrypt(group, ct, sk, table) for ct in agg.vector])
+        topo = Topology.build(n_cns=6, n_dps=6, n_vns=3, seed=33, tree_shape=shape)
+        topo.dp_data = {f"DP{i + 1}": [{"x": i + 1}] for i in range(6)}
+        out = Simulation(topo, seed=33).run(
+            parse_query(f"SELECT variance x ON {dps}", scale=100))
+        values, _ = out.raw_values
+        results.append(values)
     assert results[0] == results[1] == results[2]
 
 
@@ -110,38 +120,29 @@ def test_ctks_correctness(ctx, n_cns):
     sub_collective = elgamal.collective_key(group, [keys[c].public for c in ids])
     target = elgamal.KeyPair.generate(group, rng)
     resp = _response(ctx, [7], pk=sub_collective.public)
-    switched, steps = protocols.ctks_switch(group, tree, resp, target.public,
-                                            {c: keys[c] for c in ids}, rng,
-                                            collective_pk=sub_collective.public)
+    switched, steps = ps.key_switch(group, tree, resp, target.public,
+                                    {c: keys[c] for c in ids}, rng)
     assert elgamal.decrypt(group, switched.vector[0], target.private, table) == 7
     assert elgamal.decrypt(group, switched.count, target.private, table) == 1
     assert len(steps) == n_cns
     # per-CN proofs verify against the CN key and input ciphertext
     cts = list(resp.vector) + [resp.count]
-    for step, cn in zip(steps, tree.nodes):
-        for j, payload in enumerate(step.payloads):
+    for cn, payloads in steps:
+        for j, payload in enumerate(payloads):
             assert payload.startswith(pack_bytes(cts[j].encode()))
-            assert protocols.verify_round_payload(group, "keyswitch", payload,
-                                                  keys[cn].public, target.public)
+            proof = protocols.round_proof(group, "keyswitch", payload,
+                                          keys[cn].public, target.public)
+            assert proof is not None and verify_linear(proof)
 
 
 def test_ctks_old_key_isolated(ctx):
     group, rng, cn_ids, keys, collective, sk, table = ctx
     tree = protocols.build_tree(cn_ids)
     target = elgamal.KeyPair.generate(group, rng)
-    switched, _ = protocols.ctks_switch(group, tree, _response(ctx, [5]),
-                                        target.public, keys, rng)
+    switched, _ = ps.key_switch(group, tree, _response(ctx, [5]),
+                                target.public, keys, rng)
     with pytest.raises(OutOfTableRange):
         elgamal.decrypt(group, switched.vector[0], sk, table)
-
-
-def test_ctks_key_mismatch(ctx):
-    group, rng, cn_ids, keys, collective, _, _ = ctx
-    tree = protocols.build_tree(cn_ids)
-    target = elgamal.KeyPair.generate(group, rng)
-    with pytest.raises(KeyMismatch):
-        protocols.ctks_switch(group, tree, _response(ctx, [5]), target.public, keys,
-                              rng, collective_pk=target.public)
 
 
 def test_ctks_randomized_sweep(ctx):
@@ -159,20 +160,19 @@ def test_ctks_randomized_sweep(ctx):
         resp = EncodedResponse(
             [elgamal.encrypt(group, m, sub.public, rng)],
             elgamal.encrypt(group, 0, sub.public, rng))
-        switched, _ = protocols.ctks_switch(group, protocols.build_tree(ids), resp,
-                                            target.public,
-                                            {c: keys[c] for c in ids}, rng)
+        switched, _ = ps.key_switch(group, protocols.build_tree(ids), resp,
+                                    target.public, {c: keys[c] for c in ids}, rng)
         assert elgamal.decrypt(group, switched.vector[0], target.private, table) == m
 
 
 def test_cto_zero_preserved(ctx):
     group, rng, cn_ids, keys, collective, sk, table = ctx
     tree = protocols.build_tree(cn_ids)
-    obf, steps = protocols.cto_obfuscate(
-        group, tree, elgamal.encrypt(group, 0, collective.public, rng), rng)
+    (obf,), steps = ps.obfuscate(
+        group, tree, [elgamal.encrypt(group, 0, collective.public, rng)], rng)
     assert elgamal.decrypt_point(group, obf, sk).is_identity()
-    for step in steps:
-        assert len(step.payloads) == 1
+    for _, payloads in steps:
+        assert len(payloads) == 1
 
 
 def test_cto_nonzero_blinded(ctx):
@@ -180,8 +180,8 @@ def test_cto_nonzero_blinded(ctx):
     tree = protocols.build_tree(cn_ids)
     seen = set()
     for _ in range(50):
-        obf, _ = protocols.cto_obfuscate(
-            group, tree, elgamal.encrypt(group, 1, collective.public, rng), rng)
+        (obf,), _ = ps.obfuscate(
+            group, tree, [elgamal.encrypt(group, 1, collective.public, rng)], rng)
         point = elgamal.decrypt_point(group, obf, sk)
         assert not point.is_identity()
         seen.add(point.encode())
@@ -202,10 +202,11 @@ def test_cto_proofs_verify(ctx):
     group, rng, cn_ids, keys, collective, _, _ = ctx
     tree = protocols.build_tree(cn_ids)
     ct = elgamal.encrypt(group, 1, collective.public, rng)
-    _, steps = protocols.cto_obfuscate(group, tree, ct, rng)
-    for step in steps:
-        assert step.payloads[0].startswith(pack_bytes(ct.encode()))
-        assert protocols.verify_round_payload(group, "obfuscation", step.payloads[0])
+    _, steps = ps.obfuscate(group, tree, [ct], rng)
+    for _, payloads in steps:
+        assert payloads[0].startswith(pack_bytes(ct.encode()))
+        proof = protocols.round_proof(group, "obfuscation", payloads[0])
+        assert proof is not None and verify_linear(proof)
 
 
 def test_quantize_laplace_contract():
@@ -233,25 +234,25 @@ def test_cdp_generate_multiset_through_chain(ctx):
     tree = protocols.build_tree(cn_ids[:3])
     sub = elgamal.collective_key(group, [keys[c].public for c in cn_ids[:3]])
     sub_sk = sum(keys[c].private for c in cn_ids[:3]) % group.order
-    noise, steps = protocols.cdp_generate(group, 1.0, 1.0, 0.5, 25, tree,
-                                          sub.public, rng, scale=100)
-    assert len(noise.encrypted) == 25
+    values, encrypted, steps = ps.noise_chain(group, 1.0, 1.0, 0.5, 25, tree,
+                                              sub.public, rng, scale=100)
+    assert len(encrypted) == 25
     assert len(steps) == 3
-    for step in steps:
-        assert verify_shuffle(decode_shuffle(group, step.payloads[0]))
+    for _, payloads in steps:
+        assert verify_shuffle(decode_shuffle(group, payloads[0]))
     decrypted = sorted(elgamal.decrypt(group, ct, sub_sk, table)
-                       for ct in noise.encrypted)
-    expected = sorted(int(round(v * 100)) for v in noise.values)
+                       for ct in encrypted)
+    expected = sorted(int(round(v * 100)) for v in values)
     assert decrypted == expected
 
 
 def test_cdp_generate_single_noise_value(ctx):
     group, rng, cn_ids, keys, _, _, table = ctx
     tree = protocols.build_tree(cn_ids[:1])
-    noise, _ = protocols.cdp_generate(group, 1.0, 1.0, 0.5, 1, tree,
-                                      keys["cn1"].public, rng)
-    assert len(noise.encrypted) == 1
-    assert elgamal.decrypt(group, noise.encrypted[0], keys["cn1"].private,
+    _, encrypted, _ = ps.noise_chain(group, 1.0, 1.0, 0.5, 1, tree,
+                                     keys["cn1"].public, rng)
+    assert len(encrypted) == 1
+    assert elgamal.decrypt(group, encrypted[0], keys["cn1"].private,
                            table) == 0
 
 
@@ -260,32 +261,30 @@ def test_cdp_apply_consumption_order(ctx):
     tree = protocols.build_tree(cn_ids[:3])
     sub = elgamal.collective_key(group, [keys[c].public for c in cn_ids[:3]])
     sub_sk = sum(keys[c].private for c in cn_ids[:3]) % group.order
-    noise, _ = protocols.cdp_generate(group, 1.0, 1.0, 0.5, 8, tree,
-                                      sub.public, rng, scale=100)
-    leading = [elgamal.decrypt(group, ct, sub_sk, table) for ct in noise.encrypted[:5]]
+    _, encrypted, _ = ps.noise_chain(group, 1.0, 1.0, 0.5, 8, tree,
+                                     sub.public, rng, scale=100)
+    leading = [elgamal.decrypt(group, ct, sub_sk, table) for ct in encrypted[:5]]
     resp = EncodedResponse(
         [elgamal.encrypt(group, v, sub.public, rng) for v in (10, 20, 30)],
         elgamal.encrypt(group, 3, sub.public, rng))
-    noisy = protocols.cdp_apply(resp, noise)
+    noisy = protocols.cdp_apply(resp, encrypted)
     values = [elgamal.decrypt(group, ct, sub_sk, table) for ct in noisy.vector]
     assert values == [10 + leading[0], 20 + leading[1], 30 + leading[2]]
-    assert noise.consumed == 3
     # a second application consumes the next elements
     noisy2 = protocols.cdp_apply(
         EncodedResponse([elgamal.encrypt(group, 0, sub.public, rng)] * 2,
-                        resp.count), noise)
+                        resp.count), encrypted[3:])
     values2 = [elgamal.decrypt(group, ct, sub_sk, table) for ct in noisy2.vector]
     assert values2 == [leading[3], leading[4]]
     with pytest.raises(NoiseExhausted):
         protocols.cdp_apply(
-            EncodedResponse([resp.vector[0]] * 4, resp.count), noise)
+            EncodedResponse([resp.vector[0]] * 4, resp.count), encrypted[5:])
 
 
 def test_cdp_zero_noise_leaves_result(ctx):
     group, rng, cn_ids, keys, _, _, table = ctx
     kp = keys["cn1"]
-    noise = protocols.NoiseList(1.0, 1.0, 0.5, [0.0],
-                                [elgamal.encrypt(group, 0, kp.public, rng)])
+    noise = [elgamal.encrypt(group, 0, kp.public, rng)]
     resp = EncodedResponse([elgamal.encrypt(group, 10, kp.public, rng)],
                            elgamal.encrypt(group, 1, kp.public, rng))
     noisy = protocols.cdp_apply(resp, noise)
