@@ -75,6 +75,14 @@ def unpack_cts(group, reader: Reader) -> list[Ciphertext]:
     return out
 
 
+def read_cts(group, payload: bytes) -> list[Ciphertext]:
+    """A payload that is exactly one ciphertext list, else MalformedProof."""
+    reader = Reader(payload)
+    cts = unpack_cts(group, reader)
+    reader.expect_done()
+    return cts
+
+
 @dataclass(frozen=True)
 class KeyPair:
     private: int

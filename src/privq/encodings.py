@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import elgamal
-from .elgamal import Ciphertext, DEFAULT_SCALE
+from .elgamal import DEFAULT_SCALE
 from .errors import (
     ArityMismatch,
     CallbackFailure,
@@ -42,18 +42,6 @@ KINDS = (
 BIT_KINDS = ("and", "or", "min", "max", "set_intersection", "set_union")
 RANGE_KINDS = ("min", "max", "freq_count", "set_intersection", "set_union")
 RANDOM_MARKER_MAX = 255  # random-integer bitwise marker bound, keeps sums decodable
-
-
-@dataclass(frozen=True)
-class EncodedResponse:
-    """A DP's encrypted encoding: vector of d ciphertexts plus the count."""
-
-    vector: list
-    count: Ciphertext
-
-    @property
-    def dimension(self) -> int:
-        return len(self.vector)
 
 
 @dataclass(frozen=True)
@@ -329,24 +317,23 @@ def encode_logreg_raw(records, op: OperationSpec) -> list[int]:
 
 def encode_with_nonces(group, op: OperationSpec, records, pk, rng,
                        max_message: int = elgamal.DEFAULT_MAX_MESSAGE):
-    """Encrypt the local encoding; returns (EncodedResponse, raw ints,
-    nonces). Range proofs commit to the raw values under those nonces."""
+    """Encrypt the local encoding; returns (ciphertext list, count last; raw
+    ints; nonces). Range proofs commit to the raw values under those nonces."""
     raws, c = plaintext_encode(op, records, rng)
     nonces = [group.random_scalar(rng) for _ in raws]
-    vector = []
+    cts = []
     for raw, nonce in zip(raws, nonces):
         if abs(raw) > max_message:
             raise elgamal.MessageTooLarge(f"encoded value {raw} exceeds bound")
-        vector.append(elgamal.encrypt_with_nonce(group, raw, pk, nonce))
-    count = elgamal.encrypt(group, c, pk, rng)
-    return EncodedResponse(vector, count), raws, nonces
+        cts.append(elgamal.encrypt_with_nonce(group, raw, pk, nonce))
+    cts.append(elgamal.encrypt(group, c, pk, rng))
+    return cts, raws, nonces
 
 
-def neutral_response(group, op: OperationSpec, pk, rng) -> EncodedResponse:
+def neutral_response(group, op: OperationSpec, pk, rng) -> list:
     """Fresh encryptions of the neutral encoding: all zeros in the negated
     bit representation, zero count. Indistinguishable from a real response."""
-    vector = [elgamal.encrypt(group, 0, pk, rng) for _ in range(op.dimension)]
-    return EncodedResponse(vector, elgamal.encrypt(group, 0, pk, rng))
+    return [elgamal.encrypt(group, 0, pk, rng) for _ in range(op.dimension + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,10 @@ class DimensionMismatch(PrivqError):
     """An aggregation input is not the operation's vector plus the count."""
 
 
+class UnexpectedInput(PrivqError):
+    """An aggregation input from a node the CN is not waiting for."""
+
+
 class InvalidPrivacyParams(PrivqError):
     """Differential-privacy parameters are out of their valid domain."""
 

@@ -19,33 +19,36 @@ committed block or an abort. A VN keeps each query's bundle bytes (`kv`).
 
 Each rule has one implementation outside this module, and the nodes here
 only route messages to it, keep per-query state and handle timeouts: the
-protocol steps, their verifiers, the width rule of an aggregation input
-(`check_input`) and the round plan (`query_rounds`) in
-privq.protocols, the bounded range statement (`prove_bounded`,
-`verify_bounded`) in privq.proofs.rangeproof, and the expected proofs and
-block rules in privq.ledger. Provers sign and send their proof bundles
-with `emit_bundle`. A VN checks the shape of each sampled CTKS/CTO
-sub-proof (`protocols.round_proof`) and then verifies the linear proofs of
-the bundle with one batched `verify_linear` call; the bundle's verdict is
-all-or-nothing either way. A shuffle-chain link is checked against both
-neighbours, whichever of the two bundles arrives first.
+protocol steps, their verifiers, a CN's `aggregation_sources`, the width
+rule (`check_input`) and the round plan (`query_rounds`) in
+privq.protocols, the bounded range statement in privq.proofs.rangeproof,
+and the expected proofs and block rules in privq.ledger. Provers sign and
+send their proof bundles with `emit_bundle`. A response, an aggregation
+input and a result are one ciphertext list, count last, which `read_cts`
+reads without trailing bytes. A CN takes DP responses and child partial
+sums through one handler: one input from each source it still awaits.
+
+A VN checks the shape of each sampled CTKS/CTO sub-proof
+(`protocols.round_proof`), then verifies the bundle's linear proofs with
+one batched `verify_linear` call; the verdict is all-or-nothing. Values
+two bundles must agree on meet in one table through `VnNode._bind`,
+whichever comes first: a DP's range-proved ciphertext and its aggregated
+input, adjacent shuffle-chain links, and each round's input list.
 """
 
 from __future__ import annotations
 
-import hashlib
 from types import SimpleNamespace
 
 from .. import elgamal, ledger, protocols
-from ..elgamal import pack_cts, unpack_cts
+from ..elgamal import pack_cts, read_cts
 from ..encodings import (
-    EncodedResponse,
     decode as decode_aggregate,
     encode_with_nonces,
     neutral_response,
     train_logreg,
 )
-from ..errors import CnUnavailable, PrivqError
+from ..errors import CnUnavailable, PrivqError, UnexpectedInput
 from ..proofs import rangeproof
 from ..proofs.linear import verify_linear
 from ..proofs.shuffle import decode_shuffle, shuffle_and_prove, verify_shuffle
@@ -56,21 +59,6 @@ from .queryparse import apply_filter, decode_query
 
 RESULT_ROUND = "result"
 ROUND_PROOF_TYPE = {"ctks": "keyswitch", "cto": "obfuscation"}
-
-
-# ---------------------------------------------------------------------------
-# payload codecs
-
-
-def pack_response(resp: EncodedResponse) -> bytes:
-    return pack_cts(list(resp.vector) + [resp.count])
-
-
-def unpack_response(group, data: bytes) -> EncodedResponse:
-    reader = Reader(data)
-    cts = unpack_cts(group, reader)
-    reader.expect_done()
-    return EncodedResponse(cts[:-1], cts[-1])
 
 
 def emit_bundle(node, query_id, proof_type, seq_index, payloads):
@@ -109,19 +97,16 @@ class QuerierNode(NodeBase):
     def on_result(self, msg):
         state = self.states[msg.query_id]
         group = self.topology.group
-        response = unpack_response(group, msg.payload)
+        *vector, count_ct = read_cts(group, msg.payload)
         sk = self.topology.keys[self.identity].private
         op = state.query.operation
         try:
-            count = elgamal.decrypt(group, response.count, sk, self.table)
+            count = elgamal.decrypt(group, count_ct, sk, self.table)
             if op.zero_test_only:
-                values = [
-                    0 if elgamal.decrypt_point(group, ct, sk).is_identity() else 1
-                    for ct in response.vector
-                ]
+                values = [int(not elgamal.decrypt_point(group, ct, sk).is_identity())
+                          for ct in vector]
             else:
-                values = [elgamal.decrypt(group, ct, sk, self.table)
-                          for ct in response.vector]
+                values = [elgamal.decrypt(group, ct, sk, self.table) for ct in vector]
             state.raw_values = (values, count)
             state.result = decode_aggregate(op, values, count)
             if op.kind == "log_reg" and count > 0:
@@ -178,33 +163,29 @@ class DpNode(NodeBase):
         pk = self.topology.collective_key().public
         op = query.operation
         if self.decline:
-            response = neutral_response(group, op, pk, self.rng)
-            self.send(query.query_id, "dp_response", msg.sender, pack_response(response))
+            self.send(query.query_id, "dp_response", msg.sender,
+                      pack_cts(neutral_response(group, op, pk, self.rng)))
             return
         records = self._records(query)
-        response, raws, nonces = encode_with_nonces(
+        cts, raws, nonces = encode_with_nonces(
             group, op, records, pk, self.rng,
             max_message=self.topology.max_message)
-        if self.malicious_value is not None and response.vector:
+        if self.malicious_value is not None and len(cts) > 1:
             # substitute an out-of-range element 0 with a forged-digit proof
             bad = int(self.malicious_value)
             nonce = group.random_scalar(self.rng)
-            response = EncodedResponse(
-                [elgamal.encrypt_with_nonce(group, bad, pk, nonce)] + response.vector[1:],
-                response.count,
-            )
-            raws = [bad] + raws[1:]
-            nonces = [nonce] + nonces[1:]
+            cts[0] = elgamal.encrypt_with_nonce(group, bad, pk, nonce)
+            raws[0], nonces[0] = bad, nonce
         if query.bounds is not None and self.range_sigs is not None:
-            self._emit_range_proofs(query, pk, raws, nonces, response)
-        self.send(query.query_id, "dp_response", msg.sender, pack_response(response))
+            self._emit_range_proofs(query, pk, raws, nonces, cts)
+        self.send(query.query_id, "dp_response", msg.sender, pack_cts(cts))
 
-    def _emit_range_proofs(self, query, pk, raws, nonces, response):
+    def _emit_range_proofs(self, query, pk, raws, nonces, cts):
         element_bounds = query.operation.element_bounds()
         for j, (raw, nonce, bounds) in enumerate(zip(raws, nonces, element_bounds)):
             lower, upper = rangeproof.prove_bounded(
                 self.topology.group, raw, nonce, pk, self.range_sigs, bounds, self.rng)
-            payload = (pack_u32(j) + pack_bytes(response.vector[j].encode())
+            payload = (pack_u32(j) + pack_bytes(cts[j].encode())
                        + pack_bytes(lower.encode()) + pack_bytes(upper.encode()))
             emit_bundle(self, query.query_id, "range", j, (payload,))
 
@@ -221,71 +202,58 @@ class CnNode(NodeBase):
         self.tree = protocols.build_tree(topology.cn_ids, topology.tree_shape)
         self.index = self.tree.nodes.index(identity)
         self.is_root = self.index == 0
-
-    def _parent(self):
-        p = self.tree.parents[self.index]
-        return self.tree.nodes[p] if p >= 0 else None
-
-    def _children(self):
-        return [self.tree.nodes[i] for i in self.tree.children(self.index)]
+        self.parent = None if self.is_root else self.tree.nodes[self.tree.parents[self.index]]
+        self.children = [self.tree.nodes[i] for i in self.tree.children(self.index)]
 
     def on_query(self, msg):
         query = decode_query(msg.payload)
-        my_dps = tuple(dp for dp in query.dp_list
-                       if self.topology.dp_assignment.get(dp) == self.identity)
+        dps, children = protocols.aggregation_sources(
+            self.tree, self.identity, query, self.topology.dp_assignment)
         self.states[query.query_id] = SimpleNamespace(
             query=query,
-            expected_dps=set(my_dps),
+            dps=dps,
+            waiting=set(dps + children),  # sources whose input has not arrived
             inputs=[],  # (label, ct tuple) pairs: DP responses and child partials
-            pending_children=set(self._children()),
-            aggregated=False,
             stage="aggregation",  # root: the query_rounds entry it is running
             share_waits={},  # round tag -> set of children still pending
             share_sums={},  # round tag -> list of summed share ct-pairs
             round_cts={},  # round tag -> input cts of the round
-            current=None,  # root: current EncodedResponse through the stages
+            current=None,  # root: the ciphertext list through the stages, count last
         )
-        for dp in my_dps:
+        for dp in dps:
             self.send(query.query_id, "query", dp, msg.payload)
         self._try_finish_collect(query.query_id)
 
     def on_dp_response(self, msg):
+        """The one aggregation-input handler, for DP responses and child CNs'
+        partial sums (`cta_partial`) alike: it accepts one input from each
+        source the CN still waits for, if the input obeys the width rule."""
         state = self.states[msg.query_id]
-        reader = Reader(msg.payload)
-        cts = unpack_cts(self.topology.group, reader)
-        reader.expect_done()
+        if msg.sender not in state.waiting:
+            raise UnexpectedInput(f"{msg.round} from {msg.sender}, which is not awaited")
+        cts = read_cts(self.topology.group, msg.payload)
         state.inputs.append((msg.sender, protocols.check_input(state.query.operation, cts)))
-        state.expected_dps.discard(msg.sender)
+        state.waiting.discard(msg.sender)
         self._try_finish_collect(msg.query_id)
 
-    def on_cta_partial(self, msg):
-        state = self.states[msg.query_id]
-        reader = Reader(msg.payload)
-        cts = unpack_cts(self.topology.group, reader)
-        state.inputs.append((msg.sender, protocols.check_input(state.query.operation, cts)))
-        state.pending_children.discard(msg.sender)
-        self._try_finish_collect(msg.query_id)
+    on_cta_partial = on_dp_response
 
     def _try_finish_collect(self, query_id):
         state = self.states[query_id]
-        if state.aggregated or state.expected_dps or state.pending_children:
+        if state.waiting:
             return
         if not state.inputs:
             # nothing from below and no local DPs: contribute a neutral zero
-            group = self.topology.group
-            pk = self.topology.collective_key().public
-            width = protocols.input_width(state.query.operation)
-            zeros = tuple(elgamal.encrypt(group, 0, pk, self.rng) for _ in range(width))
-            state.inputs.append((self.identity + "/neutral", zeros))
-        state.aggregated = True
+            zeros = neutral_response(self.topology.group, state.query.operation,
+                                     self.topology.collective_key().public, self.rng)
+            state.inputs.append((protocols.neutral_label(self.identity), tuple(zeros)))
         agg = protocols.aggregate([label for label, _ in state.inputs],
                                   [cts for _, cts in state.inputs])
         emit_bundle(self, query_id, "aggregation", 0, (agg.encode(),))
-        parent = self._parent()
-        if parent is not None:
-            self.send(query_id, "cta_partial", parent, pack_cts(agg.output))
+        if self.parent is not None:
+            self.send(query_id, "cta_partial", self.parent, pack_cts(agg.output))
             return
-        state.current = EncodedResponse(list(agg.output[:-1]), agg.output[-1])
+        state.current = list(agg.output)
         self._advance_root(query_id)
 
     # ----- root stage machine -----
@@ -296,20 +264,19 @@ class CnNode(NodeBase):
         rounds = protocols.query_rounds(state.query)
         state.stage = rounds[rounds.index(state.stage) + 1]
         if state.stage == "obfuscation":
-            self._start_tree_round(query_id, "cto", list(state.current.vector))
+            self._start_tree_round(query_id, "cto", state.current[:-1])
         elif state.stage == "shuffle":
             self._start_cdp(query_id)
         else:
-            cts = list(state.current.vector) + [state.current.count]
-            self._start_tree_round(query_id, "ctks", cts)
+            self._start_tree_round(query_id, "ctks", state.current)
 
     def _start_tree_round(self, query_id, tag, cts):
         state = self.states[query_id]
         state.round_cts[tag] = cts
         payload = pack_bytes(tag.encode()) + pack_cts(cts)
-        for child in self._children():
+        for child in self.children:
             self.send(query_id, "round_request", child, payload)
-        state.share_waits[tag] = set(self._children())
+        state.share_waits[tag] = set(self.children)
         group = self.topology.group
         if tag == "ctks":
             target_pk = self.topology.keys[self.topology.querier_id].public
@@ -324,13 +291,12 @@ class CnNode(NodeBase):
     def on_round_request(self, msg):
         reader = Reader(msg.payload)
         tag = reader.text()
-        cts = unpack_cts(self.topology.group, reader)
-        self._start_tree_round(msg.query_id, tag, cts)
+        self._start_tree_round(msg.query_id, tag, read_cts(self.topology.group, reader.rest()))
 
     def on_round_share(self, msg):
         reader = Reader(msg.payload)
         tag = reader.text()
-        shares = unpack_cts(self.topology.group, reader)
+        shares = read_cts(self.topology.group, reader.rest())
         state = self.states[msg.query_id]
         state.share_sums[tag] = protocols.add_shares(state.share_sums[tag], shares)
         state.share_waits[tag].discard(msg.sender)
@@ -341,38 +307,32 @@ class CnNode(NodeBase):
         if state.share_waits.get(tag):
             return
         sums = state.share_sums[tag]
-        parent = self._parent()
-        if parent is not None:
-            self.send(query_id, "round_share", parent,
+        if self.parent is not None:
+            self.send(query_id, "round_share", self.parent,
                       pack_bytes(tag.encode()) + pack_cts(sums))
             if tag == "ctks":  # key switching is the last round
                 self.close(query_id)
             return
         if tag == "ctks":
             switched = protocols.ctks_combine(state.round_cts[tag], sums)
-            self.send(query_id, RESULT_ROUND, self.topology.querier_id,
-                      pack_response(EncodedResponse(switched[:-1], switched[-1])))
+            self.send(query_id, RESULT_ROUND, self.topology.querier_id, pack_cts(switched))
             for vn in self.topology.vn_ids:
                 self.send(query_id, "end_query", vn)
             self.close(query_id)
         else:  # cto: the summed blinded shares are the obfuscated vector
-            state.current = EncodedResponse(sums, state.current.count)
+            state.current = list(sums) + state.current[-1:]
             self._advance_root(query_id)
 
     # ----- collective differential privacy -----
 
     def _start_cdp(self, query_id):
-        _, initial = protocols.initial_noise(self.topology.group,
-                                             *self.topology.noise_params(),
-                                             self.topology.collective_key().public,
-                                             scale=self.topology.scale)
-        self.send(query_id, "cdp_pass", self.tree.root, pack_cts(initial))
+        self.send(query_id, "cdp_pass", self.tree.root,
+                  pack_cts(self.topology.initial_noise()))
 
     def on_cdp_pass(self, msg):
         group = self.topology.group
         pk = self.topology.collective_key().public
-        reader = Reader(msg.payload)
-        cts = unpack_cts(group, reader)
+        cts = read_cts(group, msg.payload)
         outputs, proof = shuffle_and_prove(group, cts, pk, self.rng)
         emit_bundle(self, msg.query_id, "shuffle", 0, (proof.encode(),))
         pos = self.index
@@ -385,7 +345,7 @@ class CnNode(NodeBase):
 
     def on_cdp_done(self, msg):
         state = self.states[msg.query_id]
-        noise_cts = unpack_cts(self.topology.group, Reader(msg.payload))
+        noise_cts = read_cts(self.topology.group, msg.payload)
         state.current = protocols.cdp_apply(state.current, noise_cts)
         self._advance_root(msg.query_id)
 
@@ -393,16 +353,17 @@ class CnNode(NodeBase):
 
     def on_idle(self, level: int = 0):
         for query_id, state in list(self.states.items()):
-            if state.expected_dps:
+            late_dps = state.waiting.intersection(state.dps)
+            if late_dps:
                 # unresponsive DPs only reduce the number of responses
-                state.expected_dps = set()
+                state.waiting -= late_dps
                 self._try_finish_collect(query_id)
             if level < 1:
                 continue
             # hard timeout: the traffic has drained, so nothing more can
-            # arrive for the queries this CN still holds
-            if state.pending_children:
-                self._abort(query_id, f"unresponsive CNs: {sorted(state.pending_children)}")
+            # arrive for the queries this CN still holds (only CNs are awaited)
+            if state.waiting:
+                self._abort(query_id, f"unresponsive CNs: {sorted(state.waiting)}")
             elif self.is_root:
                 self._abort(query_id, f"round stalled in stage {state.stage}")
             self.close(query_id)
@@ -443,6 +404,9 @@ class VnNode(NodeBase):
             return
         query = decode_query(body)
         expected = ledger.expected_proofs(query, self.topology.cn_ids, self.range_sigs)
+        bound = {}  # slot -> the first value bound to it (`_bind`)
+        if query.dp_privacy:  # the chain's first link shuffles the public list
+            bound[("shuffle", 0)] = pack_cts(self.topology.initial_noise())
         self.states[query.query_id] = SimpleNamespace(
             query=query,
             query_bytes=body,
@@ -452,10 +416,7 @@ class VnNode(NodeBase):
             collected_maps={},
             signatures={},
             block=None,  # leader: the assembled block, not yet sealed
-            dp_range_cts={},  # dp -> {element index -> Ciphertext}
-            agg_inputs={},  # dp -> ct tuple seen in a CN aggregation proof
-            round_ct_hash={},  # "keyswitch"/"obfuscation" -> first-seen input hash
-            shuffle_io={},  # chain position -> (inputs enc, outputs enc)
+            bound=bound,
         )
 
     def on_proof_bundle(self, msg):
@@ -483,17 +444,13 @@ class VnNode(NodeBase):
         state.map.record(key, status)
 
     def _verify_sub(self, state, bundle, index, linear_proofs) -> bool:
+        checks = {"range": self._check_range, "aggregation": self._check_aggregation,
+                  "shuffle": self._check_shuffle}
         try:
-            if bundle.proof_type in ROUND_PROOF_TYPE.values():
-                return self._check_round(state, bundle, index, linear_proofs)
-            handler = {
-                "range": self._check_range,
-                "aggregation": self._check_aggregation,
-                "shuffle": self._check_shuffle,
-            }.get(bundle.proof_type)
-            if handler is None:
-                return False
-            return handler(state, bundle, index)
+            if bundle.proof_type in checks:
+                return checks[bundle.proof_type](state, bundle, index)
+            return (bundle.proof_type in ROUND_PROOF_TYPE.values()
+                    and self._check_round(state, bundle, index, linear_proofs))
         except (PrivqError, ValueError, IndexError, KeyError):
             return False
 
@@ -508,33 +465,34 @@ class VnNode(NodeBase):
                   rangeproof.decode_range(group, reader.bytes_field()))
         reader.expect_done()
         bounds = state.query.operation.element_bounds()[j]
-        state.dp_range_cts.setdefault(bundle.prover_id, {})[j] = ct
-        seen = state.agg_inputs.get(bundle.prover_id)
-        if seen is not None and j < len(seen) and seen[j] != ct:
-            return False  # proved one ciphertext, submitted another
+        # proved one ciphertext and submitted another: this proof is false
+        if not self._bind(state, bundle, ("range", bundle.prover_id, j), ct, bundle.key):
+            return False
         return rangeproof.verify_bounded(ct, proofs, bounds, self.range_sigs,
                                          self.topology.collective_key().public)
 
     def _check_aggregation(self, state, bundle, index) -> bool:
         agg = protocols.Aggregation.decode(self.topology.group, bundle.payloads[index])
-        ok = protocols.verify_aggregation(agg)
+        dps, children = protocols.aggregation_sources(
+            self.tree, bundle.prover_id, state.query, self.topology.dp_assignment)
+        if not protocols.verify_aggregation(agg, bundle.prover_id, dps + children):
+            return False
+        if state.query.bounds is None or self.range_sigs is None:
+            return True
         for label, cts in zip(agg.labels, agg.inputs):
-            if label in state.query.dp_list:
-                state.agg_inputs[label] = cts
-                proven = state.dp_range_cts.get(label, {})
-                for j, proven_ct in proven.items():
-                    if j < len(cts) and cts[j] != proven_ct:
-                        key = ledger.proof_key(state.query.query_id, label, "range", j)
-                        state.map.record(key, ledger.STATUS_FALSE)
-        return ok
+            if label in dps:  # its vector must be what the DP range-proved
+                for j, ct in enumerate(cts[:-1]):
+                    self._bind(state, bundle, ("range", label, j), ct,
+                               ledger.proof_key(state.query.query_id, label, "range", j))
+        return True
 
     def _check_round(self, state, bundle, index, linear_proofs) -> bool:
         """Shape check of one CTKS/CTO sub-proof; its proof joins
         `linear_proofs`, which `on_proof_bundle` verifies as one batch."""
         # all CNs must run the round over the same ciphertext list; the
         # first bundle seen for the round fixes it
-        digest = hashlib.sha256(protocols.round_inputs(bundle.payloads)).hexdigest()
-        if state.round_ct_hash.setdefault(bundle.proof_type, digest) != digest:
+        if not self._bind(state, bundle, ("round", bundle.proof_type),
+                          protocols.round_inputs(bundle.payloads), bundle.key):
             return False
         proof = protocols.round_proof(
             self.topology.group, bundle.proof_type, bundle.payloads[index],
@@ -546,31 +504,33 @@ class VnNode(NodeBase):
         return True
 
     def _check_shuffle(self, state, bundle, index) -> bool:
-        group = self.topology.group
-        proof = decode_shuffle(group, bundle.payloads[index])
-        collective = self.topology.collective_key().public
-        if proof.omega != collective:
+        proof = decode_shuffle(self.topology.group, bundle.payloads[index])
+        if proof.omega != self.topology.collective_key().public:
             return False
+        # chain link i shuffles slot i and fills slot i + 1; slot 0 is the
+        # public list, and a mismatch in slot i + 1 blames link i + 1
         position = self.tree.nodes.index(bundle.prover_id)
-        inputs_enc = tuple(ct.encode() for ct in proof.inputs)
-        outputs_enc = tuple(ct.encode() for ct in proof.outputs)
-        state.shuffle_io[position] = (inputs_enc, outputs_enc)
-        later = state.shuffle_io.get(position + 1)
-        if later is not None and later[0] != outputs_enc:
-            # the next link's bundle came first and did not shuffle this output
-            key = ledger.proof_key(state.query.query_id, self.tree.nodes[position + 1],
-                                   "shuffle", 0)
-            state.map.record(key, ledger.STATUS_FALSE)
-        if position == 0:
-            _, initial = protocols.initial_noise(group, *self.topology.noise_params(),
-                                                 collective, scale=self.topology.scale)
-            if inputs_enc != tuple(ct.encode() for ct in initial):
-                return False
-        else:
-            prev = state.shuffle_io.get(position - 1)
-            if prev is not None and prev[1] != inputs_enc:
-                return False
-        return verify_shuffle(proof)
+        ok = self._bind(state, bundle, ("shuffle", position), pack_cts(proof.inputs),
+                        bundle.key)
+        if position + 1 < len(self.tree.nodes):
+            successor = ledger.proof_key(state.query.query_id,
+                                         self.tree.nodes[position + 1], "shuffle", 0)
+            self._bind(state, bundle, ("shuffle", position + 1), pack_cts(proof.outputs),
+                       successor)
+        return ok and verify_shuffle(proof)
+
+    @staticmethod
+    def _bind(state, bundle, slot, value, blame) -> bool:
+        """Bind `value` to the query's `slot`: the first value bound stands,
+        whichever bundle brings it. A different value marks the proof keyed
+        `blame` false; the caller's sub-proof fails only if that proof is
+        `bundle` itself."""
+        if state.bound.setdefault(slot, value) == value:
+            return True
+        if blame == bundle.key:
+            return False
+        state.map.record(blame, ledger.STATUS_FALSE)
+        return True
 
     # ----- block assembly -----
 

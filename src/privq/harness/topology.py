@@ -11,7 +11,7 @@ import json
 import os
 from dataclasses import dataclass, field
 
-from .. import elgamal
+from .. import elgamal, protocols
 from ..errors import ConfigError
 from ..group import get_group
 from ..ledger import VerificationPolicy, default_f_h
@@ -44,6 +44,7 @@ class Topology:
     chain_path: str | None = None
     tree_shape: str = "binary"
     _collective: object = field(default=None, init=False, repr=False, compare=False)
+    _noise: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # a node may play CN and VN simultaneously; other overlaps are errors
@@ -80,6 +81,14 @@ class Topology:
         params = self.cdp_params
         return (params.get("epsilon", 1.0), params.get("delta_f", 1.0),
                 params.get("theta", 0.5), params.get("list_size", 100))
+
+    def initial_noise(self) -> tuple:
+        """The public list that starts the CDP shuffle chain
+        (`protocols.initial_noise`), computed once per set of its inputs."""
+        inputs = (self.group, *self.noise_params(), self.collective_key().public, self.scale)
+        if self._noise is None or self._noise[0] != inputs:
+            self._noise = (inputs, tuple(protocols.initial_noise(*inputs)[1]))
+        return self._noise[1]
 
     def policy(self) -> VerificationPolicy:
         n = len(self.vn_ids)

@@ -11,10 +11,11 @@
 
 Every per-CN step is a function here that returns its output and its
 proof payloads; the ledger module wraps payloads into signed bundles
-addressed to the verifying nodes. The node runtimes (harness.nodes) are
-the only callers: the CNs run the steps, applying the width rule
-(`check_input`) to every aggregation input they receive, and the verifying
-nodes check payloads with the verifiers defined here.
+addressed to the verifying nodes. A response is one ciphertext list, count
+last. The node runtimes (harness.nodes) are the only callers: the CNs run
+the steps over one input from each of their `aggregation_sources` that
+obeys the width rule (`check_input`), and the verifying nodes check
+payloads with the verifiers defined here.
 """
 
 from __future__ import annotations
@@ -141,18 +142,28 @@ class Aggregation:
         return cls(tuple(labels), tuple(inputs), output)
 
 
-def input_width(operation) -> int:
-    """The width rule: every aggregation input, a DP's response or a child
-    CN's partial sum, is the operation's vector plus the count."""
-    return operation.dimension + 1
-
-
 def check_input(operation, cts) -> tuple:
-    """`cts` as a tuple if it obeys the width rule, else DimensionMismatch."""
-    if len(cts) != input_width(operation):
+    """The width rule: every aggregation input, a DP's response or a child
+    CN's partial sum, is the operation's vector plus the count. Returns
+    `cts` as a tuple if it obeys it, else raises DimensionMismatch."""
+    width = operation.dimension + 1
+    if len(cts) != width:
         raise DimensionMismatch(f"aggregation input of {len(cts)} ciphertexts, "
-                                f"{input_width(operation)} expected")
+                                f"{width} expected")
     return tuple(cts)
+
+
+def aggregation_sources(tree, cn, query, dp_assignment) -> tuple:
+    """(DPs, child CNs) whose inputs CN `cn` aggregates for `query`: the
+    query's DPs assigned to it, and its children in `tree`. An input is
+    labelled by its source; a CN with none of them sums `neutral_label`."""
+    dps = tuple(dp for dp in query.dp_list if dp_assignment.get(dp) == cn)
+    children = tuple(tree.nodes[i] for i in tree.children(tree.nodes.index(cn)))
+    return dps, children
+
+
+def neutral_label(cn) -> str:
+    return cn + "/neutral"
 
 
 def aggregate(labels, input_lists) -> Aggregation:
@@ -160,13 +171,16 @@ def aggregate(labels, input_lists) -> Aggregation:
     return Aggregation(tuple(labels), tuple(input_lists), _sum_vectors(input_lists))
 
 
-def verify_aggregation(agg: Aggregation) -> bool:
-    if not agg.inputs or not agg.output:
+def verify_aggregation(agg: Aggregation, cn, sources) -> bool:
+    """CN `cn`'s aggregation sums inputs from distinct `sources`, or the
+    neutral input alone, into its output."""
+    labels = agg.labels
+    if labels != (neutral_label(cn),) and (
+            len(set(labels)) != len(labels) or not set(labels) <= set(sources)):
         return False
-    width = len(agg.output)
-    if any(len(cts) != width for cts in agg.inputs):
+    if not agg.inputs or any(len(cts) != len(agg.output) for cts in agg.inputs):
         return False
-    return _sum_vectors(agg.inputs) == agg.output
+    return bool(agg.output) and _sum_vectors(agg.inputs) == agg.output
 
 
 # ---------------------------------------------------------------------------
@@ -347,12 +361,9 @@ def initial_noise(group, epsilon, delta_f, theta, l_count, collective_pk,
     ]
 
 
-def cdp_apply(response, noise_cts):
-    """Add the leading noise ciphertexts to the response vector."""
-    from .encodings import EncodedResponse
-
-    d = len(response.vector)
+def cdp_apply(cts, noise_cts) -> list:
+    """Add the leading noise ciphertexts to `cts`, a response (count last)."""
+    d = len(cts) - 1
     if d > len(noise_cts):
         raise NoiseExhausted(f"need {d} noise ciphertexts, {len(noise_cts)} in the list")
-    return EncodedResponse([ct + noise for ct, noise in zip(response.vector, noise_cts)],
-                           response.count)
+    return [ct + noise for ct, noise in zip(cts[:-1], noise_cts)] + [cts[-1]]

@@ -8,27 +8,22 @@ pair per CN, the payloads being what that CN's proof bundle carries.
 
 from privq import ledger, protocols
 from privq.elgamal import DEFAULT_SCALE
-from privq.encodings import EncodedResponse
 from privq.proofs.shuffle import shuffle_and_prove
-
-
-def response_cts(response) -> tuple:
-    return tuple(response.vector) + (response.count,)
 
 
 def aggregate_tree(tree, operation, contributions):
     """Aggregate every DP's response up `tree`, each input passing the width
-    rule. `contributions` maps cn_id -> list of EncodedResponse from its
-    DPs; the i-th response of a CN is labelled "<cn_id>/<i>", a child's
-    partial sum by the child's id, and a CN with no input sends nothing.
-    Returns (the root's sum as an EncodedResponse, steps)."""
+    rule. `contributions` maps cn_id -> list of responses (ciphertext lists,
+    count last) from its DPs; the i-th response of a CN is labelled
+    "<cn_id>/<i>", a child's partial sum by the child's id, and a CN with no
+    input sends nothing. Returns (the root's sum as a ciphertext list, steps)."""
     partials, steps = {}, []
     for idx in tree.bottom_up():
         cn = tree.nodes[idx]
         labels, parts = [], []
         for i, response in enumerate(contributions.get(cn, [])):
             labels.append(f"{cn}/{i}")
-            parts.append(protocols.check_input(operation, response_cts(response)))
+            parts.append(protocols.check_input(operation, response))
         for child in tree.children(idx):
             if partials[child] is not None:
                 labels.append(tree.nodes[child])
@@ -38,21 +33,19 @@ def aggregate_tree(tree, operation, contributions):
             agg = protocols.aggregate(labels, parts)
             partials[idx] = agg.output
             steps.append((cn, [agg.encode()]))
-    result = partials[0]
-    return EncodedResponse(list(result[:-1]), result[-1]), steps
+    return list(partials[0]), steps
 
 
 def key_switch(group, tree, response, target_pk, cn_keys, rng):
     """Switch the response's ciphertexts to `target_pk`: every CN's shares
-    summed, then the root's combine. Returns (EncodedResponse, steps)."""
-    cts = response_cts(response)
+    summed, then the root's combine. Returns (ciphertext list, steps)."""
+    cts = list(response)
     sums, steps = None, []
     for cn in tree.nodes:
         shares, payloads = protocols.ctks_shares(group, cts, cn_keys[cn], target_pk, rng)
         sums = shares if sums is None else protocols.add_shares(sums, shares)
         steps.append((cn, payloads))
-    switched = protocols.ctks_combine(cts, sums)
-    return EncodedResponse(switched[:-1], switched[-1]), steps
+    return protocols.ctks_combine(cts, sums), steps
 
 
 def obfuscate(group, tree, cts, rng):

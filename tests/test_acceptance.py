@@ -287,10 +287,10 @@ def test_logistic_regression_desk_scale():
             resp, raws, _ = enc.encode_with_nonces(group, op, records, kp.public, rng,
                                                    max_message=1 << 24)
             if agg_vector is None:
-                agg_vector, agg_count, plain_sum = list(resp.vector), resp.count, list(raws)
+                agg_vector, agg_count, plain_sum = resp[:-1], resp[-1], list(raws)
             else:
-                agg_vector = [a + b for a, b in zip(agg_vector, resp.vector)]
-                agg_count = agg_count + resp.count
+                agg_vector = [a + b for a, b in zip(agg_vector, resp[:-1])]
+                agg_count = agg_count + resp[-1]
                 plain_sum = [a + b for a, b in zip(plain_sum, raws)]
         decrypted = [elgamal.decrypt(group, ct, kp.private, table)
                      for ct in agg_vector]

@@ -32,11 +32,11 @@ def aggregate_and_decode(ctx, op, dp_records):
     group, rng, kp, table = ctx
     responses = [enc.encode_with_nonces(group, op, recs, kp.public, rng,
                                         max_message=1 << 22)[0] for recs in dp_records]
-    vector = responses[0].vector
-    count = responses[0].count
+    vector = responses[0][:-1]
+    count = responses[0][-1]
     for resp in responses[1:]:
-        vector = [a + b for a, b in zip(vector, resp.vector)]
-        count = count + resp.count
+        vector = [a + b for a, b in zip(vector, resp[:-1])]
+        count = count + resp[-1]
     decoded_count = elgamal.decrypt(group, count, kp.private, table)
     if op.zero_test_only:
         values = [0 if elgamal.decrypt_point(group, ct, kp.private).is_identity() else 1
@@ -100,7 +100,7 @@ def test_sum_empty_records_is_neutral(ctx):
     op = enc.OperationSpec("sum")
     resp, raws, _ = enc.encode_with_nonces(group, op, [], kp.public, rng)
     assert raws == [0]
-    assert elgamal.decrypt(group, resp.count, kp.private, table) == 0
+    assert elgamal.decrypt(group, resp[-1], kp.private, table) == 0
 
 
 def test_mean_zero_count(ctx):
@@ -167,10 +167,10 @@ def test_neutral_indistinguishable_shape(ctx):
     op = enc.OperationSpec("variance")
     neutral = enc.neutral_response(group, op, kp.public, rng)
     real, _, _ = enc.encode_with_nonces(group, op, [(5,)], kp.public, rng)
-    assert len(neutral.vector) == len(real.vector)
-    assert neutral.vector[0].encode() != real.vector[0].encode()
+    assert len(neutral[:-1]) == len(real[:-1])
+    assert neutral[0].encode() != real[0].encode()
     other = enc.neutral_response(group, op, kp.public, rng)
-    assert neutral.vector[0].encode() != other.vector[0].encode()
+    assert neutral[0].encode() != other[0].encode()
 
 
 def test_and_neutral_contributes_identity(ctx):

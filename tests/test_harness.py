@@ -8,7 +8,7 @@ import statistics
 import pytest
 
 from privq.elgamal import pack_cts, unpack_cts
-from privq.errors import CnUnavailable, ConfigError
+from privq.errors import CnUnavailable, ConfigError, PrivqError
 from privq.harness.pipeline import Simulation, run_iterative_extreme
 from privq.harness.queryparse import parse_query
 from privq.harness.topology import Topology, load_records
@@ -218,6 +218,130 @@ def test_junk_dp_response_dropped(forge):
     assert sim.audit(out.query_id).ok
     cn = sim.topology.dp_assignment["DP1"]
     assert [entry[:3] for entry in sim.bus.dropped] == [(cn, "dp_response", "DP1")]
+
+
+@pytest.mark.parametrize("case", ["repeat", "other_cn"])
+def test_cn_takes_one_input_per_source(case):
+    """A CN accepts one input from each source it still waits for: DP1
+    sending its response twice, or DP2 sending it to CN1 as well as to its
+    own CN2, counts that DP once, and the surplus copy is dropped."""
+    sim = Simulation(_topo(34), seed=34)
+    dp = "DP1" if case == "repeat" else "DP2"
+    honest_send = sim.dps[dp].send
+
+    def send(query_id, round_, recipient, payload=b""):
+        honest_send(query_id, round_, recipient, payload)
+        if round_ == "dp_response":
+            honest_send(query_id, round_, recipient if case == "repeat" else "CN1", payload)
+
+    sim.dps[dp].send = send
+    out = sim.run(parse_query("SELECT sum heart_rate ON DP1,DP2,DP3,DP4", scale=100))
+    assert (out.result.values[0], out.result.count) == (sum(FLAT), len(FLAT))
+    assert sim.audit(out.query_id).ok
+    assert [entry[:3] for entry in sim.bus.dropped] == [("CN1", "dp_response", dp)]
+
+
+def test_aggregation_counting_an_input_twice_is_false(monkeypatch):
+    """CN1 sums a second copy of DP4's input: the sums are right, but every
+    VN marks CN1's aggregation false, since a label may appear only once."""
+    from privq import protocols
+
+    honest_aggregate = protocols.aggregate
+
+    def aggregate(labels, inputs):
+        if "DP4" in labels:
+            labels, inputs = [*labels, "DP4"], [*inputs, inputs[labels.index("DP4")]]
+        return honest_aggregate(labels, inputs)
+
+    monkeypatch.setattr(protocols, "aggregate", aggregate)
+    topo = _topo(35)
+    sim = Simulation(topo, seed=35)
+    out = sim.run(parse_query("SELECT sum heart_rate ON DP1,DP2,DP3,DP4", scale=100))
+    assert out.result.values[0] == sum(FLAT) + 77
+    report = sim.audit(out.query_id)
+    assert [(p, t, vns) for _, p, t, _, vns in report.false_entries] == [
+        ("CN1", "aggregation", list(topo.vn_ids))]
+
+
+@pytest.mark.parametrize("round_, sender, recipients", [
+    ("dp_response", "DP1", ["CN1"]),
+    ("cta_partial", "CN2", ["CN1"]),
+    ("round_request", "CN1", ["CN2", "CN3"]),
+    ("round_share", "CN2", ["CN1"]),
+    ("cdp_pass", "CN2", ["CN3"]),
+    ("cdp_done", "CN3", ["CN1"]),
+    ("result", "CN1", ["Q"]),
+])
+def test_payload_with_trailing_bytes_dropped(round_, sender, recipients):
+    """A ciphertext-list payload is read whole: with 4 bytes appended it is
+    dropped and logged, and the query goes on as if it never arrived."""
+    topo = _topo(36)
+    topo.cdp_params = {"epsilon": 1.0, "delta_f": 1.0, "theta": 0.5, "list_size": 8}
+    sim = Simulation(topo, seed=36)
+    node = {**sim.cns, **sim.dps}[sender]
+    honest_send = node.send
+
+    def send(query_id, r, recipient, payload=b""):
+        honest_send(query_id, r, recipient, payload + b"junk" if r == round_ else payload)
+
+    node.send = send
+    query = parse_query("SELECT sum heart_rate ON DP1,DP2,DP3,DP4", scale=100,
+                        dp_privacy=True)
+    if round_ == "dp_response":
+        assert sim.run(query).result.count == len(FLAT) - 2  # without DP1's records
+    else:
+        with pytest.raises(PrivqError):
+            sim.run(query)
+    assert [entry[:3] for entry in sim.bus.dropped] == [
+        (recipient, round_, sender) for recipient in recipients]
+
+
+@pytest.mark.parametrize("range_first", [True, False], ids=["range_first", "aggregation_first"])
+def test_range_proved_ciphertext_must_be_the_aggregated_one(range_first):
+    """DP2 range-proves one ciphertext and sends its CN another (the same
+    value under a fresh nonce). Whichever of DP2's range bundle and CN2's
+    aggregation bundle a VN gets first, every VN marks DP2's range proof
+    false, and nothing else."""
+    from privq import elgamal
+
+    topo = Topology.build(n_cns=2, n_dps=2, n_vns=3, profile="pairing80", seed=37)
+    topo.dp_data = {"DP1": [{"x": 3}], "DP2": [{"x": 5}]}
+    sim = Simulation(topo, seed=37)
+    dp2, cn2 = sim.dps["DP2"], sim.cns["CN2"]
+    dp_send, cn_send, held = dp2.send, cn2.send, []
+
+    def send_dp(query_id, round_, recipient, payload=b""):
+        if round_ == "dp_response":
+            cts = unpack_cts(topo.group, Reader(payload))
+            cts[0] = cts[0] + elgamal.encrypt(topo.group, 0, topo.collective_key().public,
+                                              dp2.rng)
+            payload = pack_cts(cts)
+        if round_ == "proof_bundle" and not range_first:
+            held.append((query_id, round_, recipient, payload))
+        else:
+            dp_send(query_id, round_, recipient, payload)
+
+    def send_cn(query_id, round_, recipient, payload=b""):
+        if round_ == "cta_partial":  # CN2's aggregation bundle is already queued
+            while held:
+                dp_send(*held.pop(0))
+        cn_send(query_id, round_, recipient, payload)
+
+    dp2.send, cn2.send = send_dp, send_cn
+    out = sim.run(parse_query("SELECT sum x ON DP1,DP2 RANGE 0,16", scale=1))
+    assert out.result.values[0] == 8.0
+    report = sim.audit(out.query_id)
+    assert [(p, t, i, vns) for _, p, t, i, vns in report.false_entries] == [
+        ("DP2", "range", 0, list(topo.vn_ids))]
+
+
+def test_initial_noise_computed_once_per_inputs():
+    topo = Topology.build(n_cns=2, n_dps=2, n_vns=1, seed=38)
+    topo.cdp_params = {"list_size": 4}
+    first = topo.initial_noise()
+    assert topo.initial_noise() is first and len(first) == 4
+    topo.cdp_params = {"list_size": 6}
+    assert len(topo.initial_noise()) == 6
 
 
 def test_wide_child_partial_names_the_child():

@@ -145,11 +145,11 @@ def test_encrypted_training_matches_plaintext_trainer():
         resp, raws, _ = enc.encode_with_nonces(group, op, records, kp.public, rng,
                                                max_message=1 << 22)
         if agg_vector is None:
-            agg_vector, agg_count = list(resp.vector), resp.count
+            agg_vector, agg_count = resp[:-1], resp[-1]
             plain_fixed_sum = list(raws)
         else:
-            agg_vector = [a + b for a, b in zip(agg_vector, resp.vector)]
-            agg_count = agg_count + resp.count
+            agg_vector = [a + b for a, b in zip(agg_vector, resp[:-1])]
+            agg_count = agg_count + resp[-1]
             plain_fixed_sum = [a + b for a, b in zip(plain_fixed_sum, raws)]
     decrypted = [elgamal.decrypt(group, ct, kp.private, table) for ct in agg_vector]
     count = elgamal.decrypt(group, agg_count, kp.private, table)

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from privq import elgamal, protocols
-from privq.encodings import EncodedResponse, OperationSpec
+from privq.encodings import OperationSpec
 from privq.errors import (DimensionMismatch, InvalidPrivacyParams, NoiseExhausted,
                           OutOfTableRange)
 from privq.group import DlogTable, get_group
@@ -38,10 +38,8 @@ def ctx():
 def _response(ctx, values, pk=None):
     group, rng, _, _, collective, _, _ = ctx
     pk = pk or collective.public
-    return EncodedResponse(
-        [elgamal.encrypt(group, v, pk, rng) for v in values],
-        elgamal.encrypt(group, 1, pk, rng),
-    )
+    return ([elgamal.encrypt(group, v, pk, rng) for v in values]
+            + [elgamal.encrypt(group, 1, pk, rng)])
 
 
 def test_tree_shapes():
@@ -61,8 +59,8 @@ def test_cta_single_dp(ctx):
     tree = protocols.build_tree(cn_ids)
     resp = _response(ctx, [7])
     agg, steps = ps.aggregate_tree(tree, SUM, {"cn1": [resp]})
-    assert elgamal.decrypt(group, agg.vector[0], sk, table) == 7
-    assert elgamal.decrypt(group, agg.count, sk, table) == 1
+    assert elgamal.decrypt(group, agg[0], sk, table) == 7
+    assert elgamal.decrypt(group, agg[-1], sk, table) == 1
 
 
 def test_cta_homomorphic_sum(ctx):
@@ -71,11 +69,31 @@ def test_cta_homomorphic_sum(ctx):
     contributions = {"cn1": [_response(ctx, [2])], "cn2": [_response(ctx, [3])],
                      "cn3": [_response(ctx, [4])]}
     agg, steps = ps.aggregate_tree(tree, SUM, contributions)
-    assert elgamal.decrypt(group, agg.vector[0], sk, table) == 9
-    assert elgamal.decrypt(group, agg.count, sk, table) == 3
+    assert elgamal.decrypt(group, agg[0], sk, table) == 9
+    assert elgamal.decrypt(group, agg[-1], sk, table) == 3
     for cn, payloads in steps:
         agg = protocols.Aggregation.decode(group, payloads[0])
-        assert protocols.verify_aggregation(agg), cn
+        children = [tree.nodes[i] for i in tree.children(tree.nodes.index(cn))]
+        sources = [f"{cn}/{i}" for i in range(len(contributions[cn]))] + children
+        assert protocols.verify_aggregation(agg, cn, sources), cn
+
+
+def test_verify_aggregation_label_rule(ctx):
+    """An aggregation sums inputs from distinct sources of its CN, or the
+    CN's neutral input alone; a correct sum does not excuse other labels."""
+    a, b = _response(ctx, [2]), _response(ctx, [3])
+    sources = ("DP1", "DP2", "cn2")
+
+    def verify(labels, inputs):
+        return protocols.verify_aggregation(protocols.aggregate(labels, inputs),
+                                            "cn1", sources)
+
+    assert verify(["DP1", "cn2"], [a, b])
+    assert verify([protocols.neutral_label("cn1")], [a])
+    assert not verify(["DP1", "DP1"], [a, a])  # one source counted twice
+    assert not verify(["DP1", "DP3"], [a, b])  # not a source of cn1
+    assert not verify(["DP1", protocols.neutral_label("cn1")], [a, b])
+    assert not verify([protocols.neutral_label("cn2")], [a])
 
 
 def test_cta_sixty_dps_matches_plaintext(ctx):
@@ -86,8 +104,8 @@ def test_cta_sixty_dps_matches_plaintext(ctx):
     for i, v in enumerate(values):
         contributions[cn_ids[i % len(cn_ids)]].append(_response(ctx, [v]))
     agg, _ = ps.aggregate_tree(tree, SUM, contributions)
-    assert elgamal.decrypt(group, agg.vector[0], sk, table) == sum(values)
-    assert elgamal.decrypt(group, agg.count, sk, table) == 60
+    assert elgamal.decrypt(group, agg[0], sk, table) == sum(values)
+    assert elgamal.decrypt(group, agg[-1], sk, table) == 60
 
 
 def test_cta_dimension_mismatch(ctx):
@@ -122,11 +140,11 @@ def test_ctks_correctness(ctx, n_cns):
     resp = _response(ctx, [7], pk=sub_collective.public)
     switched, steps = ps.key_switch(group, tree, resp, target.public,
                                     {c: keys[c] for c in ids}, rng)
-    assert elgamal.decrypt(group, switched.vector[0], target.private, table) == 7
-    assert elgamal.decrypt(group, switched.count, target.private, table) == 1
+    assert elgamal.decrypt(group, switched[0], target.private, table) == 7
+    assert elgamal.decrypt(group, switched[-1], target.private, table) == 1
     assert len(steps) == n_cns
     # per-CN proofs verify against the CN key and input ciphertext
-    cts = list(resp.vector) + [resp.count]
+    cts = resp
     for cn, payloads in steps:
         for j, payload in enumerate(payloads):
             assert payload.startswith(pack_bytes(cts[j].encode()))
@@ -142,7 +160,7 @@ def test_ctks_old_key_isolated(ctx):
     switched, _ = ps.key_switch(group, tree, _response(ctx, [5]),
                                 target.public, keys, rng)
     with pytest.raises(OutOfTableRange):
-        elgamal.decrypt(group, switched.vector[0], sk, table)
+        elgamal.decrypt(group, switched[0], sk, table)
 
 
 def test_ctks_randomized_sweep(ctx):
@@ -157,12 +175,11 @@ def test_ctks_randomized_sweep(ctx):
         sub = elgamal.collective_key(group, [keys[c].public for c in ids])
         m = rng.randbelow(20001) - 10000
         target = elgamal.KeyPair.generate(group, rng)
-        resp = EncodedResponse(
-            [elgamal.encrypt(group, m, sub.public, rng)],
-            elgamal.encrypt(group, 0, sub.public, rng))
+        resp = ([elgamal.encrypt(group, m, sub.public, rng)]
+                + [elgamal.encrypt(group, 0, sub.public, rng)])
         switched, _ = ps.key_switch(group, protocols.build_tree(ids), resp,
                                     target.public, {c: keys[c] for c in ids}, rng)
-        assert elgamal.decrypt(group, switched.vector[0], target.private, table) == m
+        assert elgamal.decrypt(group, switched[0], target.private, table) == m
 
 
 def test_cto_zero_preserved(ctx):
@@ -264,28 +281,26 @@ def test_cdp_apply_consumption_order(ctx):
     _, encrypted, _ = ps.noise_chain(group, 1.0, 1.0, 0.5, 8, tree,
                                      sub.public, rng, scale=100)
     leading = [elgamal.decrypt(group, ct, sub_sk, table) for ct in encrypted[:5]]
-    resp = EncodedResponse(
-        [elgamal.encrypt(group, v, sub.public, rng) for v in (10, 20, 30)],
-        elgamal.encrypt(group, 3, sub.public, rng))
+    resp = ([elgamal.encrypt(group, v, sub.public, rng) for v in (10, 20, 30)]
+            + [elgamal.encrypt(group, 3, sub.public, rng)])
     noisy = protocols.cdp_apply(resp, encrypted)
-    values = [elgamal.decrypt(group, ct, sub_sk, table) for ct in noisy.vector]
+    values = [elgamal.decrypt(group, ct, sub_sk, table) for ct in noisy[:-1]]
     assert values == [10 + leading[0], 20 + leading[1], 30 + leading[2]]
     # a second application consumes the next elements
     noisy2 = protocols.cdp_apply(
-        EncodedResponse([elgamal.encrypt(group, 0, sub.public, rng)] * 2,
-                        resp.count), encrypted[3:])
-    values2 = [elgamal.decrypt(group, ct, sub_sk, table) for ct in noisy2.vector]
+        [elgamal.encrypt(group, 0, sub.public, rng)] * 2 + resp[-1:], encrypted[3:])
+    values2 = [elgamal.decrypt(group, ct, sub_sk, table) for ct in noisy2[:-1]]
     assert values2 == [leading[3], leading[4]]
     with pytest.raises(NoiseExhausted):
         protocols.cdp_apply(
-            EncodedResponse([resp.vector[0]] * 4, resp.count), encrypted[5:])
+            [resp[0]] * 4 + resp[-1:], encrypted[5:])
 
 
 def test_cdp_zero_noise_leaves_result(ctx):
     group, rng, cn_ids, keys, _, _, table = ctx
     kp = keys["cn1"]
     noise = [elgamal.encrypt(group, 0, kp.public, rng)]
-    resp = EncodedResponse([elgamal.encrypt(group, 10, kp.public, rng)],
-                           elgamal.encrypt(group, 1, kp.public, rng))
+    resp = ([elgamal.encrypt(group, 10, kp.public, rng)]
+            + [elgamal.encrypt(group, 1, kp.public, rng)])
     noisy = protocols.cdp_apply(resp, noise)
-    assert elgamal.decrypt(group, noisy.vector[0], kp.private, table) == 10
+    assert elgamal.decrypt(group, noisy[0], kp.private, table) == 10
