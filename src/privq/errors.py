@@ -38,7 +38,7 @@ class DimensionMismatch(PrivqError):
 
 
 class UnexpectedInput(PrivqError):
-    """An aggregation input from a node the CN is not waiting for."""
+    """An input from a node that the collecting step does not await."""
 
 
 class InvalidPrivacyParams(PrivqError):

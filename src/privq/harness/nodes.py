@@ -4,12 +4,24 @@ All cross-node interaction goes through bus Messages. Per-query state
 lives in each node's `states` dictionary keyed by query id; a message that
 overtakes the one opening its query is parked by `NodeBase` until that one
 arrives. A message whose handler raises a `PrivqError` is dropped as if it
-never arrived. Timeouts are modeled by the bus idle callback: a CN missing
-DP responses proceeds without them, a CN missing a peer CN's share aborts
-the query, and the leader VN starts block assembly once traffic has
-drained; on the hard timeout it assembles and seals with the f_h maps and
-signatures it holds. A block enters a VN's or the querier's chain only
-through `ledger.Chain.append`; a `block_commit` it refuses is dropped.
+never arrived.
+
+Every step that waits on other nodes follows one collection rule,
+`Awaited`: it takes one input from each source it awaits, and a repeat or
+an input from anyone else is dropped as `UnexpectedInput`. An input is
+taken only once its payload has been read and checked, so a dropped one
+leaves its sender awaited. Four steps collect this way, a CN's running
+stage through one handler (DP responses and child partial sums, child
+shares of the CTKS/CTO round its tag names, the shuffle chain's output)
+and the leader VN's maps and block signatures, one from every VN each.
+
+Timeouts are modeled by the bus idle callback: a CN missing DP responses
+proceeds without them, a CN missing another CN's input aborts the query,
+naming its stage and the CNs it still awaits, and the leader VN starts
+block assembly once traffic has drained; on the hard timeout it assembles
+and seals with the f_h maps and signatures it holds. A block enters a VN's
+or the querier's chain only through `ledger.Chain.append`; a
+`block_commit` it refuses is dropped.
 
 A node ends its part of a query with `close`: the querier when
 `Simulation.run` returns, the root CN after the result or an abort, the
@@ -25,8 +37,7 @@ privq.protocols, the bounded range statement in privq.proofs.rangeproof,
 and the expected proofs and block rules in privq.ledger. Provers sign and
 send their proof bundles with `emit_bundle`. A response, an aggregation
 input and a result are one ciphertext list, count last, which `read_cts`
-reads without trailing bytes. A CN takes DP responses and child partial
-sums through one handler: one input from each source it still awaits.
+reads without trailing bytes.
 
 A VN checks the shape of each sampled CTKS/CTO sub-proof
 (`protocols.round_proof`), then verifies the bundle's linear proofs with
@@ -38,6 +49,7 @@ input, adjacent shuffle-chain links, and each round's input list.
 
 from __future__ import annotations
 
+from functools import reduce
 from types import SimpleNamespace
 
 from .. import elgamal, ledger, protocols
@@ -48,7 +60,8 @@ from ..encodings import (
     neutral_response,
     train_logreg,
 )
-from ..errors import CnUnavailable, PrivqError, UnexpectedInput
+from ..errors import (
+    CnUnavailable, DimensionMismatch, MalformedProof, PrivqError, UnexpectedInput)
 from ..proofs import rangeproof
 from ..proofs.linear import verify_linear
 from ..proofs.shuffle import decode_shuffle, shuffle_and_prove, verify_shuffle
@@ -58,7 +71,28 @@ from .bus import NodeBase
 from .queryparse import apply_filter, decode_query
 
 RESULT_ROUND = "result"
-ROUND_PROOF_TYPE = {"ctks": "keyswitch", "cto": "obfuscation"}
+# the CN stage whose input each round brings; a share's round is named by its tag
+INPUT_STAGE = {"dp_response": "aggregation", "cta_partial": "aggregation",
+               "cdp_done": "shuffle"}
+TAG_STAGE = {"cto": "obfuscation", "ctks": "keyswitch"}  # the CTO/CTKS wire tags
+ROUND_TAG = {stage: tag for tag, stage in TAG_STAGE.items()}
+
+
+class Awaited:
+    """One input from each awaited source, the collection rule of the module
+    docstring: `inputs` in arrival order, `waiting` the sources left."""
+
+    def __init__(self, sources, taken=None):
+        self.inputs = dict(taken or {})
+        self.waiting = set(sources) - self.inputs.keys()
+
+    def take(self, sender, read):
+        """Take `read()`, the sender's payload read and checked, as its input;
+        a `read` that raises leaves the sender awaited."""
+        if sender not in self.waiting:
+            raise UnexpectedInput(f"input from {sender}, which is not awaited")
+        self.inputs[sender] = read()
+        self.waiting.remove(sender)
 
 
 def emit_bundle(node, query_id, proof_type, seq_index, payloads):
@@ -212,48 +246,77 @@ class CnNode(NodeBase):
         self.states[query.query_id] = SimpleNamespace(
             query=query,
             dps=dps,
-            waiting=set(dps + children),  # sources whose input has not arrived
-            inputs=[],  # (label, ct tuple) pairs: DP responses and child partials
-            stage="aggregation",  # root: the query_rounds entry it is running
-            share_waits={},  # round tag -> set of children still pending
-            share_sums={},  # round tag -> list of summed share ct-pairs
-            round_cts={},  # round tag -> input cts of the round
+            stage="aggregation",  # the query_rounds entry this CN is running
+            awaited=Awaited(dps + children),  # the running stage's inputs
+            round_cts=None,  # the input cts of the running CTKS/CTO round
             current=None,  # root: the ciphertext list through the stages, count last
         )
         for dp in dps:
             self.send(query.query_id, "query", dp, msg.payload)
-        self._try_finish_collect(query.query_id)
+        self._try_finish(query.query_id)
 
-    def on_dp_response(self, msg):
-        """The one aggregation-input handler, for DP responses and child CNs'
-        partial sums (`cta_partial`) alike: it accepts one input from each
-        source the CN still waits for, if the input obeys the width rule."""
+    def _take_input(self, msg):
+        """The one input handler of a CN, for DP responses and child partial
+        sums (aggregation), child shares (`round_share`, whose tag names its
+        round) and the shuffle chain's output (`cdp_done`). The running stage
+        takes one input from each source it awaits, once it is read and
+        checked; an input for another stage is awaited from nobody."""
         state = self.states[msg.query_id]
-        if msg.sender not in state.waiting:
-            raise UnexpectedInput(f"{msg.round} from {msg.sender}, which is not awaited")
-        cts = read_cts(self.topology.group, msg.payload)
-        state.inputs.append((msg.sender, protocols.check_input(state.query.operation, cts)))
-        state.waiting.discard(msg.sender)
-        self._try_finish_collect(msg.query_id)
+        reader = Reader(msg.payload)
+        stage = (TAG_STAGE.get(reader.text()) if msg.round == "round_share"
+                 else INPUT_STAGE[msg.round])
+        awaited = state.awaited if stage == state.stage else Awaited(())
+        awaited.take(msg.sender, lambda: self._check_input(
+            state, read_cts(self.topology.group, reader.rest())))
+        self._try_finish(msg.query_id)
 
-    on_cta_partial = on_dp_response
+    on_dp_response = on_cta_partial = on_round_share = on_cdp_done = _take_input
 
-    def _try_finish_collect(self, query_id):
+    def _check_input(self, state, cts):
+        if state.stage == "aggregation":  # the width rule
+            return protocols.check_input(state.query.operation, cts)
+        if state.stage == "shuffle":
+            return protocols.cdp_apply(state.current, cts)
+        if len(cts) != len(state.round_cts):
+            raise DimensionMismatch(f"{len(cts)} shares, {len(state.round_cts)} expected")
+        return cts
+
+    def _try_finish(self, query_id):
+        """End the running stage once every awaited input is in."""
         state = self.states[query_id]
-        if state.waiting:
+        if state.awaited.waiting:
             return
-        if not state.inputs:
-            # nothing from below and no local DPs: contribute a neutral zero
-            zeros = neutral_response(self.topology.group, state.query.operation,
-                                     self.topology.collective_key().public, self.rng)
-            state.inputs.append((protocols.neutral_label(self.identity), tuple(zeros)))
-        agg = protocols.aggregate([label for label, _ in state.inputs],
-                                  [cts for _, cts in state.inputs])
-        emit_bundle(self, query_id, "aggregation", 0, (agg.encode(),))
-        if self.parent is not None:
-            self.send(query_id, "cta_partial", self.parent, pack_cts(agg.output))
-            return
-        state.current = list(agg.output)
+        inputs = state.awaited.inputs
+        if state.stage == "aggregation":
+            if not inputs:  # nothing from below and no local DPs: a neutral zero
+                inputs = {protocols.neutral_label(self.identity): tuple(neutral_response(
+                    self.topology.group, state.query.operation,
+                    self.topology.collective_key().public, self.rng))}
+            agg = protocols.aggregate(list(inputs), list(inputs.values()))
+            emit_bundle(self, query_id, "aggregation", 0, (agg.encode(),))
+            state.current = list(agg.output)
+            if self.parent is not None:
+                self.send(query_id, "cta_partial", self.parent, pack_cts(agg.output))
+                return
+        elif state.stage == "shuffle":
+            (state.current,) = inputs.values()
+        else:  # a CTKS/CTO round: the sum of this CN's and its children's shares
+            sums = reduce(protocols.add_shares, inputs.values())
+            if self.parent is not None:
+                self.send(query_id, "round_share", self.parent,
+                          pack_bytes(ROUND_TAG[state.stage].encode()) + pack_cts(sums))
+                if state.stage == "keyswitch":  # key switching is the last round
+                    self.close(query_id)
+                return
+            if state.stage == "keyswitch":
+                switched = protocols.ctks_combine(state.round_cts, sums)
+                self.send(query_id, RESULT_ROUND, self.topology.querier_id, pack_cts(switched))
+                for vn in self.topology.vn_ids:
+                    self.send(query_id, "end_query", vn)
+                self.close(query_id)
+                return
+            # obfuscation: the summed blinded shares are the obfuscated vector
+            state.current = list(sums) + state.current[-1:]
         self._advance_root(query_id)
 
     # ----- root stage machine -----
@@ -263,71 +326,44 @@ class CnNode(NodeBase):
         state = self.states[query_id]
         rounds = protocols.query_rounds(state.query)
         state.stage = rounds[rounds.index(state.stage) + 1]
-        if state.stage == "obfuscation":
-            self._start_tree_round(query_id, "cto", state.current[:-1])
-        elif state.stage == "shuffle":
-            self._start_cdp(query_id)
-        else:
-            self._start_tree_round(query_id, "ctks", state.current)
+        if state.stage == "shuffle":
+            # the chain runs through the CNs in tree order, back to the root
+            state.awaited = Awaited(self.tree.nodes[-1:])
+            self.send(query_id, "cdp_pass", self.tree.root,
+                      pack_cts(self.topology.initial_noise()))
+        else:  # CTO blinds the vector, CTKS switches the count too
+            self._start_tree_round(query_id, state.current[:-1]
+                                   if state.stage == "obfuscation" else state.current)
 
-    def _start_tree_round(self, query_id, tag, cts):
+    def _start_tree_round(self, query_id, cts):
+        """Run this CN's step of the CTKS/CTO round `state.stage` over `cts`
+        and await its children's shares."""
         state = self.states[query_id]
-        state.round_cts[tag] = cts
-        payload = pack_bytes(tag.encode()) + pack_cts(cts)
+        state.round_cts = cts
+        payload = pack_bytes(ROUND_TAG[state.stage].encode()) + pack_cts(cts)
         for child in self.children:
             self.send(query_id, "round_request", child, payload)
-        state.share_waits[tag] = set(self.children)
         group = self.topology.group
-        if tag == "ctks":
+        if state.stage == "keyswitch":
             target_pk = self.topology.keys[self.topology.querier_id].public
             shares, payloads = protocols.ctks_shares(
                 group, cts, self.topology.keys[self.identity], target_pk, self.rng)
         else:
             shares, payloads = protocols.cto_shares(group, cts, self.rng)
-        emit_bundle(self, query_id, ROUND_PROOF_TYPE[tag], 0, tuple(payloads))
-        state.share_sums[tag] = shares
-        self._try_finish_round(query_id, tag)
+        emit_bundle(self, query_id, state.stage, 0, tuple(payloads))
+        state.awaited = Awaited(self.children, taken={self.identity: shares})
+        self._try_finish(query_id)
 
     def on_round_request(self, msg):
         reader = Reader(msg.payload)
-        tag = reader.text()
-        self._start_tree_round(msg.query_id, tag, read_cts(self.topology.group, reader.rest()))
-
-    def on_round_share(self, msg):
-        reader = Reader(msg.payload)
-        tag = reader.text()
-        shares = read_cts(self.topology.group, reader.rest())
-        state = self.states[msg.query_id]
-        state.share_sums[tag] = protocols.add_shares(state.share_sums[tag], shares)
-        state.share_waits[tag].discard(msg.sender)
-        self._try_finish_round(msg.query_id, tag)
-
-    def _try_finish_round(self, query_id, tag):
-        state = self.states[query_id]
-        if state.share_waits.get(tag):
-            return
-        sums = state.share_sums[tag]
-        if self.parent is not None:
-            self.send(query_id, "round_share", self.parent,
-                      pack_bytes(tag.encode()) + pack_cts(sums))
-            if tag == "ctks":  # key switching is the last round
-                self.close(query_id)
-            return
-        if tag == "ctks":
-            switched = protocols.ctks_combine(state.round_cts[tag], sums)
-            self.send(query_id, RESULT_ROUND, self.topology.querier_id, pack_cts(switched))
-            for vn in self.topology.vn_ids:
-                self.send(query_id, "end_query", vn)
-            self.close(query_id)
-        else:  # cto: the summed blinded shares are the obfuscated vector
-            state.current = list(sums) + state.current[-1:]
-            self._advance_root(query_id)
+        stage = TAG_STAGE.get(reader.text())
+        if stage is None:
+            raise MalformedProof("round_request names no CTKS/CTO round")
+        cts = read_cts(self.topology.group, reader.rest())
+        self.states[msg.query_id].stage = stage
+        self._start_tree_round(msg.query_id, cts)
 
     # ----- collective differential privacy -----
-
-    def _start_cdp(self, query_id):
-        self.send(query_id, "cdp_pass", self.tree.root,
-                  pack_cts(self.topology.initial_noise()))
 
     def on_cdp_pass(self, msg):
         group = self.topology.group
@@ -343,29 +379,22 @@ class CnNode(NodeBase):
             self.send(msg.query_id, "cdp_done", self.tree.root,
                       pack_cts(list(outputs)))
 
-    def on_cdp_done(self, msg):
-        state = self.states[msg.query_id]
-        noise_cts = read_cts(self.topology.group, msg.payload)
-        state.current = protocols.cdp_apply(state.current, noise_cts)
-        self._advance_root(msg.query_id)
-
     # ----- timeouts -----
 
     def on_idle(self, level: int = 0):
         for query_id, state in list(self.states.items()):
-            late_dps = state.waiting.intersection(state.dps)
+            late_dps = state.awaited.waiting.intersection(state.dps)
             if late_dps:
                 # unresponsive DPs only reduce the number of responses
-                state.waiting -= late_dps
-                self._try_finish_collect(query_id)
+                state.awaited.waiting -= late_dps
+                self._try_finish(query_id)
             if level < 1:
                 continue
             # hard timeout: the traffic has drained, so nothing more can
             # arrive for the queries this CN still holds (only CNs are awaited)
-            if state.waiting:
-                self._abort(query_id, f"unresponsive CNs: {sorted(state.waiting)}")
-            elif self.is_root:
-                self._abort(query_id, f"round stalled in stage {state.stage}")
+            if state.awaited.waiting or self.is_root:
+                self._abort(query_id, f"stage {state.stage}: unresponsive CNs: "
+                                      f"{sorted(state.awaited.waiting)}")
             self.close(query_id)
 
     def _abort(self, query_id, reason):
@@ -412,9 +441,8 @@ class VnNode(NodeBase):
             query_bytes=body,
             map=ledger.QueryProofsMap(expected),
             ended=False,
-            assembling=False,
-            collected_maps={},
-            signatures={},
+            maps=Awaited(()),  # leader: each VN's map, once it assembles
+            signatures=Awaited(()),  # leader: each VN's block signature
             block=None,  # leader: the assembled block, not yet sealed
             bound=bound,
         )
@@ -449,7 +477,7 @@ class VnNode(NodeBase):
         try:
             if bundle.proof_type in checks:
                 return checks[bundle.proof_type](state, bundle, index)
-            return (bundle.proof_type in ROUND_PROOF_TYPE.values()
+            return (bundle.proof_type in ROUND_TAG
                     and self._check_round(state, bundle, index, linear_proofs))
         except (PrivqError, ValueError, IndexError, KeyError):
             return False
@@ -541,11 +569,10 @@ class VnNode(NodeBase):
 
     def on_idle(self, level: int = 0):
         for query_id, state in list(self.states.items()):
-            if (state.ended and not state.assembling
+            if (state.ended and not state.maps.inputs
                     and ledger.block_leader(self.topology.vn_ids, len(self.chain))
                     == self.identity):
-                state.assembling = True
-                state.collected_maps[self.identity] = state.map
+                state.maps = Awaited(self.topology.vn_ids, taken={self.identity: state.map})
                 for vn in self.topology.vn_ids:
                     if vn != self.identity:
                         self.send(query_id, "map_request", vn)
@@ -563,19 +590,19 @@ class VnNode(NodeBase):
 
     def on_map_submit(self, msg):
         state = self.states.get(msg.query_id)
-        if state is None or not state.assembling:
-            return
-        state.collected_maps[msg.sender] = ledger.QueryProofsMap.decode(
-            Reader(msg.payload))
-        self._maybe_assemble(msg.query_id)
+        if state is not None:
+            state.maps.take(msg.sender,
+                            lambda: ledger.QueryProofsMap.decode(Reader(msg.payload)))
+            self._maybe_assemble(msg.query_id)
 
     def _maybe_assemble(self, query_id, quorum=None):
         """Assemble once `quorum` maps are in, by default one from every VN."""
         state = self.states[query_id]
-        if len(state.collected_maps) < (quorum or len(self.topology.vn_ids)) or state.block:
+        if len(state.maps.inputs) < (quorum or len(self.topology.vn_ids)) or state.block:
             return
         state.block = self.chain.next_block(query_id, state.query_bytes,
-                                            state.collected_maps)
+                                            state.maps.inputs)
+        state.signatures = Awaited(self.topology.vn_ids)
         for vn in self.topology.vn_ids:
             self.send(query_id, "block_sign_request", vn, state.block.encode())
 
@@ -590,23 +617,21 @@ class VnNode(NodeBase):
 
     def on_block_signature(self, msg):
         state = self.states.get(msg.query_id)
-        if state is None or state.block is None:
-            return
-        state.signatures[msg.sender] = msg.payload
-        self._maybe_seal(msg.query_id)
+        if state is not None:
+            state.signatures.take(msg.sender, lambda: msg.payload)
+            self._maybe_seal(msg.query_id)
 
     def _maybe_seal(self, query_id, quorum=None):
         """Seal once `quorum` VNs answered, by default every VN; the leader
         tries once, which ends its part of the query, and sends the block,
         or an abort if too few VNs signed, to the other VNs and the querier."""
         state = self.states[query_id]
-        if (state.block is None
-                or len(state.signatures) < (quorum or len(self.topology.vn_ids))):
+        if len(state.signatures.inputs) < (quorum or len(self.topology.vn_ids)):
             return
         self.close(query_id)
         try:
             round_, payload = "block_commit", ledger.seal_block(
-                self.chain, state.block, state.signatures).encode()
+                self.chain, state.block, state.signatures.inputs).encode()
         except PrivqError as exc:
             round_, payload = "abort", str(exc).encode()
         others = [vn for vn in self.topology.vn_ids if vn != self.identity]

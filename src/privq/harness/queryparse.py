@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from ..encodings import OperationSpec
 from ..errors import MalformedQuery, QuerySyntaxError
@@ -100,22 +100,10 @@ class Query:
 
     def encode(self) -> bytes:
         """Canonical bytes stored in the ledger block."""
-        doc = {
-            "query_id": self.query_id,
-            "text": self.text,
-            "kind": self.operation.kind,
-            "attributes": list(self.attributes),
-            "dps": list(self.dp_list),
-            "bounds": list(self.operation.bounds) if self.operation.bounds else None,
-            "filter": list(self.filter) if self.filter else None,
-            "dp_privacy": self.dp_privacy,
-            "bitwise_mode": self.operation.bitwise_mode,
-            "scale": self.operation.scale,
-            "max_records": self.operation.max_records,
-            "feature_count": self.operation.feature_count,
-            "approx_degree": self.operation.approx_degree,
-            "params": self.params,
-        }
+        doc = {f.name: getattr(self.operation, f.name) for f in fields(OperationSpec)}
+        doc.update(query_id=self.query_id, text=self.text, attributes=self.attributes,
+                   dps=self.dp_list, filter=self.filter or None,
+                   dp_privacy=self.dp_privacy, params=self.params)
         return json.dumps(doc, sort_keys=True).encode()
 
 
@@ -225,15 +213,9 @@ def decode_query(data: bytes) -> Query:
     """Inverse of Query.encode."""
     try:
         doc = json.loads(data.decode())
-        operation = OperationSpec(
-            kind=doc["kind"],
-            bounds=tuple(doc["bounds"]) if doc.get("bounds") else None,
-            feature_count=doc.get("feature_count", 1),
-            approx_degree=doc.get("approx_degree", 2),
-            bitwise_mode=doc.get("bitwise_mode", "random"),
-            scale=doc.get("scale", 100),
-            max_records=doc.get("max_records", 1),
-        )
+        spec = {f.name: doc[f.name] for f in fields(OperationSpec) if f.name in doc}
+        spec["bounds"] = tuple(spec["bounds"]) if spec.get("bounds") else None
+        operation = OperationSpec(**spec)
         return Query(
             query_id=doc["query_id"],
             text=doc.get("text", ""),

@@ -19,13 +19,6 @@ from ..rng import Drbg, default_rng
 
 
 @dataclass
-class NodeInfo:
-    identity: str
-    roles: tuple
-    keypair: object = None
-
-
-@dataclass
 class Topology:
     querier_id: str
     cn_ids: tuple

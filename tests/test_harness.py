@@ -13,7 +13,7 @@ from privq.harness.pipeline import Simulation, run_iterative_extreme
 from privq.harness.queryparse import parse_query
 from privq.harness.topology import Topology, load_records
 from privq.rng import Drbg
-from privq.serial import Reader
+from privq.serial import Reader, pack_bytes
 
 HEART = {
     "DP1": [{"heart_rate": 72, "state": "ok"}, {"heart_rate": 81, "state": "hyper"}],
@@ -294,6 +294,93 @@ def test_payload_with_trailing_bytes_dropped(round_, sender, recipients):
             sim.run(query)
     assert [entry[:3] for entry in sim.bus.dropped] == [
         (recipient, round_, sender) for recipient in recipients]
+
+
+@pytest.mark.parametrize("surplus", ["repeat", "not_awaited"])
+@pytest.mark.parametrize("round_, sender, intruder, n_vns", [
+    ("round_share", "CN2", "DP1", 3),
+    ("map_submit", "VN2", "CN3", 4),
+    ("block_signature", "VN2", "CN3", 3),
+])
+def test_surplus_collected_input_dropped(round_, sender, intruder, n_vns, surplus):
+    """Every step that waits on other nodes takes one input from each source
+    it awaits: a second copy from an awaited source, or the same payload
+    from a node that is not awaited, is dropped as UnexpectedInput, and the
+    query gives the plaintext result with a clean audit."""
+    topo = Topology.build(n_cns=3, n_dps=4, n_vns=n_vns, seed=40)
+    topo.dp_data = dict(HEART)
+    sim = Simulation(topo, seed=40)
+    node = {**sim.cns, **sim.vns}[sender]
+    honest_send = node.send
+    copier = sender if surplus == "repeat" else intruder
+
+    def send(query_id, r, recipient, payload=b""):
+        honest_send(query_id, r, recipient, payload)
+        if r == round_:
+            sim.bus.post(query_id, r, copier, recipient, payload)
+
+    node.send = send
+    out = sim.run(parse_query("SELECT sum heart_rate ON DP1,DP2,DP3,DP4", scale=100))
+    assert out.result.values[0] == sum(FLAT)
+    assert sim.audit(out.query_id).ok
+    assert sorted(out.block.maps) == sorted(topo.vn_ids)
+    [(recipient, r, who, error)] = sim.bus.dropped
+    assert (r, who) == (round_, copier) and recipient != copier
+    assert error.startswith("UnexpectedInput(")
+    _assert_no_query_state(sim)
+
+
+@pytest.mark.parametrize("round_, sender, forge", [
+    ("round_share", "CN2", "zzz"),  # names no round
+    ("round_share", "CN2", "cto"),  # names a round the CN is not running
+    ("round_share", "CN2", "narrow"),  # one share short
+    ("round_request", "CN1", "zzz"),
+])
+def test_unusable_round_message_dropped(round_, sender, forge):
+    """A key-switch message whose tag names no round, or a round the CN is
+    not running (a CTO share during key switching), or a share list one
+    short, is dropped and logged; the real message that follows it is
+    still taken."""
+    sim = Simulation(_topo(41), seed=41)
+    node = sim.cns[sender]
+    honest_send, forged = node.send, []
+
+    def send(query_id, r, recipient, payload=b""):
+        if r == round_:
+            reader = Reader(payload)
+            tag = reader.text()
+            cts = unpack_cts(sim.topology.group, Reader(reader.rest()))
+            if forge == "narrow":
+                cts = cts[:-1]
+            else:
+                tag = forge
+            honest_send(query_id, r, recipient, pack_bytes(tag.encode()) + pack_cts(cts))
+            forged.append(recipient)
+        honest_send(query_id, r, recipient, payload)
+
+    node.send = send
+    out = sim.run(parse_query("SELECT sum heart_rate ON DP1,DP2,DP3,DP4", scale=100))
+    assert out.result.values[0] == sum(FLAT)
+    assert sim.audit(out.query_id).ok
+    assert [entry[:3] for entry in sim.bus.dropped] == [
+        (recipient, round_, sender) for recipient in forged]
+
+
+def test_withheld_keyswitch_share_names_stage_and_cn():
+    """CN2 never sends its key-switch share: the root aborts at the hard
+    timeout, naming the stage and the CN it still awaits."""
+    sim = Simulation(_topo(42), seed=42)
+    cn2 = sim.cns["CN2"]
+    honest_send = cn2.send
+
+    def send(query_id, round_, recipient, payload=b""):
+        if round_ != "round_share":
+            honest_send(query_id, round_, recipient, payload)
+
+    cn2.send = send
+    with pytest.raises(CnUnavailable, match=r"stage keyswitch: unresponsive CNs: \['CN2'\]"):
+        sim.run(parse_query("SELECT sum heart_rate ON DP1,DP2,DP3,DP4", scale=100))
+    _assert_no_query_state(sim)
 
 
 @pytest.mark.parametrize("range_first", [True, False], ids=["range_first", "aggregation_first"])
