@@ -8,8 +8,3 @@ multi-node system with a CLI.
 """
 
 __version__ = "0.1.0"
-
-from . import errors
-from .group import get_group, DlogTable
-
-__all__ = ["errors", "get_group", "DlogTable", "__version__"]

@@ -50,14 +50,16 @@ class Ciphertext:
         """Wire format: concatenation of the two canonical point encodings."""
         return self.c1.encode() + self.c2.encode()
 
+    @classmethod
+    def read(cls, reader: Reader) -> "Ciphertext":
+        return cls(reader.point(), reader.point())
+
 
 def decode_ciphertext(group, data: bytes) -> Ciphertext:
-    n = group.point_bytes
-    reader = Reader(data)
-    c1 = group.decode_point(reader.take(n))
-    c2 = group.decode_point(reader.take(n))
+    reader = Reader(data, group)
+    ct = Ciphertext.read(reader)
     reader.expect_done()
-    return Ciphertext(c1, c2)
+    return ct
 
 
 def pack_cts(cts) -> bytes:
@@ -66,18 +68,14 @@ def pack_cts(cts) -> bytes:
 
 
 def unpack_cts(group, reader: Reader) -> list[Ciphertext]:
-    n = reader.u32()
-    out = []
-    pb = group.point_bytes
-    for _ in range(n):
-        out.append(Ciphertext(group.decode_point(reader.take(pb)),
-                              group.decode_point(reader.take(pb))))
-    return out
+    """A ciphertext list read off `reader`, whose points are `group`'s."""
+    reader.group = group
+    return [Ciphertext.read(reader) for _ in range(reader.u32())]
 
 
 def read_cts(group, payload: bytes) -> list[Ciphertext]:
     """A payload that is exactly one ciphertext list, else MalformedProof."""
-    reader = Reader(payload)
+    reader = Reader(payload, group)
     cts = unpack_cts(group, reader)
     reader.expect_done()
     return cts

@@ -22,7 +22,9 @@ class EmptyMemberList(PrivqError):
 
 
 class MalformedProof(PrivqError):
-    """A serialized proof could not be decoded or has the wrong shape."""
+    """A wire record (a proof, a ciphertext, a point, scalar or target-group
+    element, a message payload or a block) could not be decoded or has the
+    wrong shape."""
 
 
 class OutOfRange(PrivqError):

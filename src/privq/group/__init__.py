@@ -15,9 +15,12 @@ affine coordinates and its group, so `encode()`, `==` and `hash` never
 invert, and each operation that makes a point runs in projective
 coordinates and normalizes its result once.
 
-`decode_point` accepts any curve point and does not check membership in
-the prime-order subgroup, so a decoded point may carry a small-order
-component; ROADMAP item 1 (ristretto255 as the wire group) closes this.
+`decode_point`, `decode_scalar` and `decode_gt` read fixed-size canonical
+encodings (through `serial.Reader` on the wire) and raise MalformedProof
+for any other input. `decode_point` accepts any curve point and does not
+check membership in the prime-order subgroup, so a decoded point may carry
+a small-order component; ROADMAP item 2 (ristretto255 as the wire group)
+closes this.
 """
 
 from __future__ import annotations

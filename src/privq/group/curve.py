@@ -15,7 +15,7 @@ identity), `_proj(point)`, `_add`, `_dbl`, `_affine(projective points)`,
 
 from __future__ import annotations
 
-from ..errors import PrivqError
+from ..errors import MalformedProof
 from . import mult
 
 
@@ -81,10 +81,10 @@ class CurveGroup:
 
     def decode_scalar(self, data: bytes) -> int:
         if len(data) != self.scalar_bytes:
-            raise PrivqError(f"scalar encoding must be {self.scalar_bytes} bytes")
+            raise MalformedProof(f"scalar encoding must be {self.scalar_bytes} bytes")
         v = int.from_bytes(data, "little")
         if v >= self.order:
-            raise PrivqError("non-canonical scalar encoding")
+            raise MalformedProof("non-canonical scalar encoding")
         return v
 
     def mul(self, k: int, point: Point) -> Point:

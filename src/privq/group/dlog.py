@@ -16,12 +16,11 @@ _CHUNK = 1024  # baby steps per walk: one inversion each, little memory
 
 
 class DlogTable:
-    def __init__(self, group, max_message: int = 1 << 20, base=None, baby: int | None = None):
+    def __init__(self, group, max_message: int = 1 << 20, baby: int | None = None):
         if max_message < 1:
             raise ValueError("max_message must be positive")
         self.group = group
         self.max_message = max_message
-        self.base = base if base is not None else group.base()
         if baby is None:
             if max_message < _FULL_TABLE_LIMIT:
                 baby = max_message + 1
@@ -32,11 +31,11 @@ class DlogTable:
         self._table = {}
         start = group.identity()
         for lo in range(0, self.baby, _CHUNK):
-            points = group.walk(start, self.base, min(_CHUNK, self.baby - lo) + 1)
+            points = group.walk(start, group.base(), min(_CHUNK, self.baby - lo) + 1)
             start = points.pop()
             for m, point in enumerate(points, lo):
                 self._table[point.encode()] = m
-        self._stride = group.mul(self.baby, self.base)
+        self._stride = group.mul(self.baby, group.base())
         self._giant_max = (max_message + self.baby) // self.baby
 
     def decode(self, point) -> int:

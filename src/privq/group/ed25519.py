@@ -10,7 +10,7 @@ section 5.1.3).
 
 from __future__ import annotations
 
-from ..errors import PrivqError
+from ..errors import MalformedProof
 from . import mult
 from .curve import CurveGroup, Point
 
@@ -51,7 +51,7 @@ def _recover_x(y, sign):
     """x with the given sign bit and (x, y) on the curve: the square root of
     u/v, u = y^2 - 1 and v = d*y^2 + 1, as x = u*v^3*(u*v^7)^((p-5)/8)."""
     if y >= P:
-        raise PrivqError("point encoding not canonical")
+        raise MalformedProof("point encoding not canonical")
     yy = y * y % P
     u, v = (yy - 1) % P, (D * yy + 1) % P
     v3 = v * v % P * v % P
@@ -60,10 +60,10 @@ def _recover_x(y, sign):
     vxx = v * x % P * x % P
     if vxx != u:
         if vxx != P - u:
-            raise PrivqError("not a curve point")
+            raise MalformedProof("not a curve point")
         x = x * SQRT_M1 % P
     if x == 0 and sign == 1:
-        raise PrivqError("point encoding not canonical")
+        raise MalformedProof("point encoding not canonical")
     if x & 1 != sign:
         x = P - x
     return x
@@ -104,7 +104,7 @@ class Ed25519Group(CurveGroup):
 
     def decode_point(self, data: bytes) -> Point:
         if len(data) != 32:
-            raise PrivqError("point encoding must be 32 bytes")
+            raise MalformedProof("point encoding must be 32 bytes")
         v = int.from_bytes(data, "little")
         y = v & ((1 << 255) - 1)
         return Point(_recover_x(y, v >> 255), y, self)

@@ -21,33 +21,31 @@ def batch_inverse(values, modulus):
     return out[::-1]
 
 
-def comb_table(point, add, bits, width=4):
-    """Precompute per-window multiples of a fixed base.
+def comb_table(point, add, bits):
+    """Precompute per-4-bit-window multiples of a fixed base.
 
-    tables[i][j] = j * 16^i * point; build cost ~(bits/width)*16 additions.
+    tables[i][j] = j * 16^i * point; build cost ~(bits/4)*16 additions.
     """
-    windows = (bits + width - 1) // width
     tables = []
     cur = point
-    for _ in range(windows):
+    for _ in range((bits + 3) // 4):
         row = [None, cur]
-        for _ in range(2**width - 2):
+        for _ in range(14):
             row.append(add(row[-1], cur))
         tables.append(row)
         cur = add(row[-1], cur)  # 16 * cur
     return tables
 
 
-def comb_mul(k, tables, add, identity, width=4):
+def comb_mul(k, tables, add, identity):
     """Multiply using a `comb_table`; one table addition per nonzero window."""
     acc = identity
     i = 0
-    mask = (1 << width) - 1
     while k:
-        w = k & mask
+        w = k & 15
         if w:
             acc = add(acc, tables[i][w])
-        k >>= width
+        k >>= 4
         i += 1
     return acc
 

@@ -29,7 +29,7 @@ coefficient of i); there is no compression in the target group.
 
 from __future__ import annotations
 
-from ..errors import PairingUnavailable, PrivqError
+from ..errors import MalformedProof, PairingUnavailable
 from . import mult
 from .curve import CurveGroup, Point
 
@@ -140,6 +140,7 @@ class PairingGroup(CurveGroup):
         self.gt_order = params["r"]
         self.point_bytes = (params["p"].bit_length() + 7) // 8 + 1
         self.scalar_bytes = (params["r"].bit_length() + 7) // 8
+        self.gt_bytes = 2 * (self.point_bytes - 1)
         self._identity = Point(None, None, self)
         self._base = Point(params["base_x"], params["base_y"], self)
         self._pair_cache = {}
@@ -210,19 +211,19 @@ class PairingGroup(CurveGroup):
 
     def decode_point(self, data: bytes) -> Point:
         if len(data) != self.point_bytes:
-            raise PrivqError("bad point length")
+            raise MalformedProof("bad point length")
         if data == bytes(self.point_bytes):
             return self._identity
         tag = data[-1]
         if tag not in (2, 3):
-            raise PrivqError("bad point compression tag")
+            raise MalformedProof("bad point compression tag")
         x = int.from_bytes(data[:-1], "little")
         if x >= self.p:
-            raise PrivqError("point encoding not canonical")
+            raise MalformedProof("point encoding not canonical")
         y2 = (x * x * x + x) % self.p
         y = pow(y2, (self.p + 1) // 4, self.p)
         if y * y % self.p != y2:
-            raise PrivqError("not a curve point")
+            raise MalformedProof("not a curve point")
         if y & 1 != tag & 1:
             y = (-y) % self.p
         return Point(x, y, self)
@@ -232,12 +233,12 @@ class PairingGroup(CurveGroup):
 
     def decode_gt(self, data: bytes) -> GtElement:
         n = self.point_bytes - 1
-        if len(data) != 2 * n:
-            raise PrivqError("bad target-group element length")
+        if len(data) != self.gt_bytes:
+            raise MalformedProof("bad target-group element length")
         re = int.from_bytes(data[:n], "little")
         im = int.from_bytes(data[n:], "little")
         if re >= self.p or im >= self.p:
-            raise PrivqError("target-group encoding not canonical")
+            raise MalformedProof("target-group encoding not canonical")
         return GtElement(re, im, self)
 
     def pair(self, P: Point, Q: Point) -> GtElement:

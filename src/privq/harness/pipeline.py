@@ -10,8 +10,8 @@ import time
 from dataclasses import dataclass, field
 
 from ..encodings import iterative_extreme
-from ..errors import CnUnavailable, DecodeFailure, PairingUnavailable
-from ..group import DlogTable
+from ..errors import CnUnavailable, DecodeFailure
+from ..group import DlogTable, require_pairing
 from ..ledger import Chain, audit as ledger_audit
 from ..proofs.rangeproof import range_setup
 from ..rng import Drbg, default_rng
@@ -95,6 +95,11 @@ class Simulation:
         self.bus.kill(identity)
 
     def run(self, query) -> QueryOutcome:
+        """Run one query to its committed block. A bits-mode query with a
+        RANGE needs a pairing profile; on any other it raises
+        PairingUnavailable before a message is sent."""
+        if query.bounds is not None and query.operation.uses_obfuscation:
+            require_pairing(self.topology.group)
         t0 = time.perf_counter()
         delivered = self.bus.delivered
         state = self.querier.start(query)
@@ -142,9 +147,6 @@ def run_query(query_or_text, topology, scheduler: str = "serial", seed=None,
                             max_records=topology.max_records, **query_kw)
     else:
         query = query_or_text
-    if query.bounds is not None and query.operation.uses_obfuscation \
-            and not topology.group.has_pairing:
-        raise PairingUnavailable("bit-mode range proofs need a pairing profile")
     return sim.run(query)
 
 

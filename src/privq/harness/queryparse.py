@@ -50,8 +50,6 @@ OP_ALIASES = {
     "logistic_regression": "log_reg",
 }
 
-COMPARATORS = ("<=", ">=", "!=", "=", "<", ">")
-
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<comma>,)|(?P<cmp><=|>=|!=|=|<|>)|(?P<str>'[^']*')"
     r"|(?P<num>-?\d+(?:\.\d+)?)|(?P<word>[A-Za-z_][A-Za-z_0-9]*))"

@@ -52,8 +52,6 @@ STATUS_NOT_RECEIVED = "not_received"
 _STATUS_CODES = {STATUS_TRUE: 1, STATUS_FALSE: 2, STATUS_STORED: 3, STATUS_NOT_RECEIVED: 0}
 _CODE_STATUS = {v: k for k, v in _STATUS_CODES.items()}
 
-PROOF_TYPES = ("range", "aggregation", "obfuscation", "shuffle", "keyswitch")
-
 
 # ---------------------------------------------------------------------------
 # policy and coverage

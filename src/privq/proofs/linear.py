@@ -3,7 +3,9 @@
 Proves knowledge of scalars y_1..y_n satisfying a system of equations
 P_j = sum_i y_i * G_{j,i} over public points, without revealing the y_i.
 Key-switch shares, obfuscation shares, and key-possession statements are
-all instances. Non-interactive via the transcript in `transcript.py`.
+all instances. Non-interactive via the transcript in `transcript.py`;
+`verify_linear` checks any number of proofs as one `transcript.Batch`, in
+which equal points share one MSM term.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 from ..errors import MalformedProof
 from ..serial import Reader, pack_u8, pack_u32
-from .transcript import Transcript, batch_weights
+from .transcript import Batch, Transcript
 
 _TAG = 0x01
 
@@ -74,8 +76,7 @@ def _absorb_statement(tr: Transcript, statement: LinearStatement):
         tr.absorb(target)
 
 
-def prove_linear(statement: LinearStatement, secrets, rng,
-                 label: str = "linear") -> LinearRelationProof:
+def prove_linear(statement: LinearStatement, secrets, rng) -> LinearRelationProof:
     """Prover side; `secrets` must genuinely satisfy the statement."""
     group = statement.targets[0].group
     nonces = [group.random_scalar(rng) for _ in range(statement.n_secrets)]
@@ -83,7 +84,7 @@ def prove_linear(statement: LinearStatement, secrets, rng,
     for row in statement.bases:
         pairs = [(v, g) for v, g in zip(nonces, row) if g is not None]
         commitments.append(group.msm(pairs))
-    tr = Transcript(group, label)
+    tr = Transcript(group, "linear")
     _absorb_statement(tr, statement)
     tr.absorb(*commitments)
     c = tr.challenge()
@@ -91,18 +92,13 @@ def prove_linear(statement: LinearStatement, secrets, rng,
     return LinearRelationProof(statement, tuple(commitments), c, responses)
 
 
-def verify_linear(*proofs: LinearRelationProof, label: str = "linear") -> bool:
+def verify_linear(*proofs: LinearRelationProof) -> bool:
     """True iff every proof's challenge recomputes and every equation
     sum_i z_i*G_{j,i} == W_j + c*P_j of every proof holds.
 
-    The equations are checked together by small-exponent batch verification
-    (Bellare, Garay & Rabin, EUROCRYPT 1998): equation e gets a 128-bit
-    weight r_e, and the batch is accepted iff
-    sum_e r_e*(sum_i z_i*G_{j,i} - c*P_j - W_j) is the identity, computed as
-    one MSM. The weights are hashed from every proof in the batch, so a
-    verdict is deterministic, and a batch holding any false equation is
-    accepted with probability at most 2^-128 per batch in a prime-order
-    group. Terms on the same point object share one MSM term.
+    The equations are checked together as one `Batch`, each one as
+    sum_i z_i*G_{j,i} - c*P_j - W_j with weights hashed from every proof in
+    the batch.
     """
     if not proofs:
         return True
@@ -114,77 +110,54 @@ def verify_linear(*proofs: LinearRelationProof, label: str = "linear") -> bool:
             return False
         if len(proof.responses) != statement.n_secrets:
             return False
-        tr = Transcript(group, label)
+        tr = Transcript(group, "linear")
         _absorb_statement(tr, statement)
         tr.absorb(*proof.commitments)
         if tr.challenge() != proof.challenge:
             return False
         digests.append(tr.absorb(*proof.responses).digest())
-    weights = batch_weights(b"privq/linear-batch", b"".join(digests),
-                            sum(len(proof.commitments) for proof in proofs))
-    terms = {}  # id(point) -> [scalar, point]
-
-    def put(k, point):
-        slot = terms.get(id(point))
-        if slot is None:
-            terms[id(point)] = [k, point]
-        else:
-            slot[0] += k
-
+    batch = Batch(group, b"privq/linear-batch", b"".join(digests),
+                  sum(len(proof.commitments) for proof in proofs))
     for proof in proofs:
         c = proof.challenge
         for row, target, w in zip(proof.statement.bases, proof.statement.targets,
                                   proof.commitments):
-            r = next(weights)
+            r = batch.equation()
             for z, g in zip(proof.responses, row):
                 if g is not None:
-                    put(r * z, g)
-            put(-r * c, target)
-            put(r, -w)  # on -W the weight stays 128 bits long
-    return group.msm([(k, point) for k, point in terms.values()]).is_identity()
+                    batch.add(r * z, g)
+            batch.add(-r * c, target)
+            batch.add(r, -w)  # on -W the weight stays 128 bits long
+    return batch.holds()
 
 
 def decode_linear(group, data: bytes, known=()) -> LinearRelationProof:
     """Decode a proof; a point encoded exactly like one in `known` is taken
     as that point instead of being decoded again."""
-    known = {point.encode(): point for point in known if point is not None}
-
-    def point(raw):
-        hit = known.get(raw)
-        return hit if hit is not None else group.decode_point(raw)
-
-    try:
-        reader = Reader(data)
-        if reader.u8() != _TAG:
-            raise MalformedProof("wrong proof type tag")
-        n_eqs = reader.u32()
-        n_secrets = reader.u32()
-        if n_eqs == 0 or n_secrets == 0 or n_eqs > 64 or n_secrets > 64:
-            raise MalformedProof("implausible proof shape")
-        pb = group.point_bytes
-        bases = []
-        for _ in range(n_eqs):
-            row = []
-            for _ in range(n_secrets):
-                flag = reader.u8()
-                if flag == 1:
-                    row.append(point(reader.take(pb)))
-                elif flag == 0:
-                    row.append(None)
-                else:
-                    raise MalformedProof("non-canonical base flag")
-            bases.append(tuple(row))
-        targets = tuple(point(reader.take(pb)) for _ in range(n_eqs))
-        commitments = tuple(point(reader.take(pb)) for _ in range(n_eqs))
-        challenge = group.decode_scalar(reader.take(group.scalar_bytes))
-        responses = tuple(
-            group.decode_scalar(reader.take(group.scalar_bytes)) for _ in range(n_secrets)
-        )
-        reader.expect_done()
-        return LinearRelationProof(
-            LinearStatement(tuple(bases), targets), commitments, challenge, responses
-        )
-    except MalformedProof:
-        raise
-    except Exception as exc:
-        raise MalformedProof(f"undecodable linear proof: {exc}") from exc
+    reader = Reader(data, group, known)
+    if reader.u8() != _TAG:
+        raise MalformedProof("wrong proof type tag")
+    n_eqs = reader.u32()
+    n_secrets = reader.u32()
+    if n_eqs == 0 or n_secrets == 0 or n_eqs > 64 or n_secrets > 64:
+        raise MalformedProof("implausible proof shape")
+    bases = []
+    for _ in range(n_eqs):
+        row = []
+        for _ in range(n_secrets):
+            flag = reader.u8()
+            if flag == 1:
+                row.append(reader.point())
+            elif flag == 0:
+                row.append(None)
+            else:
+                raise MalformedProof("non-canonical base flag")
+        bases.append(tuple(row))
+    targets = tuple(reader.point() for _ in range(n_eqs))
+    commitments = tuple(reader.point() for _ in range(n_eqs))
+    challenge = reader.scalar()
+    responses = tuple(reader.scalar() for _ in range(n_secrets))
+    reader.expect_done()
+    return LinearRelationProof(
+        LinearStatement(tuple(bases), targets), commitments, challenge, responses
+    )

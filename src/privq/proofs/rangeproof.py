@@ -31,7 +31,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import MalformedProof, OutOfRange, PairingUnavailable
+from ..errors import MalformedProof, OutOfRange
+from ..group import require_pairing
 from ..serial import Reader, pack_u8, pack_u32
 from .transcript import Transcript
 
@@ -59,8 +60,7 @@ def range_setup(group, u: int, n_cns: int, rng):
     Returns (RangeSignatures, secrets); in a deployment each CN keeps its
     own x_i and only the public part circulates.
     """
-    if not group.has_pairing:
-        raise PairingUnavailable("range proofs need a pairing-capable curve profile")
+    require_pairing(group)
     if u < 2:
         raise OutOfRange("digit base u must be at least 2")
     if n_cns < 1:
@@ -286,34 +286,21 @@ def verify_bounded(ct, proofs, bounds: tuple[int, int], sigs: RangeSignatures,
 
 
 def decode_range(group, data: bytes) -> RangeProof:
-    try:
-        reader = Reader(data)
-        if reader.u8() != _TAG:
-            raise MalformedProof("wrong proof type tag")
-        u = reader.u32()
-        l = reader.u32()
-        n_cns = reader.u32()
-        if not (2 <= u <= 4096 and 1 <= l <= 64 and 1 <= n_cns <= 64):
-            raise MalformedProof("implausible proof shape")
-        pb, sb = group.point_bytes, group.scalar_bytes
-        c2 = group.decode_point(reader.take(pb))
-        d_point = group.decode_point(reader.take(pb))
-        challenge = group.decode_scalar(reader.take(sb))
-        z_r = group.decode_scalar(reader.take(sb))
-        z_v = tuple(group.decode_scalar(reader.take(sb)) for _ in range(l))
-        z_m = tuple(group.decode_scalar(reader.take(sb)) for _ in range(l))
-        v_points = tuple(
-            tuple(group.decode_point(reader.take(pb)) for _ in range(l))
-            for _ in range(n_cns)
-        )
-        gt_bytes = 2 * (pb - 1)
-        a_elems = tuple(
-            tuple(group.decode_gt(reader.take(gt_bytes)) for _ in range(l))
-            for _ in range(n_cns)
-        )
-        reader.expect_done()
-        return RangeProof(c2, challenge, z_r, z_v, z_m, d_point, v_points, a_elems, u, l)
-    except MalformedProof:
-        raise
-    except Exception as exc:
-        raise MalformedProof(f"undecodable range proof: {exc}") from exc
+    reader = Reader(data, group)
+    if reader.u8() != _TAG:
+        raise MalformedProof("wrong proof type tag")
+    u = reader.u32()
+    l = reader.u32()
+    n_cns = reader.u32()
+    if not (2 <= u <= 4096 and 1 <= l <= 64 and 1 <= n_cns <= 64):
+        raise MalformedProof("implausible proof shape")
+    c2 = reader.point()
+    d_point = reader.point()
+    challenge = reader.scalar()
+    z_r = reader.scalar()
+    z_v = tuple(reader.scalar() for _ in range(l))
+    z_m = tuple(reader.scalar() for _ in range(l))
+    v_points = tuple(tuple(reader.point() for _ in range(l)) for _ in range(n_cns))
+    a_elems = tuple(tuple(reader.gt() for _ in range(l)) for _ in range(n_cns))
+    reader.expect_done()
+    return RangeProof(c2, challenge, z_r, z_v, z_m, d_point, v_points, a_elems, u, l)

@@ -15,8 +15,8 @@ transcript, in absorb order, is:
     round 4   : Theta_i (2n commitments)                      -> c
     round 5   : alpha_i (2n responses)
 
-Verification checks (batched into one multi-scalar multiplication with
-128-bit weights hashed from the whole transcript):
+Verification checks, as one `transcript.Batch` with weights hashed from
+the whole transcript:
 
     Theta_i == alpha_i*Rh_i - alpha_{i+1}*Sh_i          (i < n)
     Theta_i == alpha_i*Gamma - alpha_{(i+1) mod 2n}*B   (n <= i < 2n)
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from ..elgamal import Ciphertext
 from ..errors import EmptyList, MalformedProof
 from ..serial import Reader, pack_u8, pack_u32
-from .transcript import Transcript, batch_weights
+from .transcript import Batch, Transcript
 
 _TAG = 0x03
 
@@ -203,7 +203,6 @@ def verify_shuffle(proof: ShuffleProof) -> bool:
         if len(series) != want:
             return False
     group = proof.gamma_pt.group
-    order = group.order
     base = group.base()
 
     tr = _statement_transcript(group, proof.inputs, proof.outputs, proof.omega)
@@ -218,101 +217,70 @@ def verify_shuffle(proof: ShuffleProof) -> bool:
     c = tr.challenge()
     if proof.alpha[0] != c:
         return False
-    weights = batch_weights(b"privq/shuffle-batch", tr.absorb(*proof.alpha).digest(),
-                            3 * n + 2)
-
-    # One random-linear-combination accumulator over every check equation.
-    acc: dict[bytes, list] = {}
-
-    def put(coeff, point):
-        coeff %= order
-        if coeff == 0:
-            return
-        key = point.encode()
-        slot = acc.get(key)
-        if slot is None:
-            acc[key] = [coeff, point]
-        else:
-            slot[0] = (slot[0] + coeff) % order
-
+    batch = Batch(group, b"privq/shuffle-batch", tr.absorb(*proof.alpha).digest(),
+                  3 * n + 2)
+    put = batch.add
     alpha = proof.alpha
     for i in range(n):
         # theta_i == alpha_i*(A_i + lam*rho_i*B - lam*U_i - t*B)
         #          - alpha_{i+1}*(C_i + lam*D_i - t*Gamma)
-        g1 = next(weights)
+        g1 = batch.equation()
         a_i, a_n = alpha[i], alpha[(i + 1) % (2 * n)]
         put(g1 * a_i, proof.a_pts[i])
-        put(g1 * (a_i * (lam * rho[i] - t)) % order, base)
+        put(g1 * (a_i * (lam * rho[i] - t)), base)
         put(-g1 * a_i * lam, proof.u_pts[i])
         put(-g1 * a_n, proof.c_pts[i])
         put(-g1 * a_n * lam, proof.d_pts[i])
         put(g1 * a_n * t, proof.gamma_pt)
         put(-g1, proof.theta_pts[i])
     for i in range(n, 2 * n):
-        g1 = next(weights)
+        g1 = batch.equation()
         put(g1 * alpha[i], proof.gamma_pt)
         put(-g1 * alpha[(i + 1) % (2 * n)], base)
         put(-g1, proof.theta_pts[i])
     for i in range(n):
         # sigma_i*Gamma == W_i + D_i
-        g1 = next(weights)
+        g1 = batch.equation()
         put(g1 * proof.sigma[i], proof.gamma_pt)
         put(-g1, proof.w_pts[i])
         put(-g1, proof.d_pts[i])
-    g1 = next(weights)
+    g1 = batch.equation()
     for i in range(n):
         put(g1 * proof.sigma[i], proof.outputs[i].c1)
         put(-g1 * rho[i], proof.inputs[i].c1)
     put(-g1, proof.lambda1)
     put(-g1 * proof.tau, base)
-    g2 = next(weights)
+    g2 = batch.equation()
     for i in range(n):
         put(g2 * proof.sigma[i], proof.outputs[i].c2)
         put(-g2 * rho[i], proof.inputs[i].c2)
     put(-g2, proof.lambda2)
     put(-g2 * proof.tau, proof.omega)
-
-    return group.msm([(coeff, pt) for coeff, pt in acc.values()]).is_identity()
+    return batch.holds()
 
 
 def decode_shuffle(group, data: bytes) -> ShuffleProof:
-    try:
-        reader = Reader(data)
-        if reader.u8() != _TAG:
-            raise MalformedProof("wrong proof type tag")
-        n = reader.u32()
-        if not 1 <= n <= 100000:
-            raise MalformedProof("implausible shuffle size")
-        pb, sb = group.point_bytes, group.scalar_bytes
-
-        def point():
-            return group.decode_point(reader.take(pb))
-
-        def scalar():
-            return group.decode_scalar(reader.take(sb))
-
-        def ct():
-            return Ciphertext(point(), point())
-
-        omega = point()
-        inputs = tuple(ct() for _ in range(n))
-        outputs = tuple(ct() for _ in range(n))
-        gamma_pt = point()
-        a_pts = tuple(point() for _ in range(n))
-        c_pts = tuple(point() for _ in range(n))
-        u_pts = tuple(point() for _ in range(n))
-        w_pts = tuple(point() for _ in range(n))
-        lambda1 = point()
-        lambda2 = point()
-        d_pts = tuple(point() for _ in range(n))
-        sigma = tuple(scalar() for _ in range(n))
-        tau = scalar()
-        theta_pts = tuple(point() for _ in range(2 * n))
-        alpha = tuple(scalar() for _ in range(2 * n))
-        reader.expect_done()
-        return ShuffleProof(inputs, outputs, omega, gamma_pt, a_pts, c_pts, u_pts,
-                            w_pts, lambda1, lambda2, d_pts, sigma, tau, theta_pts, alpha)
-    except MalformedProof:
-        raise
-    except Exception as exc:
-        raise MalformedProof(f"undecodable shuffle proof: {exc}") from exc
+    reader = Reader(data, group)
+    if reader.u8() != _TAG:
+        raise MalformedProof("wrong proof type tag")
+    n = reader.u32()
+    if not 1 <= n <= 100000:
+        raise MalformedProof("implausible shuffle size")
+    omega = reader.point()
+    inputs = tuple(Ciphertext.read(reader) for _ in range(n))
+    outputs = tuple(Ciphertext.read(reader) for _ in range(n))
+    gamma_pt = reader.point()
+    a_pts = tuple(reader.point() for _ in range(n))
+    c_pts = tuple(reader.point() for _ in range(n))
+    u_pts = tuple(reader.point() for _ in range(n))
+    w_pts = tuple(reader.point() for _ in range(n))
+    lambda1 = reader.point()
+    lambda2 = reader.point()
+    d_pts = tuple(reader.point() for _ in range(n))
+    sigma = tuple(reader.scalar() for _ in range(n))
+    tau = reader.scalar()
+    theta_pts = tuple(reader.point() for _ in range(2 * n))
+    alpha = tuple(reader.scalar() for _ in range(2 * n))
+    reader.expect_done()
+    return ShuffleProof(inputs, outputs, omega, gamma_pt, a_pts, c_pts, u_pts,
+                        w_pts, lambda1, lambda2, d_pts, sigma, tau, theta_pts, alpha)

@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import hashlib
 
+from ..errors import PrivqError
+from ..serial import Reader
+
 
 def _hash_scalar(group, *chunks: bytes) -> int:
     h = hashlib.sha512()
@@ -30,10 +33,12 @@ def sign(group, sk: int, message: bytes) -> bytes:
 
 
 def verify_signature(group, pk, message: bytes, signature: bytes) -> bool:
+    reader = Reader(signature, group)
     try:
-        r_point = group.decode_point(signature[: group.point_bytes])
-        s = group.decode_scalar(signature[group.point_bytes :])
-    except Exception:
+        r_point = reader.point()
+        s = reader.scalar()
+        reader.expect_done()
+    except PrivqError:
         return False
     c = _hash_scalar(group, b"privq/sig", r_point.encode(), pk.encode(), message)
     return group.mul(s, group.base()) == r_point + group.mul(c, pk)

@@ -46,9 +46,32 @@ class Transcript:
         return [self.challenge() for _ in range(n)]
 
 
-def batch_weights(domain: bytes, digest: bytes, n: int):
-    """n 128-bit weights for small-exponent batch verification, read from
-    SHAKE-256 over `digest`, a hash of everything the batch checks, so a
-    verdict is deterministic."""
-    stream = hashlib.shake_256(domain + digest).digest(16 * n)
-    return iter(int.from_bytes(stream[i:i + 16], "little") for i in range(0, 16 * n, 16))
+class Batch:
+    """Small-exponent batch verification (Bellare, Garay & Rabin, EUROCRYPT
+    1998): equation e gets a 128-bit weight r_e, and the batch holds iff
+    sum_e r_e * (the equation's terms, moved to one side) is the identity,
+    one MSM.
+
+    The n weights are read from SHAKE-256 over `domain` and `digest`, a hash
+    of everything the batch checks, so a verdict is deterministic, and a
+    batch holding a false equation over prime-order points holds with
+    probability at most 2^-128. Terms on equal points share one MSM term.
+    """
+
+    def __init__(self, group, domain: bytes, digest: bytes, n: int):
+        self.group = group
+        stream = hashlib.shake_256(domain + digest).digest(16 * n)
+        self._weights = (int.from_bytes(stream[i:i + 16], "little")
+                         for i in range(0, 16 * n, 16))
+        self._terms = {}  # point -> its summed scalar mod the order
+
+    def equation(self) -> int:
+        """The weight of the next equation."""
+        return next(self._weights)
+
+    def add(self, k: int, point):
+        self._terms[point] = (self._terms.get(point, 0) + k) % self.group.order
+
+    def holds(self) -> bool:
+        terms = [(k, point) for point, k in self._terms.items()]
+        return self.group.msm(terms).is_identity()

@@ -132,7 +132,7 @@ class Aggregation:
 
     @classmethod
     def decode(cls, group, data: bytes) -> "Aggregation":
-        reader = Reader(data)
+        reader = Reader(data, group)
         labels, inputs = [], []
         for _ in range(reader.u32()):
             labels.append(reader.text())

@@ -1,8 +1,10 @@
 """Length-prefixed binary serialization for proofs, messages, and blocks.
 
 Layout: every record is a one-byte type tag followed by fields; variable
-fields carry a 4-byte little-endian length prefix. Point/scalar fields use
-the group's canonical fixed-length encodings.
+fields carry a 4-byte little-endian length prefix. Point, scalar and
+target-group fields use the group's canonical fixed-length encodings, and a
+`Reader` made with the group reads them; every field that cannot be read
+raises MalformedProof.
 """
 
 from __future__ import annotations
@@ -17,9 +19,15 @@ def pack_bytes(data: bytes) -> bytes:
 
 
 class Reader:
-    def __init__(self, data: bytes):
+    """Fields read in order off one record. A point field encoded exactly
+    like one of the `known` points is taken as that point instead of being
+    decoded again."""
+
+    def __init__(self, data: bytes, group=None, known=()):
         self.data = data
         self.pos = 0
+        self.group = group
+        self.known = {point.encode(): point for point in known if point is not None}
 
     def take(self, n: int) -> bytes:
         if self.pos + n > len(self.data):
@@ -45,6 +53,17 @@ class Reader:
 
     def u8(self) -> int:
         return self.take(1)[0]
+
+    def point(self):
+        raw = self.take(self.group.point_bytes)
+        hit = self.known.get(raw)
+        return hit if hit is not None else self.group.decode_point(raw)
+
+    def scalar(self) -> int:
+        return self.group.decode_scalar(self.take(self.group.scalar_bytes))
+
+    def gt(self):
+        return self.group.decode_gt(self.take(self.group.gt_bytes))
 
     def rest(self) -> bytes:
         out = self.data[self.pos :]

@@ -8,7 +8,7 @@ import statistics
 import pytest
 
 from privq.elgamal import pack_cts, unpack_cts
-from privq.errors import CnUnavailable, ConfigError, PrivqError
+from privq.errors import CnUnavailable, ConfigError, PairingUnavailable, PrivqError
 from privq.harness.pipeline import Simulation, run_iterative_extreme
 from privq.harness.queryparse import parse_query
 from privq.harness.topology import Topology, load_records
@@ -521,6 +521,18 @@ def test_bits_mode_range_proofs_audit_clean():
     assert out.result.values[0] == 1.0
     report = sim.audit(out.query_id)
     assert report.ok, [(p, t, i) for _, p, t, i, _ in report.false_entries]
+
+
+def test_bits_mode_range_query_needs_a_pairing_profile():
+    """Without a pairing a bits-mode RANGE query would run with no range
+    proof and audit clean; `Simulation.run`, which the CLI and the socket
+    server call too, refuses it before sending anything."""
+    topo = Topology.build(n_cns=2, n_dps=2, n_vns=3, seed=25)
+    topo.dp_data = {"DP1": [{"flag": 1}], "DP2": [{"flag": 0}]}
+    sim = Simulation(topo, seed=25)
+    with pytest.raises(PairingUnavailable):
+        sim.run(parse_query("SELECT or flag ON DP1,DP2 RANGE 0,2", bitwise_mode="bits"))
+    assert sim.bus.delivered == 0 and len(sim.chain()) == 0
 
 
 def test_one_bad_keyswitch_sub_proof_flags_only_its_cn(monkeypatch):
