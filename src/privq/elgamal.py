@@ -117,14 +117,14 @@ def encrypt(group, m: int, pk, rng, max_message: int = DEFAULT_MAX_MESSAGE) -> C
         raise MessageTooLarge(f"|{m}| exceeds decodable bound {max_message}")
     r = group.random_scalar(rng)
     base = group.base()
-    return Ciphertext(group.mul(r, base), group.mul(m, base) + group.mul(r, pk))
+    return Ciphertext(group.mul(r, base), group.msm([(m, base), (r, pk)]))
 
 
 def encrypt_with_nonce(group, m: int, pk, r: int) -> Ciphertext:
     """Encryption with a caller-supplied nonce; protocol code that must later
     prove statements about r uses this variant."""
     base = group.base()
-    return Ciphertext(group.mul(r, base), group.mul(m, base) + group.mul(r, pk))
+    return Ciphertext(group.mul(r, base), group.msm([(m, base), (r, pk)]))
 
 
 def decrypt(group, ct: Ciphertext, sk: int, table) -> int:

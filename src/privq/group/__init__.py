@@ -15,6 +15,15 @@ affine coordinates and its group, so `encode()`, `==` and `hash` never
 invert, and each operation that makes a point runs in projective
 coordinates and normalizes its result once.
 
+Scalar multiplication runs on signed digits (`mult`): width-5 wNAF Straus
+for few terms, signed-window Pippenger with the window priced from the
+term count for many, and a signed 5-bit comb for points given a table by
+`precompute` (the base and every key). `msm` walks the comb of each term
+that has one into the same accumulator as the other terms, and folds a
+scalar above order/2 into a short negative one. Tables and MSM inputs keep
+a cheaper-to-add form: cached (Y+X, Y-X, 2Z, 2dT) on Ed25519, Z = 1 on the
+pairing curve.
+
 `decode_point`, `decode_scalar` and `decode_gt` read fixed-size canonical
 encodings (through `serial.Reader` on the wire) and raise MalformedProof
 for any other input. `decode_point` accepts any curve point and does not

@@ -4,13 +4,21 @@ A `Point` holds the affine (x, y) that is encoded, compared and hashed, and
 the group it belongs to, so `encode`, `==` and `hash` never invert. Each
 operation that makes a point (`mul`, `msm`, `walk`, `+`, `-`) converts to
 the backend's projective coordinates, adds there and normalizes its result
-once, with one simultaneous inversion per call. `precompute` builds its
-comb table in projective coordinates too.
+once, with one simultaneous inversion per call.
 
-A backend subclasses `CurveGroup` and supplies `_INF` (the projective
-identity), `_proj(point)`, `_add`, `_dbl`, `_affine(projective points)`,
+The signed-digit kernels of `mult` see a point as an accumulator (the
+projective point) or as an entry (the form a table keeps it in), through
+`Ops` built from the backend's hooks. `precompute` attaches a comb table:
+rows of multiples built as accumulators and kept as the entries
+`_entries` returns. `mul` walks the table, and `msm` walks the table of
+every term that has one into the accumulator of the others.
+
+A backend subclasses `CurveGroup` and supplies `_proj(point)` (the
+accumulator of an affine point), `_add(accumulator, entry)`,
+`_dbl(accumulator, n)`, `_cache` (one accumulator to its entry), `_lift`
+(entry to accumulator), `_neg_entry`, `_affine(accumulators)`,
 `_neg(point)`, `_encode(point)` and `decode_point`, and may override
-`_comb_rows`.
+`_entries`, which converts a table's accumulators at once.
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ class Point:
 
     def __add__(self, other):
         g = self.group
-        return g._affine([g._add(g._proj(self), g._proj(other))])[0]
+        return g._affine([g._add(g._proj(self), g._cache(g._proj(other)))])[0]
 
     def __neg__(self):
         return self.group._neg(self)
@@ -67,6 +75,10 @@ class Point:
 class CurveGroup:
     """Scalars, fixed points and the point-making operations of a curve."""
 
+    def __init__(self):
+        self._ops = mult.Ops(self._add, self._dbl, self._cache, self._entries, self._lift,
+                             self._neg_entry)
+
     def base(self):
         return self._base
 
@@ -87,29 +99,27 @@ class CurveGroup:
             raise MalformedProof("non-canonical scalar encoding")
         return v
 
+    def _sum(self, pairs) -> Point:
+        """sum(k_i * P_i) through `mult.msm`, normalized once."""
+        terms = [(k, None, q._comb) if q._comb is not None
+                 else (k, self._cache(self._proj(q)), None) for k, q in pairs]
+        acc = mult.msm(terms, self._ops, self.order)
+        return self._identity if acc is None else self._affine([acc])[0]
+
     def mul(self, k: int, point: Point) -> Point:
-        k = k % self.order
-        if k == 0 or point.is_identity():
-            return self._identity
-        if point._comb is not None:
-            q = mult.comb_mul(k, point._comb, self._add, self._INF)
-        else:
-            q = mult.straus([(k, self._proj(point))], self._add, self._dbl, self._INF)
-        return self._affine([q])[0]
+        return self._sum([(k, point)])
 
     def msm(self, pairs) -> Point:
         """sum(k_i * P_i) over a list of (int, point) pairs; a single term
-        goes through `mul`, which uses the point's comb table if it has one."""
+        goes through `mul`."""
         pairs = list(pairs)
         if len(pairs) == 1:
             return self.mul(*pairs[0])
-        native = [(k, self._proj(q)) for k, q in pairs]
-        return self._affine([mult.multi_scalar_mul(native, self._add, self._dbl, self._INF,
-                                                   self.order)])[0]
+        return self._sum(pairs)
 
     def walk(self, start: Point, step: Point, n: int) -> list:
         """[start + k*step for k in range(n)]."""
-        cur, inc, out = self._proj(start), self._proj(step), []
+        cur, inc, out = self._proj(start), self._cache(self._proj(step)), []
         for _ in range(n):
             out.append(cur)
             cur = self._add(cur, inc)
@@ -117,11 +127,11 @@ class CurveGroup:
 
     def precompute(self, point: Point) -> None:
         """Attach a comb table; later multiplications of this instance take
-        one table addition per 4-bit window."""
+        one table addition per signed 5-bit window of the folded scalar."""
         if point._comb is None and not point.is_identity():
-            rows = mult.comb_table(self._proj(point), self._add, self.order.bit_length())
-            point._comb = self._comb_rows(rows)
+            point._comb = mult.comb_table(self._proj(point), self._ops,
+                                          (self.order >> 1).bit_length())
 
-    def _comb_rows(self, rows):
-        """The comb table as kept: in projective coordinates by default."""
-        return rows
+    def _entries(self, points):
+        """Entries of a table's accumulators: one `_cache` each by default."""
+        return [self._cache(q) for q in points]

@@ -6,8 +6,9 @@ operations happen in the order-r subgroup (r prime, r | p + 1).
 Coordinates: a point is the affine (x, y) of `curve.Point`, with no
 coordinates for the identity. Arithmetic runs in Jacobian (X, Y, Z),
 x = X/Z^2 and y = Y/Z^3, Z = 0 for the identity, with the EFD formulas
-dbl-2007-bl and add-2007-bl (madd-2007-bl when Z2 = 1) for a = 1. An
-inversion costs 25-40 multiplications mod p.
+dbl-2007-bl and add-2007-bl (madd-2007-bl when Z2 = 1) for a = 1; table
+entries and MSM inputs have Z = 1, so they add with madd. An inversion
+costs 25-40 multiplications mod p.
 
 Pairing: the reduced Tate pairing composed with the distortion map
 (x, y) -> (-x, iy) into E(F_p^2), F_p^2 = F_p[i]/(i^2 + 1). Miller's loop
@@ -90,9 +91,8 @@ class GtElement:
         return GtElement((t1 - t2) % p, ((a + b) * (c + d) - t1 - t2) % p, self.group)
 
     def __pow__(self, e):
-        base = self.inverse() if e < 0 else self
-        return mult.straus([(abs(e), base)], GtElement.__mul__, lambda a: a * a,
-                           self.group.gt_one())
+        acc = mult.straus([(abs(e), -1 if e < 0 else 1, self)], _ANY_OPS)
+        return self.group.gt_one() if acc is None else acc
 
     def inverse(self):
         p = self.group.p
@@ -119,10 +119,29 @@ class GtElement:
         return f"GtElement({self.encode().hex()[:16]}...)"
 
 
-def _unit_sqr(a):
-    """Square of a norm-1 element: (a + bi)^2 = (2a^2 - 1) + ((a + b)^2 - 1)i."""
-    p = a.group.p
-    return GtElement((2 * a.re * a.re - 1) % p, ((a.re + a.im) ** 2 - 1) % p, a.group)
+def _unit_sqr(a, n):
+    """a^(2^n) of a norm-1 element a, by (a + bi)^2 = (2a^2 - 1) + ((a + b)^2 - 1)i."""
+    p, re, im = a.group.p, a.re, a.im
+    for _ in range(n):
+        re, im = (2 * re * re - 1) % p, ((re + im) ** 2 - 1) % p
+    return GtElement(re, im, a.group)
+
+
+def _sqr(a, n):
+    for _ in range(n):
+        a = a * a
+    return a
+
+
+def _same(a):
+    return a
+
+
+# the target group as `mult` kernels see it: an element is its own entry;
+# norm-1 elements square with `_unit_sqr` and invert by conjugation, any
+# other element (`**` accepts any) squares and inverts in full
+_UNIT_OPS = mult.Ops(GtElement.__mul__, _unit_sqr, _same, _same, _same, GtElement.conjugate)
+_ANY_OPS = mult.Ops(GtElement.__mul__, _sqr, _same, _same, _same, GtElement.inverse)
 
 
 class PairingGroup(CurveGroup):
@@ -132,6 +151,7 @@ class PairingGroup(CurveGroup):
     mul, msm = CurveGroup.mul, CurveGroup.msm
 
     def __init__(self, name: str):
+        super().__init__()
         params = PARAMS[name]
         self.name = name
         self.p = params["p"]
@@ -156,12 +176,20 @@ class PairingGroup(CurveGroup):
             out.append(Point(x * zi2 % p, y * zi2 % p * zi % p, self) if z else self._identity)
         return out
 
-    def _comb_rows(self, rows):
-        """Comb rows normalized to Z = 1 with one inversion, so `comb_mul`
-        adds them with madd-2007-bl."""
-        flat = [self._proj(q) for q in self._affine([q for row in rows for q in row[1:]])]
-        step = len(rows[0]) - 1
-        return [[None] + flat[i:i + step] for i in range(0, len(flat), step)]
+    def _entries(self, points):
+        """Table entries normalized to Z = 1 with one inversion, so that they
+        add with madd-2007-bl."""
+        return [self._proj(q) for q in self._affine(points)] if points else []
+
+    @staticmethod
+    def _cache(a):
+        return a
+
+    _lift = _cache
+
+    def _neg_entry(self, a):
+        x, y, z = a
+        return (x, (-y) % self.p, z)
 
     def _neg(self, point):
         return point if point.x is None else Point(point.x, (-point.y) % self.p, self)
@@ -172,16 +200,20 @@ class PairingGroup(CurveGroup):
             return bytes(n + 1)
         return point.x.to_bytes(n, "little") + bytes([2 | (point.y & 1)])
 
-    def _dbl(self, a):
-        """dbl-2007-bl for a = 1, its squared sums written as products."""
+    def _dbl(self, a, n=1):
+        """2^n * a by dbl-2007-bl for a = 1, its squared sums written as
+        products."""
         p = self.p
         x, y, z = a
-        yy = y * y % p
-        zz = z * z % p
-        m = (3 * x * x + zz * zz) % p
-        s = 4 * x * yy % p
-        x3 = (m * m - 2 * s) % p
-        return (x3, (m * (s - x3) - 8 * yy * yy) % p, 2 * y * z % p)
+        for _ in range(n):
+            yy = y * y % p
+            zz = z * z % p
+            m = (3 * x * x + zz * zz) % p
+            s = 4 * x * yy % p
+            z = 2 * y * z % p
+            x = (m * m - 2 * s) % p
+            y = (m * (s - x) - 8 * yy * yy) % p
+        return (x, y, z)
 
     def _add(self, a, b):
         """add-2007-bl, or madd-2007-bl when b has Z = 1; P + P doubles and
@@ -256,10 +288,11 @@ class PairingGroup(CurveGroup):
 
     def gt_msm(self, pairs) -> GtElement:
         """prod(g ** (k mod r)) over (int k, GtElement g) pairs, one squaring chain.
-        It squares with the norm-1 formula, so it accepts only pairing outputs
-        and their conjugates; any other element needs `**`."""
-        return mult.multi_scalar_mul(list(pairs), GtElement.__mul__, _unit_sqr,
-                                     self.gt_one(), self.gt_order)
+        It squares with the norm-1 formula and inverts by conjugation, so it
+        accepts only pairing outputs and their conjugates; any other element
+        needs `**`."""
+        acc = mult.msm([(k, g, None) for k, g in pairs], _UNIT_OPS, self.gt_order)
+        return self.gt_one() if acc is None else acc
 
     def _tate(self, P, Q):
         p = self.p
@@ -306,7 +339,7 @@ class PairingGroup(CurveGroup):
         norm = pow(fr * fr + fi * fi, -1, p)
         gr = fr * fr % p - fi * fi % p
         g = GtElement(gr * norm % p, (-2 * fr * fi) % p * norm % p, self)
-        return mult.straus([(self.cofactor, g)], GtElement.__mul__, _unit_sqr, self.gt_one())
+        return mult.straus([(self.cofactor, 1, g)], _UNIT_OPS)
 
 
 def build(name: str) -> PairingGroup:

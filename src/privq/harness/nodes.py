@@ -21,7 +21,9 @@ naming its stage and the CNs it still awaits, and the leader VN starts
 block assembly once traffic has drained; on the hard timeout it assembles
 and seals with the f_h maps and signatures it holds. A block enters a VN's
 or the querier's chain only through `ledger.Chain.append`; a
-`block_commit` it refuses is dropped.
+`block_commit` it refuses is dropped. The querier takes a `result` only
+from the root CN, and a `result` or an `abort` only for a query it has
+open.
 
 A node ends its part of a query with `close`: the querier when
 `Simulation.run` returns, the root CN after the result or an abort, the
@@ -114,6 +116,7 @@ class QuerierNode(NodeBase):
         super().__init__(identity, topology, rng)
         self.table = table
         self.chain = chain
+        self.root = protocols.build_tree(topology.cn_ids, topology.tree_shape).root
 
     def start(self, query):
         state = SimpleNamespace(query=query, result=None, error=None,
@@ -128,8 +131,16 @@ class QuerierNode(NodeBase):
             self.send(query.query_id, "query_vn", vn, signed)
         return state
 
+    def _open_state(self, msg):
+        state = self.states.get(msg.query_id)
+        if state is None:
+            raise UnexpectedInput(f"{msg.round} for query {msg.query_id!r}, which is not open")
+        return state
+
     def on_result(self, msg):
-        state = self.states[msg.query_id]
+        state = self._open_state(msg)
+        if msg.sender != self.root:
+            raise UnexpectedInput(f"result from {msg.sender}, which is not the root CN")
         group = self.topology.group
         *vector, count_ct = read_cts(group, msg.payload)
         sk = self.topology.keys[self.identity].private
@@ -155,7 +166,7 @@ class QuerierNode(NodeBase):
             state.error = exc
 
     def on_abort(self, msg):
-        self.states[msg.query_id].error = CnUnavailable(msg.payload.decode(errors="replace"))
+        self._open_state(msg).error = CnUnavailable(msg.payload.decode(errors="replace"))
 
     def on_block_commit(self, msg):
         block = self.chain.accept(msg.payload)  # a block it refuses is dropped

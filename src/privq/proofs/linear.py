@@ -127,7 +127,7 @@ def verify_linear(*proofs: LinearRelationProof) -> bool:
                 if g is not None:
                     batch.add(r * z, g)
             batch.add(-r * c, target)
-            batch.add(r, -w)  # on -W the weight stays 128 bits long
+            batch.add(-r, w)
     return batch.holds()
 
 

@@ -98,13 +98,16 @@ def query_rounds(query) -> tuple:
 
 
 def _sum_vectors(input_lists) -> tuple:
-    """Componentwise sum of ciphertext tuples, as wide as the first one."""
+    """Componentwise sum of ciphertext tuples, as wide as the first one:
+    each component sums as one MSM with unit scalars, which adds in
+    projective coordinates and normalizes once."""
+    if len(input_lists) == 1:
+        return tuple(input_lists[0])
     totals = []
-    for j in range(len(input_lists[0])):
-        total = input_lists[0][j]
-        for cts in input_lists[1:]:
-            total = total + cts[j]
-        totals.append(total)
+    for j, first in enumerate(input_lists[0]):
+        group = first.c1.group
+        totals.append(Ciphertext(group.msm([(1, cts[j].c1) for cts in input_lists]),
+                                 group.msm([(1, cts[j].c2) for cts in input_lists])))
     return tuple(totals)
 
 

@@ -7,6 +7,7 @@ import statistics
 
 import pytest
 
+from privq import elgamal
 from privq.elgamal import pack_cts, unpack_cts
 from privq.errors import CnUnavailable, ConfigError, PairingUnavailable, PrivqError
 from privq.harness.pipeline import Simulation, run_iterative_extreme
@@ -448,6 +449,46 @@ def test_wide_child_partial_names_the_child():
     with pytest.raises(CnUnavailable, match=r"unresponsive CNs: \['CN2'\]"):
         sim.run(parse_query("SELECT sum heart_rate ON DP1,DP2,DP3,DP4", scale=100))
     assert [entry[:3] for entry in sim.bus.dropped] == [("CN1", "cta_partial", "CN2")]
+    _assert_no_query_state(sim)
+
+
+def test_result_from_non_root_cn_dropped():
+    """CN2 sends the querier a result of its own for the running query:
+    only the root CN's result counts, so CN2's is dropped and logged."""
+    sim = Simulation(_topo(43), seed=43)
+    cn2 = sim.cns["CN2"]
+    honest_on_query = cn2.on_query
+    group = sim.topology.group
+    fake = elgamal.encrypt(group, 999, sim.topology.keys["Q"].public, Drbg("fake-result"))
+
+    def on_query(msg):
+        honest_on_query(msg)
+        cn2.send(msg.query_id, "result", sim.topology.querier_id, pack_cts([fake, fake]))
+
+    cn2.on_query = on_query
+    out = sim.run(parse_query("SELECT sum heart_rate ON DP1,DP2,DP3,DP4", scale=100))
+    assert out.result.values[0] == sum(FLAT)
+    assert [entry[:3] for entry in sim.bus.dropped] == [("Q", "result", "CN2")]
+    _assert_no_query_state(sim)
+
+
+@pytest.mark.parametrize("round_", ["result", "abort"])
+def test_stray_result_or_abort_dropped(round_):
+    """A result or abort for a query the querier has not opened (here one
+    posted by CN2 under an unknown query id) is dropped and logged instead
+    of raising out of the bus."""
+    sim = Simulation(_topo(44), seed=44)
+    cn2 = sim.cns["CN2"]
+    honest_on_query = cn2.on_query
+
+    def on_query(msg):
+        honest_on_query(msg)
+        cn2.send("no-such-query", round_, sim.topology.querier_id, pack_cts([]))
+
+    cn2.on_query = on_query
+    out = sim.run(parse_query("SELECT sum heart_rate ON DP1,DP2,DP3,DP4", scale=100))
+    assert out.result.values[0] == sum(FLAT)
+    assert [entry[:3] for entry in sim.bus.dropped] == [("Q", round_, "CN2")]
     _assert_no_query_state(sim)
 
 

@@ -141,7 +141,7 @@ def test_msm_matches_sum_of_muls(rng):
         assert PG.msm(list(zip(scalars, points))) == expected
 
     check(5)  # Straus
-    check(200)  # Pippenger (more than 192 terms)
+    check(200)  # Pippenger (past the crossover `mult.window` prices)
 
 
 def test_cancelling_msm_is_identity():

@@ -27,7 +27,7 @@ def points_from_every_operation(group, rng):
     return [
         group.identity(), base, fresh, comb, window,
         group.msm([(ks[0], base), (ks[1], fresh)]),  # Straus; equals comb + window
-        group.msm(list(zip(ks, walked))),  # Pippenger (more than 192 terms)
+        group.msm(list(zip(ks, walked))),  # Pippenger (past `mult.window`'s crossover)
         *walked[:3],
         comb + window, comb + fresh,  # equal to walked[1]
         comb - window, -comb, window + group.identity(), comb + comb,
