@@ -10,10 +10,13 @@ Every step that waits on other nodes follows one collection rule,
 `Awaited`: it takes one input from each source it awaits, and a repeat or
 an input from anyone else is dropped as `UnexpectedInput`. An input is
 taken only once its payload has been read and checked, so a dropped one
-leaves its sender awaited. Four steps collect this way, a CN's running
-stage through one handler (DP responses and child partial sums, child
-shares of the CTKS/CTO round its tag names, the shuffle chain's output)
-and the leader VN's maps and block signatures, one from every VN each.
+leaves its sender awaited. A CN's running round collects this way through
+one handler, keyed by message round and sender: first the message that
+opens the round on it (the parent's `round_request`, the chain
+predecessor's `cdp_pass`), then what its step awaits; between rounds it
+takes only the opener of a later round of its plan. A VN takes one signed
+bundle per expected proof key, and the leader VN one map and one block
+signature from every VN.
 
 Timeouts are modeled by the bus idle callback: a CN missing DP responses
 proceeds without them, a CN missing another CN's input aborts the query,
@@ -33,25 +36,29 @@ committed block or an abort. A VN keeps each query's bundle bytes (`kv`).
 
 Each rule has one implementation outside this module, and the nodes here
 only route messages to it, keep per-query state and handle timeouts: the
-protocol steps, their verifiers, a CN's `aggregation_sources`, the width
-rule (`check_input`) and the round plan (`query_rounds`) in
-privq.protocols, the bounded range statement in privq.proofs.rangeproof,
-and the expected proofs and block rules in privq.ledger. Provers sign and
-send their proof bundles with `emit_bundle`. A response, an aggregation
-input and a result are one ciphertext list, count last, which `read_cts`
-reads without trailing bytes.
+query plan (`QueryPlan`: a query's rounds in order, the messages that
+feed a CN in each and who may send them, each round's VN check
+`VnNode._check_<kind>`, and how its output follows from what it proved),
+the protocol steps, their verifiers and the width rule (`check_input`)
+in privq.protocols, the bounded range statement in
+privq.proofs.rangeproof, and the expected proofs and block rules in
+privq.ledger. Provers sign and send their proof bundles with
+`emit_bundle`. A response, an aggregation input and a result are one
+ciphertext list, count last, which `read_cts` reads without trailing
+bytes.
 
 A VN checks the shape of each sampled CTKS/CTO sub-proof
 (`protocols.round_proof`), then verifies the bundle's linear proofs with
 one batched `verify_linear` call; the verdict is all-or-nothing. Values
 two bundles must agree on meet in one table through `VnNode._bind`,
 whichever comes first: a DP's range-proved ciphertext and its aggregated
-input, adjacent shuffle-chain links, and each round's input list.
+input, adjacent shuffle-chain links, and a CTKS/CTO round's input list.
+Once the bundles that give the previous round's output have passed every
+sub-proof, that output fixes the round's input instead (`_bind_inputs`).
 """
 
 from __future__ import annotations
 
-from functools import reduce
 from types import SimpleNamespace
 
 from .. import elgamal, ledger, protocols
@@ -63,7 +70,7 @@ from ..encodings import (
     train_logreg,
 )
 from ..errors import (
-    CnUnavailable, DimensionMismatch, MalformedProof, PrivqError, UnexpectedInput)
+    CnUnavailable, DimensionMismatch, PrivqError, UnexpectedInput)
 from ..proofs import rangeproof
 from ..proofs.linear import verify_linear
 from ..proofs.shuffle import decode_shuffle, shuffle_and_prove, verify_shuffle
@@ -73,11 +80,6 @@ from .bus import NodeBase
 from .queryparse import apply_filter, decode_query
 
 RESULT_ROUND = "result"
-# the CN stage whose input each round brings; a share's round is named by its tag
-INPUT_STAGE = {"dp_response": "aggregation", "cta_partial": "aggregation",
-               "cdp_done": "shuffle"}
-TAG_STAGE = {"cto": "obfuscation", "ctks": "keyswitch"}  # the CTO/CTKS wire tags
-ROUND_TAG = {stage: tag for tag, stage in TAG_STAGE.items()}
 
 
 class Awaited:
@@ -248,153 +250,138 @@ class CnNode(NodeBase):
         self.index = self.tree.nodes.index(identity)
         self.is_root = self.index == 0
         self.parent = None if self.is_root else self.tree.nodes[self.tree.parents[self.index]]
-        self.children = [self.tree.nodes[i] for i in self.tree.children(self.index)]
 
     def on_query(self, msg):
         query = decode_query(msg.payload)
-        dps, children = protocols.aggregation_sources(
-            self.tree, self.identity, query, self.topology.dp_assignment)
+        plan = protocols.QueryPlan(query, self.tree, self.topology.dp_assignment)
         self.states[query.query_id] = SimpleNamespace(
             query=query,
-            dps=dps,
-            stage="aggregation",  # the query_rounds entry this CN is running
-            awaited=Awaited(dps + children),  # the running stage's inputs
+            plan=plan,
+            stage=0,  # the plan round this CN runs, or last ran if between rounds
+            round=None,  # plan.rounds[stage]
+            opener=None,  # the (message round, sender) that opens it here, if any
+            inputs=(),  # the (message round, sender) pairs it then collects
+            awaited=None,  # what it awaits now, by (message round, sender)
             round_cts=None,  # the input cts of the running CTKS/CTO round
-            current=None,  # root: the ciphertext list through the stages, count last
+            current=None,  # root: the ciphertext list through the rounds, count last
         )
-        for dp in dps:
-            self.send(query.query_id, "query", dp, msg.payload)
-        self._try_finish(query.query_id)
+        for round_, dp in plan.feeds("aggregation", self.identity)[1]:
+            if round_ == "dp_response":
+                self.send(query.query_id, "query", dp, msg.payload)
+        self._next_round(query.query_id, 0)
+
+    def _next_round(self, query_id, stage):
+        """Start round `stage` of the query's plan here: await its opener, or
+        run this CN's step of it."""
+        state = self.states[query_id]
+        state.stage, state.round = stage, state.plan.rounds[stage]
+        state.opener, state.inputs = state.plan.feeds(state.round.kind, self.identity)
+        if state.round.kind == "shuffle" and self.is_root:  # link 0 starts the chain
+            self.send(query_id, "cdp_pass", self.identity,
+                      pack_cts(self.topology.initial_noise()))
+        if state.opener:
+            state.awaited = Awaited([state.opener])
+        else:  # aggregation, or the root's CTKS/CTO round over its output so far
+            self._step(query_id, state.round.input(state.current))
 
     def _take_input(self, msg):
-        """The one input handler of a CN, for DP responses and child partial
-        sums (aggregation), child shares (`round_share`, whose tag names its
-        round) and the shuffle chain's output (`cdp_done`). The running stage
-        takes one input from each source it awaits, once it is read and
-        checked; an input for another stage is awaited from nobody."""
+        """The one input handler of a CN: the running round takes the message
+        of each (message round, sender) pair it awaits, once it is read and
+        checked, and runs this CN's step once its opener is in. Between
+        rounds, the opener of a later round (`QueryPlan.opens`) starts it."""
         state = self.states[msg.query_id]
+        key = (msg.round, msg.sender)
+        if not state.awaited.waiting:
+            stage = state.plan.opens(self.identity, state.stage, key, msg.payload)
+            if stage is not None:
+                self._next_round(msg.query_id, stage)
+        state.awaited.take(key, lambda: self._read(state, msg))
+        if key == state.opener:
+            self._step(msg.query_id, state.awaited.inputs[key])
+        else:
+            self._try_finish(msg.query_id)
+
+    on_dp_response = on_cta_partial = on_round_request = _take_input
+    on_round_share = on_cdp_pass = on_cdp_done = _take_input
+
+    def _read(self, state, msg):
         reader = Reader(msg.payload)
-        stage = (TAG_STAGE.get(reader.text()) if msg.round == "round_share"
-                 else INPUT_STAGE[msg.round])
-        awaited = state.awaited if stage == state.stage else Awaited(())
-        awaited.take(msg.sender, lambda: self._check_input(
-            state, read_cts(self.topology.group, reader.rest())))
-        self._try_finish(msg.query_id)
-
-    on_dp_response = on_cta_partial = on_round_share = on_cdp_done = _take_input
-
-    def _check_input(self, state, cts):
-        if state.stage == "aggregation":  # the width rule
+        if state.round.tag and reader.text() != state.round.tag:
+            raise UnexpectedInput(f"{msg.round} for another round than {state.round.proof_type}")
+        cts = read_cts(self.topology.group, reader.rest())
+        if state.round.kind == "aggregation":  # the width rule
             return protocols.check_input(state.query.operation, cts)
-        if state.stage == "shuffle":
+        if msg.round == "cdp_done":
             return protocols.cdp_apply(state.current, cts)
-        if len(cts) != len(state.round_cts):
+        if msg.round == "round_share" and len(cts) != len(state.round_cts):
             raise DimensionMismatch(f"{len(cts)} shares, {len(state.round_cts)} expected")
         return cts
 
+    def _step(self, query_id, cts):
+        """Run this CN's step of the running CTKS/CTO round or shuffle over
+        `cts`, then collect the round's inputs (aggregation has no step)."""
+        state = self.states[query_id]
+        group, rnd, taken = self.topology.group, state.round, {}
+        if rnd.kind == "shuffle":
+            outputs, proof = shuffle_and_prove(
+                group, cts, self.topology.collective_key().public, self.rng)
+            emit_bundle(self, query_id, "shuffle", 0, (proof.encode(),))
+            following = self.tree.nodes[self.index + 1:]
+            self.send(query_id, "cdp_pass" if following else "cdp_done",
+                      following[0] if following else self.tree.root, pack_cts(list(outputs)))
+        elif rnd.kind == "tree":
+            state.round_cts = cts
+            for _, child in state.inputs:
+                self.send(query_id, "round_request", child,
+                          pack_bytes(rnd.tag.encode()) + pack_cts(cts))
+            shares, payloads = protocols.round_shares(
+                group, rnd.proof_type, cts, self.rng, self.topology.keys[self.identity],
+                self.topology.keys[self.topology.querier_id].public)
+            emit_bundle(self, query_id, rnd.proof_type, 0, tuple(payloads))
+            taken = {("round_share", self.identity): shares}
+        state.awaited = Awaited(state.inputs, taken)
+        self._try_finish(query_id)
+
     def _try_finish(self, query_id):
-        """End the running stage once every awaited input is in."""
+        """End the running round once every awaited input is in."""
         state = self.states[query_id]
         if state.awaited.waiting:
             return
-        inputs = state.awaited.inputs
-        if state.stage == "aggregation":
-            if not inputs:  # nothing from below and no local DPs: a neutral zero
-                inputs = {protocols.neutral_label(self.identity): tuple(neutral_response(
-                    self.topology.group, state.query.operation,
-                    self.topology.collective_key().public, self.rng))}
-            agg = protocols.aggregate(list(inputs), list(inputs.values()))
+        rnd, inputs = state.round, state.awaited.inputs
+        if rnd.kind == "aggregation":
+            labels, parts = [sender for _, sender in inputs], list(inputs.values())
+            if not parts:  # nothing from below and no local DPs: a neutral zero
+                labels, parts = [protocols.neutral_label(self.identity)], [tuple(
+                    neutral_response(self.topology.group, state.query.operation,
+                                     self.topology.collective_key().public, self.rng))]
+            agg = protocols.aggregate(labels, parts)
             emit_bundle(self, query_id, "aggregation", 0, (agg.encode(),))
             state.current = list(agg.output)
             if self.parent is not None:
                 self.send(query_id, "cta_partial", self.parent, pack_cts(agg.output))
-                return
-        elif state.stage == "shuffle":
-            (state.current,) = inputs.values()
-        else:  # a CTKS/CTO round: the sum of this CN's and its children's shares
-            sums = reduce(protocols.add_shares, inputs.values())
-            if self.parent is not None:
-                self.send(query_id, "round_share", self.parent,
-                          pack_bytes(ROUND_TAG[state.stage].encode()) + pack_cts(sums))
-                if state.stage == "keyswitch":  # key switching is the last round
-                    self.close(query_id)
-                return
-            if state.stage == "keyswitch":
-                switched = protocols.ctks_combine(state.round_cts, sums)
-                self.send(query_id, RESULT_ROUND, self.topology.querier_id, pack_cts(switched))
-                for vn in self.topology.vn_ids:
-                    self.send(query_id, "end_query", vn)
-                self.close(query_id)
-                return
-            # obfuscation: the summed blinded shares are the obfuscated vector
-            state.current = list(sums) + state.current[-1:]
-        self._advance_root(query_id)
-
-    # ----- root stage machine -----
-
-    def _advance_root(self, query_id):
-        """Start the round that follows the finished one in the query's plan."""
-        state = self.states[query_id]
-        rounds = protocols.query_rounds(state.query)
-        state.stage = rounds[rounds.index(state.stage) + 1]
-        if state.stage == "shuffle":
-            # the chain runs through the CNs in tree order, back to the root
-            state.awaited = Awaited(self.tree.nodes[-1:])
-            self.send(query_id, "cdp_pass", self.tree.root,
-                      pack_cts(self.topology.initial_noise()))
-        else:  # CTO blinds the vector, CTKS switches the count too
-            self._start_tree_round(query_id, state.current[:-1]
-                                   if state.stage == "obfuscation" else state.current)
-
-    def _start_tree_round(self, query_id, cts):
-        """Run this CN's step of the CTKS/CTO round `state.stage` over `cts`
-        and await its children's shares."""
-        state = self.states[query_id]
-        state.round_cts = cts
-        payload = pack_bytes(ROUND_TAG[state.stage].encode()) + pack_cts(cts)
-        for child in self.children:
-            self.send(query_id, "round_request", child, payload)
-        group = self.topology.group
-        if state.stage == "keyswitch":
-            target_pk = self.topology.keys[self.topology.querier_id].public
-            shares, payloads = protocols.ctks_shares(
-                group, cts, self.topology.keys[self.identity], target_pk, self.rng)
-        else:
-            shares, payloads = protocols.cto_shares(group, cts, self.rng)
-        emit_bundle(self, query_id, state.stage, 0, tuple(payloads))
-        state.awaited = Awaited(self.children, taken={self.identity: shares})
-        self._try_finish(query_id)
-
-    def on_round_request(self, msg):
-        reader = Reader(msg.payload)
-        stage = TAG_STAGE.get(reader.text())
-        if stage is None:
-            raise MalformedProof("round_request names no CTKS/CTO round")
-        cts = read_cts(self.topology.group, reader.rest())
-        self.states[msg.query_id].stage = stage
-        self._start_tree_round(msg.query_id, cts)
-
-    # ----- collective differential privacy -----
-
-    def on_cdp_pass(self, msg):
-        group = self.topology.group
-        pk = self.topology.collective_key().public
-        cts = read_cts(group, msg.payload)
-        outputs, proof = shuffle_and_prove(group, cts, pk, self.rng)
-        emit_bundle(self, msg.query_id, "shuffle", 0, (proof.encode(),))
-        pos = self.index
-        if pos + 1 < len(self.tree.nodes):
-            self.send(msg.query_id, "cdp_pass", self.tree.nodes[pos + 1],
-                      pack_cts(list(outputs)))
-        else:
-            self.send(msg.query_id, "cdp_done", self.tree.root,
-                      pack_cts(list(outputs)))
+        elif rnd.kind == "shuffle":
+            if self.is_root:
+                (state.current,) = inputs.values()
+        elif self.is_root:  # the shares of every CN
+            state.current = rnd.output(state.current, list(inputs.values()))
+        else:  # the sums of this CN's and its children's shares
+            self.send(query_id, "round_share", self.parent, pack_bytes(rnd.tag.encode())
+                      + pack_cts(protocols.sum_vectors(list(inputs.values()))))
+        if rnd.proof_type != "keyswitch":  # key switching is the last round
+            if self.is_root:  # the others await the next round's opener
+                self._next_round(query_id, state.stage + 1)
+            return
+        if self.is_root:
+            self.send(query_id, RESULT_ROUND, self.topology.querier_id, pack_cts(state.current))
+            for vn in self.topology.vn_ids:
+                self.send(query_id, "end_query", vn)
+        self.close(query_id)
 
     # ----- timeouts -----
 
     def on_idle(self, level: int = 0):
         for query_id, state in list(self.states.items()):
-            late_dps = state.awaited.waiting.intersection(state.dps)
+            late_dps = {key for key in state.awaited.waiting if key[0] == "dp_response"}
             if late_dps:
                 # unresponsive DPs only reduce the number of responses
                 state.awaited.waiting -= late_dps
@@ -403,9 +390,10 @@ class CnNode(NodeBase):
                 continue
             # hard timeout: the traffic has drained, so nothing more can
             # arrive for the queries this CN still holds (only CNs are awaited)
-            if state.awaited.waiting or self.is_root:
-                self._abort(query_id, f"stage {state.stage}: unresponsive CNs: "
-                                      f"{sorted(state.awaited.waiting)}")
+            missing = sorted(sender for _, sender in state.awaited.waiting)
+            if missing or self.is_root:
+                self._abort(query_id, f"stage {state.round.proof_type}: "
+                                      f"unresponsive CNs: {missing}")
             self.close(query_id)
 
     def _abort(self, query_id, reason):
@@ -430,7 +418,7 @@ class VnNode(NodeBase):
         self.range_sigs = range_sigs
         self.tree = protocols.build_tree(topology.cn_ids, topology.tree_shape)
         self.chain = chain
-        self.kv = {}  # query id -> {proof key -> bundle bytes}: every bundle received
+        self.kv = {}  # query id -> {proof key -> bundle bytes}: every bundle taken
 
     # ----- query intake and proof verification -----
 
@@ -444,13 +432,18 @@ class VnNode(NodeBase):
             return
         query = decode_query(body)
         expected = ledger.expected_proofs(query, self.topology.cn_ids, self.range_sigs)
-        bound = {}  # slot -> the first value bound to it (`_bind`)
+        bound = {}  # slot -> [the value bound to it, the bundles that agreed] (`_bind`)
         if query.dp_privacy:  # the chain's first link shuffles the public list
-            bound[("shuffle", 0)] = pack_cts(self.topology.initial_noise())
+            bound[("shuffle", 0)] = [pack_cts(self.topology.initial_noise())]
         self.states[query.query_id] = SimpleNamespace(
             query=query,
             query_bytes=body,
+            plan=protocols.QueryPlan(query, self.tree, self.topology.dp_assignment,
+                                     self.range_sigs is not None),
             map=ledger.QueryProofsMap(expected),
+            bundles=Awaited(expected),  # one signed bundle per expected proof key
+            proved={},  # (prover, proof type) -> what a bundle proved, every sub-proof
+            outputs=[],  # each round's output, once `proved` gives it
             ended=False,
             maps=Awaited(()),  # leader: each VN's map, once it assembles
             signatures=Awaited(()),  # leader: each VN's block signature
@@ -464,38 +457,35 @@ class VnNode(NodeBase):
         if state is None:
             return
         key = bundle.key
-        self.kv.setdefault(bundle.query_id, {})[key] = msg.payload  # kept unverified too
-        prover_key = self.topology.keys.get(bundle.prover_id)
-        group = self.topology.group
-        if prover_key is None or not verify_signature(
-            group, prover_key.public, bundle.body_bytes(), bundle.signature
-        ):
-            state.map.record(key, ledger.STATUS_FALSE)
-            return
-        linear_proofs = []  # the sampled CTKS/CTO sub-proofs, checked as one batch
+        state.bundles.take(key, lambda: bundle.verified(
+            self.topology.group, self.topology.keys[bundle.prover_id].public))
+        self.kv.setdefault(bundle.query_id, {})[key] = msg.payload
+        kind = state.plan.round(bundle.proof_type).kind
+        parts = {}  # sub-proof index -> what its check read
         status = ledger.probabilistic_verify(
             bundle, self.policy, self.rng,
-            lambda i: self._verify_sub(state, bundle, i, linear_proofs),
-        )
-        if (status == ledger.STATUS_TRUE and linear_proofs
-                and not verify_linear(*linear_proofs)):
-            status = ledger.STATUS_FALSE
+            lambda i: self._verify_sub(state, bundle, kind, i, parts))
+        proved = list(parts.values())
+        if status == ledger.STATUS_TRUE and kind == "tree":  # the proofs, as one batch
+            if not verify_linear(*proved):
+                status = ledger.STATUS_FALSE
+            # a CTKS/CTO proof's last two targets are its share: (w1, w2) or s·(C1, C2)
+            proved = [elgamal.Ciphertext(*proof.statement.targets[-2:]) for proof in proved]
         state.map.record(key, status)
+        if status == ledger.STATUS_TRUE and len(proved) == len(bundle.payloads):
+            state.proved[bundle.prover_id, bundle.proof_type] = proved
+            self._bind_inputs(state)
 
-    def _verify_sub(self, state, bundle, index, linear_proofs) -> bool:
-        checks = {"range": self._check_range, "aggregation": self._check_aggregation,
-                  "shuffle": self._check_shuffle}
+    def _verify_sub(self, state, bundle, kind, index, parts) -> bool:
+        """The VN check of the bundle's round, `_check_<kind>`, on one
+        sub-proof; what it read goes to `parts`."""
         try:
-            if bundle.proof_type in checks:
-                return checks[bundle.proof_type](state, bundle, index)
-            return (bundle.proof_type in ROUND_TAG
-                    and self._check_round(state, bundle, index, linear_proofs))
+            parts[index] = getattr(self, "_check_" + kind)(state, bundle, index)
         except (PrivqError, ValueError, IndexError, KeyError):
             return False
+        return parts[index] is not None
 
-    def _check_range(self, state, bundle, index) -> bool:
-        if self.range_sigs is None:
-            return False
+    def _check_range(self, state, bundle, index):
         group = self.topology.group
         reader = Reader(bundle.payloads[index])
         j = reader.u32()
@@ -505,47 +495,43 @@ class VnNode(NodeBase):
         reader.expect_done()
         bounds = state.query.operation.element_bounds()[j]
         # proved one ciphertext and submitted another: this proof is false
-        if not self._bind(state, bundle, ("range", bundle.prover_id, j), ct, bundle.key):
-            return False
-        return rangeproof.verify_bounded(ct, proofs, bounds, self.range_sigs,
-                                         self.topology.collective_key().public)
+        if self._bind(state, bundle, ("range", bundle.prover_id, j), ct, bundle.key) and (
+                rangeproof.verify_bounded(ct, proofs, bounds, self.range_sigs,
+                                          self.topology.collective_key().public)):
+            return ct
+        return None
 
-    def _check_aggregation(self, state, bundle, index) -> bool:
+    def _check_aggregation(self, state, bundle, index):
         agg = protocols.Aggregation.decode(self.topology.group, bundle.payloads[index])
-        dps, children = protocols.aggregation_sources(
-            self.tree, bundle.prover_id, state.query, self.topology.dp_assignment)
-        if not protocols.verify_aggregation(agg, bundle.prover_id, dps + children):
-            return False
-        if state.query.bounds is None or self.range_sigs is None:
-            return True
-        for label, cts in zip(agg.labels, agg.inputs):
-            if label in dps:  # its vector must be what the DP range-proved
-                for j, ct in enumerate(cts[:-1]):
-                    self._bind(state, bundle, ("range", label, j), ct,
-                               ledger.proof_key(state.query.query_id, label, "range", j))
-        return True
+        _, inputs = state.plan.feeds("aggregation", bundle.prover_id)
+        if not protocols.verify_aggregation(agg, bundle.prover_id, [s for _, s in inputs]):
+            return None
+        if state.query.bounds is not None and self.range_sigs is not None:
+            for label, cts in zip(agg.labels, agg.inputs):
+                if ("dp_response", label) in inputs:  # the vector the DP range-proved
+                    for j, ct in enumerate(cts[:-1]):
+                        self._bind(state, bundle, ("range", label, j), ct,
+                                   ledger.proof_key(state.query.query_id, label, "range", j))
+        return agg.output
 
-    def _check_round(self, state, bundle, index, linear_proofs) -> bool:
-        """Shape check of one CTKS/CTO sub-proof; its proof joins
-        `linear_proofs`, which `on_proof_bundle` verifies as one batch."""
-        # all CNs must run the round over the same ciphertext list; the
-        # first bundle seen for the round fixes it
-        if not self._bind(state, bundle, ("round", bundle.proof_type),
-                          protocols.round_inputs(bundle.payloads), bundle.key):
-            return False
-        proof = protocols.round_proof(
+    def _check_tree(self, state, bundle, index):
+        """Shape check of one CTKS/CTO sub-proof; `on_proof_bundle` verifies
+        the proofs it returns as one batch."""
+        # all CNs run the round over the same ciphertext list: the previous
+        # round's output once the VN has it (`_bind_inputs`), before that the
+        # list of the first bundle seen
+        inputs = b"".join(Reader(p).bytes_field() for p in bundle.payloads)
+        if not self._bind(state, bundle, ("round", bundle.proof_type), inputs, bundle.key):
+            return None
+        return protocols.round_proof(
             self.topology.group, bundle.proof_type, bundle.payloads[index],
             cn_public=self.topology.keys[bundle.prover_id].public,
             target_pk=self.topology.keys[self.topology.querier_id].public)
-        if proof is None:
-            return False
-        linear_proofs.append(proof)
-        return True
 
-    def _check_shuffle(self, state, bundle, index) -> bool:
+    def _check_shuffle(self, state, bundle, index):
         proof = decode_shuffle(self.topology.group, bundle.payloads[index])
         if proof.omega != self.topology.collective_key().public:
-            return False
+            return None
         # chain link i shuffles slot i and fills slot i + 1; slot 0 is the
         # public list, and a mismatch in slot i + 1 blames link i + 1
         position = self.tree.nodes.index(bundle.prover_id)
@@ -556,20 +542,48 @@ class VnNode(NodeBase):
                                          self.tree.nodes[position + 1], "shuffle", 0)
             self._bind(state, bundle, ("shuffle", position + 1), pack_cts(proof.outputs),
                        successor)
-        return ok and verify_shuffle(proof)
+        return list(proof.outputs) if ok and verify_shuffle(proof) else None
 
     @staticmethod
     def _bind(state, bundle, slot, value, blame) -> bool:
         """Bind `value` to the query's `slot`: the first value bound stands,
-        whichever bundle brings it. A different value marks the proof keyed
-        `blame` false; the caller's sub-proof fails only if that proof is
-        `bundle` itself."""
-        if state.bound.setdefault(slot, value) == value:
+        whichever bundle brings it, and is kept with the bundles that agree
+        with it. A different value marks the proof keyed `blame` false; the
+        caller's sub-proof fails only if that proof is `bundle` itself."""
+        first = state.bound.setdefault(slot, [value])
+        if first[0] == value:
+            first.append((bundle.key, bundle.prover_id, bundle.proof_type))
             return True
         if blame == bundle.key:
             return False
         state.map.record(blame, ledger.STATUS_FALSE)
         return True
+
+    def _bind_inputs(self, state):
+        """Compute each round's output once every bundle of its `outputs_from`
+        passed every sub-proof, and bind the following CTKS/CTO round's input
+        to it: a different list bound first is replaced, and the bundles that
+        agreed with it are false."""
+        rounds = state.plan.rounds
+        while len(state.outputs) < len(rounds) - 1:
+            rnd, following = rounds[len(state.outputs)], rounds[len(state.outputs) + 1]
+            parts = [state.proved.get((prover, rnd.proof_type)) for prover in rnd.outputs_from]
+            if None in parts:
+                return
+            try:
+                output = rnd.output(state.outputs[-1] if state.outputs else None, parts)
+            except PrivqError:  # a noise list too short: the root drops it too
+                return
+            state.outputs.append(output)
+            if following.kind != "tree":
+                continue
+            inputs = b"".join(ct.encode() for ct in following.input(output))
+            first = state.bound.setdefault(("round", following.proof_type), [inputs])
+            if first[0] != inputs:
+                for key, prover, proof_type in first[1:]:
+                    state.map.record(key, ledger.STATUS_FALSE)
+                    state.proved.pop((prover, proof_type), None)
+                first[:] = [inputs]
 
     # ----- block assembly -----
 

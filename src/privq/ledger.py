@@ -40,9 +40,10 @@ from .errors import (
     MalformedProof,
     MalformedQuery,
     PrivqError,
+    UnexpectedInput,
 )
 from .proofs.signatures import sign, verify_signature
-from .protocols import query_rounds
+from .protocols import QueryPlan, build_tree
 from .serial import Reader, pack_bytes, pack_u32
 
 STATUS_TRUE = "true"
@@ -151,6 +152,13 @@ class ProofBundle:
                            self.seq_index, self.payloads,
                            sign(group, sk, self.body_bytes()))
 
+    def verified(self, group, public) -> "ProofBundle":
+        """The bundle, if its prover's key `public` signed it: else it does
+        not come from its prover."""
+        if not verify_signature(group, public, self.body_bytes(), self.signature):
+            raise UnexpectedInput(f"{self.proof_type} bundle not signed by {self.prover_id}")
+        return self
+
     def encode(self) -> bytes:
         return self.body_bytes() + pack_bytes(self.signature)
 
@@ -220,27 +228,14 @@ class QueryProofsMap:
 
 
 def expected_proofs(query, cn_ids, range_sigs) -> dict:
-    """key -> (prover_id, proof_type, seq_index), identical on every VN.
-
-    One range key per DP per bounded element when the run has a range
-    setup (`range_sigs` not None); one key per CN per round of
-    `protocols.query_rounds`.
-    """
+    """key -> (prover_id, proof_type, seq_index), identical on every VN: the
+    proofs of every round of the query's `protocols.QueryPlan`, whose range
+    round needs a range setup (`range_sigs` not None)."""
     if not getattr(query, "dp_list", None):
         raise MalformedQuery("query names no data providers")
-    expected = {}
-
-    def put(prover, ptype, idx=0):
-        expected[proof_key(query.query_id, prover, ptype, idx)] = (prover, ptype, idx)
-
-    if query.bounds is not None and range_sigs is not None:
-        for dp in query.dp_list:
-            for j in range(query.operation.dimension):
-                put(dp, "range", j)
-    for cn in cn_ids:
-        for proof_type in query_rounds(query):
-            put(cn, proof_type)
-    return expected
+    plan = QueryPlan(query, build_tree(cn_ids), range_proofs=range_sigs is not None)
+    return {proof_key(query.query_id, prover, r.proof_type, i): (prover, r.proof_type, i)
+            for r in plan.rounds for prover in r.provers for i in range(r.proofs)}
 
 
 def _uniform(rng) -> float:

@@ -12,10 +12,12 @@
 Every per-CN step is a function here that returns its output and its
 proof payloads; the ledger module wraps payloads into signed bundles
 addressed to the verifying nodes. A response is one ciphertext list, count
-last. The node runtimes (harness.nodes) are the only callers: the CNs run
-the steps over one input from each of their `aggregation_sources` that
-obeys the width rule (`check_input`), and the verifying nodes check
-payloads with the verifiers defined here.
+last. `QueryPlan` chains the steps into a query's rounds: who runs and
+proves each, which messages feed a CN in it and who may send them, and
+how each round's output follows from the previous one's and from what its
+proofs proved. The node runtimes (harness.nodes) are the only callers: the
+CNs run the plan over inputs that obey the width rule (`check_input`), and
+the verifying nodes check payloads with the verifiers defined here.
 """
 
 from __future__ import annotations
@@ -80,24 +82,11 @@ def build_tree(cn_ids, shape: str = "binary") -> CnTree:
     return CnTree(ids, parents, shape)
 
 
-def query_rounds(query) -> tuple:
-    """The proof types of the rounds every CN runs for `query`, in protocol
-    order: aggregation (CTA), obfuscation (CTO) for bit-wise results, the
-    noise shuffle (CDP) under DP privacy, and key switching (CTKS)."""
-    rounds = ["aggregation"]
-    if query.operation.uses_obfuscation:
-        rounds.append("obfuscation")
-    if query.dp_privacy:
-        rounds.append("shuffle")
-    rounds.append("keyswitch")
-    return tuple(rounds)
-
-
 # ---------------------------------------------------------------------------
 # Aggregation (CTA)
 
 
-def _sum_vectors(input_lists) -> tuple:
+def sum_vectors(input_lists) -> tuple:
     """Componentwise sum of ciphertext tuples, as wide as the first one:
     each component sums as one MSM with unit scalars, which adds in
     projective coordinates and normalizes once."""
@@ -156,22 +145,13 @@ def check_input(operation, cts) -> tuple:
     return tuple(cts)
 
 
-def aggregation_sources(tree, cn, query, dp_assignment) -> tuple:
-    """(DPs, child CNs) whose inputs CN `cn` aggregates for `query`: the
-    query's DPs assigned to it, and its children in `tree`. An input is
-    labelled by its source; a CN with none of them sums `neutral_label`."""
-    dps = tuple(dp for dp in query.dp_list if dp_assignment.get(dp) == cn)
-    children = tuple(tree.nodes[i] for i in tree.children(tree.nodes.index(cn)))
-    return dps, children
-
-
 def neutral_label(cn) -> str:
     return cn + "/neutral"
 
 
 def aggregate(labels, input_lists) -> Aggregation:
     """CTA step: sum the labelled inputs; the result is also the payload."""
-    return Aggregation(tuple(labels), tuple(input_lists), _sum_vectors(input_lists))
+    return Aggregation(tuple(labels), tuple(input_lists), sum_vectors(input_lists))
 
 
 def verify_aggregation(agg: Aggregation, cn, sources) -> bool:
@@ -183,7 +163,7 @@ def verify_aggregation(agg: Aggregation, cn, sources) -> bool:
         return False
     if not agg.inputs or any(len(cts) != len(agg.output) for cts in agg.inputs):
         return False
-    return bool(agg.output) and _sum_vectors(agg.inputs) == agg.output
+    return bool(agg.output) and sum_vectors(agg.inputs) == agg.output
 
 
 # ---------------------------------------------------------------------------
@@ -231,24 +211,20 @@ def cto_share(group, ct: Ciphertext, rng):
 # CTKS and CTO rounds: per-CN shares, root combine, sub-proof verifier
 
 
-def round_payload(ct: Ciphertext, proof) -> bytes:
-    """A CTKS/CTO sub-proof payload: the round's input ciphertext, then the proof."""
-    return pack_bytes(ct.encode()) + proof.encode()
-
-
-def round_inputs(payloads) -> bytes:
-    """The encoded input ciphertexts a CN's round payloads were proved over."""
-    return b"".join(Reader(p).bytes_field() for p in payloads)
-
-
-def ctks_shares(group, cts, cn_key, target_pk, rng):
-    """One CN's CTKS step over a ciphertext list: its shares (w1, w2), carried
-    as Ciphertext pairs that add componentwise, and one payload per share."""
+def round_shares(group, proof_type, cts, rng, cn_key=None, target_pk=None):
+    """One CN's CTKS ("keyswitch") or CTO ("obfuscation") step over a
+    ciphertext list: its shares, which add componentwise (a key-switch share
+    (w1, w2) is carried as a Ciphertext), and one payload per share, the
+    input ciphertext then the proof."""
     shares, payloads = [], []
     for ct in cts:
-        w1, w2, proof = ctks_share(group, ct.c1, cn_key, target_pk, rng)
-        shares.append(Ciphertext(w1, w2))
-        payloads.append(round_payload(ct, proof))
+        if proof_type == "keyswitch":
+            w1, w2, proof = ctks_share(group, ct.c1, cn_key, target_pk, rng)
+            share = Ciphertext(w1, w2)
+        else:
+            share, proof = cto_share(group, ct, rng)
+        shares.append(share)
+        payloads.append(pack_bytes(ct.encode()) + proof.encode())
     return shares, payloads
 
 
@@ -256,21 +232,6 @@ def ctks_combine(cts, share_sums) -> list:
     """Root step of CTKS: (sum w1, C2 + sum w2) encrypts the same message
     under the target key."""
     return [Ciphertext(s.c1, ct.c2 + s.c2) for ct, s in zip(cts, share_sums)]
-
-
-def cto_shares(group, cts, rng):
-    """One CN's CTO step: its blinded ciphertexts and one payload per share.
-    The sum of all CNs' blinded ciphertexts is the round's output."""
-    shares, payloads = [], []
-    for ct in cts:
-        blinded, proof = cto_share(group, ct, rng)
-        shares.append(blinded)
-        payloads.append(round_payload(ct, proof))
-    return shares, payloads
-
-
-def add_shares(share_sums, shares) -> list:
-    return [total + share for total, share in zip(share_sums, shares)]
 
 
 def round_proof(group, proof_type: str, payload: bytes, cn_public=None,
@@ -289,11 +250,9 @@ def round_proof(group, proof_type: str, payload: bytes, cn_public=None,
         base, neg_c1 = group.base(), -ct.c1
         bases = ((base, None), (None, base), (neg_c1, target_pk))
         fixed = (base, neg_c1, target_pk, cn_public)
-    elif proof_type == "obfuscation":
+    else:
         bases = ((ct.c1,), (ct.c2,))
         fixed = (ct.c1, ct.c2)
-    else:
-        return None
     proof = decode_linear(group, reader.rest(), known=fixed)
     if proof.statement.bases != bases:
         return None
@@ -370,3 +329,92 @@ def cdp_apply(cts, noise_cts) -> list:
     if d > len(noise_cts):
         raise NoiseExhausted(f"need {d} noise ciphertexts, {len(noise_cts)} in the list")
     return [ct + noise for ct, noise in zip(cts[:-1], noise_cts)] + [cts[-1]]
+
+
+# ---------------------------------------------------------------------------
+# Query plan
+
+
+@dataclass(frozen=True)
+class Round:
+    """One round of a query plan. `kind` is the step its provers run and the
+    VN check (`VnNode._check_<kind>`): "range", "aggregation", "tree" (CTO
+    or CTKS, whose messages carry `tag`) or "shuffle". Each prover signs
+    `proofs` bundles; those of `outputs_from` give the round's output."""
+
+    proof_type: str
+    kind: str
+    provers: tuple
+    proofs: int = 1
+    tag: str = ""
+    outputs_from: tuple = ()
+
+    def input(self, previous) -> list:
+        """The list a CTKS/CTO round runs over; CTO blinds the vector only."""
+        return previous[:-1] if self.proof_type == "obfuscation" else previous
+
+    def output(self, previous, parts) -> list:
+        """The round's output from the previous round's and `parts`, for each
+        prover of `outputs_from` the list of what its sub-proofs proved: the
+        root's aggregation output, the last shuffle link's output list, or a
+        CN's CTKS/CTO shares (a CN passes its subtree's sums). A range round
+        passes its input on."""
+        if self.kind == "range":
+            return previous
+        if self.kind == "aggregation":
+            return list(parts[0][0])
+        if self.kind == "shuffle":
+            return cdp_apply(previous, parts[0][0])
+        sums = sum_vectors(parts)
+        if self.proof_type == "obfuscation":  # the blinded vector, count last
+            return list(sums) + previous[-1:]
+        return ctks_combine(previous, sums)
+
+
+class QueryPlan:
+    """The rounds of `query` over the CN tree `tree`, in order: the DPs'
+    range proofs (with `range_proofs` and bounds), aggregation (CTA), CTO
+    for bit-wise results, the noise shuffle (CDP) under DP privacy, and
+    CTKS. Each round after aggregation runs over the previous one's output."""
+
+    def __init__(self, query, tree, dp_assignment=None, range_proofs=False):
+        self.query, self.tree, self.dp_assignment = query, tree, dp_assignment or {}
+        cns, op = tree.nodes, query.operation
+        rounds = []
+        if range_proofs and query.bounds is not None:
+            rounds.append(Round("range", "range", tuple(query.dp_list), op.dimension))
+        rounds.append(Round("aggregation", "aggregation", cns, outputs_from=cns[:1]))
+        if op.uses_obfuscation:
+            rounds.append(Round("obfuscation", "tree", cns, tag="cto", outputs_from=cns))
+        if query.dp_privacy:
+            rounds.append(Round("shuffle", "shuffle", cns, outputs_from=cns[-1:]))
+        rounds.append(Round("keyswitch", "tree", cns, tag="ctks", outputs_from=cns))
+        self.rounds = tuple(rounds)
+
+    def round(self, proof_type) -> Round:
+        return next(r for r in self.rounds if r.proof_type == proof_type)
+
+    def opens(self, cn, stage, key, payload):
+        """The first round after `stage` that message `key` opens on CN `cn`,
+        its tag (if it has one) first in `payload`, or None."""
+        for later in range(stage + 1, len(self.rounds)):
+            rnd = self.rounds[later]
+            if self.feeds(rnd.kind, cn)[0] == key and (
+                    not rnd.tag or Reader(payload).text() == rnd.tag):
+                return later
+        return None
+
+    def feeds(self, kind, cn):
+        """(opener, inputs) of CN `cn` in a round of `kind`, as (message
+        round, sender) pairs: the one that opens the round on it, or None,
+        and those it then collects. Shuffle link i opens with link i - 1's
+        list (the root sends itself the public one)."""
+        nodes, i = self.tree.nodes, self.tree.nodes.index(cn)
+        children = [("round_share", nodes[c]) for c in self.tree.children(i)]
+        if kind == "aggregation":
+            dps = [("dp_response", dp) for dp in self.query.dp_list
+                   if self.dp_assignment.get(dp) == cn]
+            return None, dps + [("cta_partial", child) for _, child in children]
+        if kind == "shuffle":
+            return ("cdp_pass", nodes[i - 1] if i else cn), [] if i else [("cdp_done", nodes[-1])]
+        return (("round_request", nodes[self.tree.parents[i]]) if i else None), children

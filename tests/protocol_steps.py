@@ -40,23 +40,24 @@ def key_switch(group, tree, response, target_pk, cn_keys, rng):
     """Switch the response's ciphertexts to `target_pk`: every CN's shares
     summed, then the root's combine. Returns (ciphertext list, steps)."""
     cts = list(response)
-    sums, steps = None, []
+    shares, steps = [], []
     for cn in tree.nodes:
-        shares, payloads = protocols.ctks_shares(group, cts, cn_keys[cn], target_pk, rng)
-        sums = shares if sums is None else protocols.add_shares(sums, shares)
+        cn_shares, payloads = protocols.round_shares(group, "keyswitch", cts, rng,
+                                                     cn_keys[cn], target_pk)
+        shares.append(cn_shares)
         steps.append((cn, payloads))
-    return protocols.ctks_combine(cts, sums), steps
+    return protocols.ctks_combine(cts, protocols.sum_vectors(shares)), steps
 
 
 def obfuscate(group, tree, cts, rng):
     """Blind each ciphertext by the sum of every CN's share.
     Returns (blinded ciphertexts, steps)."""
-    sums, steps = None, []
+    shares, steps = [], []
     for cn in tree.nodes:
-        shares, payloads = protocols.cto_shares(group, cts, rng)
-        sums = shares if sums is None else protocols.add_shares(sums, shares)
+        cn_shares, payloads = protocols.round_shares(group, "obfuscation", cts, rng)
+        shares.append(cn_shares)
         steps.append((cn, payloads))
-    return sums, steps
+    return list(protocols.sum_vectors(shares)), steps
 
 
 def noise_chain(group, epsilon, delta_f, theta, l_count, tree, collective_pk, rng,

@@ -42,6 +42,13 @@ GOLDEN = {
         "b55bf348e5aee036b7682c3db8cf88bcf83ca37b301b58b8982bd02a4b514f1b",
         "db2a391e22c1b9413ea1b27d6f87504d7e80ae1db0e7e7b04fedd1d80ad441ae",
     ),
+    # the one four-round plan: aggregation, obfuscation, shuffle, keyswitch
+    "or_bits_dp": (
+        {}, f"SELECT or flag ON {DPS}", {"bitwise_mode": "bits", "dp_privacy": True}, {},
+        81,
+        "e4530d4dd6c32dee2723199266458bd8e0a9275e7227141cc227e91ada88d05c",
+        "f2fd2ee0211ef15918887fe5e6ac34933d689be43c572c2f92a679f4b1b323cb",
+    ),
     "dp_sum": (
         {}, f"SELECT sum x ON {DPS}", {"dp_privacy": True}, {},
         68,

@@ -336,6 +336,7 @@ def test_surplus_collected_input_dropped(round_, sender, intruder, n_vns, surplu
     ("round_share", "CN2", "cto"),  # names a round the CN is not running
     ("round_share", "CN2", "narrow"),  # one share short
     ("round_request", "CN1", "zzz"),
+    ("round_request", "CN1", "cto"),  # names a round the plan does not run next
 ])
 def test_unusable_round_message_dropped(round_, sender, forge):
     """A key-switch message whose tag names no round, or a round the CN is
@@ -365,6 +366,123 @@ def test_unusable_round_message_dropped(round_, sender, forge):
     assert sim.audit(out.query_id).ok
     assert [entry[:3] for entry in sim.bus.dropped] == [
         (recipient, round_, sender) for recipient in forged]
+
+
+@pytest.mark.parametrize("round_, tag, intruder", [
+    ("round_request", "ctks", "DP1"),
+    ("round_request", "ctks", "CN3"),
+    ("round_request", "cto", "DP1"),
+    ("cdp_pass", None, "CN3"),
+])
+def test_stray_round_opener_dropped(round_, tag, intruder):
+    """While CN2 aggregates, a DP or a CN other than its parent (CN1) posts
+    it a round request, or a CN other than its shuffle-chain predecessor
+    (CN1) a noise list. A CN takes either message only from that one node,
+    once, for the round its plan runs next: CN2 drops it and the query
+    answers over every DP with a clean audit."""
+    topo = _topo(45)
+    topo.cdp_params = {"epsilon": 1.0, "delta_f": 1.0, "theta": 0.5, "list_size": 8}
+    sim = Simulation(topo, seed=45)
+    cn2 = sim.cns["CN2"]
+    honest_on_query = cn2.on_query
+    pk = topo.collective_key().public
+    stray = [elgamal.encrypt(topo.group, 99, pk, Drbg("stray")) for _ in range(2)]
+    payload = pack_cts(stray) if tag is None else pack_bytes(tag.encode()) + pack_cts(stray)
+
+    def on_query(msg):
+        honest_on_query(msg)
+        sim.bus.post(msg.query_id, round_, intruder, "CN2", payload)
+
+    cn2.on_query = on_query
+    out = sim.run(parse_query("SELECT sum heart_rate ON DP1,DP2,DP3,DP4", scale=100,
+                              dp_privacy=True))
+    assert out.result.count == len(FLAT)
+    assert sim.audit(out.query_id).ok
+    assert [entry[:3] for entry in sim.bus.dropped] == [("CN2", round_, intruder)]
+    _assert_no_query_state(sim)
+
+
+@pytest.mark.parametrize("text, options, forged", [
+    ("SELECT sum x ON DP1,DP2,DP3,DP4", {}, "keyswitch"),
+    ("SELECT or flag ON DP1,DP2,DP3,DP4", {"bitwise_mode": "bits"}, "obfuscation"),
+    ("SELECT or flag ON DP1,DP2,DP3,DP4", {"bitwise_mode": "bits"}, "keyswitch"),
+    ("SELECT sum x ON DP1,DP2,DP3,DP4", {"dp_privacy": True}, "keyswitch"),
+], ids=["after_aggregation", "cto_after_aggregation", "after_cto", "after_shuffle"])
+def test_first_round_bundle_does_not_frame_honest_cns(text, options, forged):
+    """CN2 sends the VNs a CTKS or CTO bundle over encryptions of 99 right
+    after the query, and withholds its honest one. Each VN binds the
+    round's input to the previous round's output once the bundles that give
+    it have passed (the root's aggregation, every CN's CTO shares, the last
+    shuffle link), whichever round bundle came first: only CN2's proof of
+    that round is false, on every VN."""
+    from privq import ledger, protocols
+
+    topo = Topology.build(n_cns=3, n_dps=4, n_vns=3, seed=5)
+    topo.dp_data = {f"DP{i}": [{"x": i, "flag": i % 2}] for i in range(1, 5)}
+    topo.cdp_params = {"epsilon": 1.0, "delta_f": 1.0, "theta": 0.5, "list_size": 8}
+    sim = Simulation(topo, seed=5)
+    cn2 = sim.cns["CN2"]
+    honest_on_query, honest_send = cn2.on_query, cn2.send
+
+    def send(query_id, round_, recipient, payload=b""):
+        if round_ != "proof_bundle" or ledger.ProofBundle.decode(payload).proof_type != forged:
+            honest_send(query_id, round_, recipient, payload)
+
+    def on_query(msg):
+        honest_on_query(msg)
+        group, pk = topo.group, topo.collective_key().public
+        fake = [elgamal.encrypt(group, 99, pk, cn2.rng) for _ in range(2)]
+        _, payloads = protocols.round_shares(group, forged, fake, cn2.rng, topo.keys["CN2"],
+                                             topo.keys[topo.querier_id].public)
+        bundle = ledger.ProofBundle(msg.query_id, "CN2", forged, 0,
+                                    tuple(payloads)).signed(group, topo.keys["CN2"].private)
+        for vn in topo.vn_ids:
+            honest_send(msg.query_id, "proof_bundle", vn, bundle.encode())
+
+    cn2.send, cn2.on_query = send, on_query
+    out = sim.run(parse_query(text, scale=1, **options))
+    if not options.get("dp_privacy"):
+        assert out.result.values[0] == (10.0 if "sum" in text else 1)
+    report = sim.audit(out.query_id)
+    assert [(p, t, vns) for _, p, t, _, vns in report.false_entries] == [
+        ("CN2", forged, list(topo.vn_ids))]
+
+
+@pytest.mark.parametrize("forged_first", [True, False], ids=["forged_first", "real_first"])
+def test_forged_bundle_copy_dropped(forged_first):
+    """DP1 posts every VN a copy of CN2's aggregation bundle whose signature
+    is 64 zero bytes, just before or just after CN2 sends the real one. A
+    VN takes one bundle per expected proof key, and only one its prover
+    signed: the copy is dropped and logged (its signature fails, or its key
+    is already taken), and touches neither the VN's map nor its stored
+    bundles."""
+    import dataclasses
+
+    from privq import ledger
+
+    sim = Simulation(_topo(46), seed=46)
+    cn2 = sim.cns["CN2"]
+    honest_send, real = cn2.send, {}
+
+    def send(query_id, round_, recipient, payload=b""):
+        bundle = ledger.ProofBundle.decode(payload) if round_ == "proof_bundle" else None
+        if bundle is None or bundle.proof_type != "aggregation":
+            return honest_send(query_id, round_, recipient, payload)
+        real[recipient] = payload
+        forged = dataclasses.replace(bundle, signature=b"\x00" * 64).encode()
+        for sender, data in (("DP1", forged), ("CN2", payload))[::1 if forged_first else -1]:
+            sim.bus.post(query_id, round_, sender, recipient, data)
+
+    cn2.send = send
+    out = sim.run(parse_query("SELECT sum heart_rate ON DP1,DP2,DP3,DP4", scale=100))
+    assert out.result.values[0] == sum(FLAT)
+    assert sim.audit(out.query_id).ok
+    assert [entry[:3] for entry in sim.bus.dropped] == [
+        (vn, "proof_bundle", "DP1") for vn in sim.topology.vn_ids]
+    assert all(entry[3].startswith("UnexpectedInput(") for entry in sim.bus.dropped)
+    key = ledger.proof_key(out.query_id, "CN2", "aggregation", 0)
+    for vn, node in sim.vns.items():
+        assert node.kv[out.query_id][key] == real[vn]
 
 
 def test_withheld_keyswitch_share_names_stage_and_cn():
