@@ -55,8 +55,9 @@ class Ciphertext:
         return cls(reader.point(), reader.point())
 
 
-def decode_ciphertext(group, data: bytes) -> Ciphertext:
-    reader = Reader(data, group)
+def decode_ciphertext(group, data: bytes, memo=None) -> Ciphertext:
+    """One ciphertext; `memo` is the caller's decode memo (`serial.Reader`)."""
+    reader = Reader(data, group, memo=memo)
     ct = Ciphertext.read(reader)
     reader.expect_done()
     return ct
@@ -73,9 +74,9 @@ def unpack_cts(group, reader: Reader) -> list[Ciphertext]:
     return [Ciphertext.read(reader) for _ in range(reader.u32())]
 
 
-def read_cts(group, payload: bytes) -> list[Ciphertext]:
+def read_cts(group, payload: bytes, memo=None) -> list[Ciphertext]:
     """A payload that is exactly one ciphertext list, else MalformedProof."""
-    reader = Reader(payload, group)
+    reader = Reader(payload, group, memo=memo)
     cts = unpack_cts(group, reader)
     reader.expect_done()
     return cts

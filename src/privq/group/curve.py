@@ -100,9 +100,10 @@ class CurveGroup:
         return v
 
     def _sum(self, pairs) -> Point:
-        """sum(k_i * P_i) through `mult.msm`, normalized once."""
-        terms = [(k, None, q._comb) if q._comb is not None
-                 else (k, self._cache(self._proj(q)), None) for k, q in pairs]
+        """sum(k_i * P_i) through `mult.msm`, normalized once; the terms are
+        converted as `mult.msm` takes them."""
+        terms = ((k, None, q._comb) if q._comb is not None
+                 else (k, self._cache(self._proj(q)), None) for k, q in pairs)
         acc = mult.msm(terms, self._ops, self.order)
         return self._identity if acc is None else self._affine([acc])[0]
 

@@ -9,7 +9,9 @@ CHES 2011) and negates by swapping Y+X with Y-X and negating 2d*T.
 
 Wire encoding is the usual 32-byte little-endian y with the sign of x in
 the top bit; encodings are canonical and round-trip bit-exactly. Decoding
-takes one exponentiation (RFC 8032, section 5.1.3).
+takes one square root (RFC 8032, section 5.1.3), whose power z^((p-5)/8)
+runs the ref10 addition chain: 251 squarings and 11 multiplications, each
+product partially reduced like the point formulas' coordinates.
 """
 
 from __future__ import annotations
@@ -87,6 +89,38 @@ def _dbl(a, n=1):
     return (x, y, z, e * h % P)
 
 
+def _sqr(x, n):
+    """x^(2^n) for x < 2^256, each square partially reduced twice (as
+    2^255 = 19): the result stays below 2^256, to be squared again."""
+    for _ in range(n):
+        x = x * x
+        x = (x & _LOW) + 19 * (x >> 255)
+        x = (x & _LOW) + 19 * (x >> 255)
+    return x
+
+
+def _mul(a, b):
+    x = a * b
+    x = (x & _LOW) + 19 * (x >> 255)
+    return (x & _LOW) + 19 * (x >> 255)
+
+
+def _pow_p58(z):
+    """z^((p-5)/8) = z^(2^252 - 3) mod P by the ref10 addition chain."""
+    t0 = _sqr(z, 1)  # z^2
+    t1 = _mul(z, _sqr(t0, 2))  # z^9
+    t0 = _mul(t0, t1)  # z^11
+    t0 = _mul(t1, _sqr(t0, 1))  # z^(2^5 - 1)
+    t0 = _mul(_sqr(t0, 5), t0)  # z^(2^10 - 1)
+    t1 = _mul(_sqr(t0, 10), t0)  # z^(2^20 - 1)
+    t1 = _mul(_sqr(t1, 20), t1)  # z^(2^40 - 1)
+    t0 = _mul(_sqr(t1, 10), t0)  # z^(2^50 - 1)
+    t1 = _mul(_sqr(t0, 50), t0)  # z^(2^100 - 1)
+    t1 = _mul(_sqr(t1, 100), t1)  # z^(2^200 - 1)
+    t0 = _mul(_sqr(t1, 50), t0)  # z^(2^250 - 1)
+    return _mul(_sqr(t0, 2), z) % P  # z^(2^252 - 3)
+
+
 def _recover_x(y, sign):
     """x with the given sign bit and (x, y) on the curve: the square root of
     u/v, u = y^2 - 1 and v = d*y^2 + 1, as x = u*v^3*(u*v^7)^((p-5)/8)."""
@@ -96,7 +130,7 @@ def _recover_x(y, sign):
     u, v = (yy - 1) % P, (D * yy + 1) % P
     v3 = v * v % P * v % P
     uv3 = u * v3 % P
-    x = uv3 * pow(uv3 * v3 % P * v % P, (P - 5) // 8, P) % P
+    x = uv3 * _pow_p58(uv3 * v3 % P * v % P) % P
     vxx = v * x % P * x % P
     if vxx != u:
         if vxx != P - u:

@@ -27,6 +27,7 @@ order * P = identity, which holds on the prime-order subgroup.
 
 from __future__ import annotations
 
+from array import array
 from typing import Callable, NamedTuple
 
 WNAF_WIDTH = 5  # Straus: 8 odd multiples per point
@@ -152,24 +153,24 @@ def straus(terms, ops):
 def pippenger(terms, ops, c):
     """sum(s * k * P) over (k >= 0, s = +-1, entry P) terms with signed c-bit
     windows: per window, each term goes into the bucket of its digit's
-    magnitude, as P or -P, and 2^(c-1) buckets are summed by running sums."""
+    magnitude, as P or -P, and 2^(c-1) buckets are summed by running sums.
+    Each term's digits are kept packed, a few bytes each."""
     add, dbl, entry, _, lift, neg = ops
     nwin = (max(k for k, _, _ in terms).bit_length() + c) // c
-    slots = [([], []) for _ in range(nwin)]  # per window: bucket indices, entries
-    for k, s, p in terms:
-        plus, minus = (p, neg(p)) if s > 0 else (neg(p), p)
-        for (indices, entries), d in zip(slots, signed_windows(k, c)):
-            if d:
-                indices.append(abs(d) - 1)  # buckets[b - 1] for digits +-b
-                entries.append(plus if d > 0 else minus)
+    signed = [(p, neg(p)) if s > 0 else (neg(p), p) for _, s, p in terms]  # +P, -P
+    code = "h" if c < 16 else "i"  # every digit is at most 2^(c-1) in magnitude
+    digits = [array(code, (signed_windows(k, c) + [0] * nwin)[:nwin]) for k, _, _ in terms]
     result = None
-    for indices, entries in reversed(slots):
+    for w in reversed(range(nwin)):
         if result is not None:
             result = dbl(result, c)
         buckets = [None] * (1 << (c - 1))
-        for b, e in zip(indices, entries):
-            bucket = buckets[b]
-            buckets[b] = lift(e) if bucket is None else add(bucket, e)
+        for ds, pm in zip(digits, signed):
+            d = ds[w]
+            if d:
+                b, e = (d - 1, pm[0]) if d > 0 else (-d - 1, pm[1])  # buckets[|d| - 1]
+                bucket = buckets[b]
+                buckets[b] = lift(e) if bucket is None else add(bucket, e)
         running = total = None
         for bucket in reversed(buckets):
             if bucket is not None:

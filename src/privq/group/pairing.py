@@ -245,7 +245,7 @@ class PairingGroup(CurveGroup):
         if len(data) != self.point_bytes:
             raise MalformedProof("bad point length")
         if data == bytes(self.point_bytes):
-            return self._identity
+            return Point(None, None, self)
         tag = data[-1]
         if tag not in (2, 3):
             raise MalformedProof("bad point compression tag")
@@ -257,7 +257,9 @@ class PairingGroup(CurveGroup):
         if y * y % self.p != y2:
             raise MalformedProof("not a curve point")
         if y & 1 != tag & 1:
-            y = (-y) % self.p
+            if y == 0:  # (0, 0) has one encoding, tag 2
+                raise MalformedProof("point encoding not canonical")
+            y = self.p - y
         return Point(x, y, self)
 
     def gt_one(self) -> GtElement:

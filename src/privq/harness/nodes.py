@@ -47,18 +47,30 @@ privq.ledger. Provers sign and send their proof bundles with
 ciphertext list, count last, which `read_cts` reads without trailing
 bytes.
 
-A VN checks the shape of each sampled CTKS/CTO sub-proof
-(`protocols.round_proof`), then verifies the bundle's linear proofs with
-one batched `verify_linear` call; the verdict is all-or-nothing. Values
-two bundles must agree on meet in one table through `VnNode._bind`,
-whichever comes first: a DP's range-proved ciphertext and its aggregated
-input, adjacent shuffle-chain links, and a CTKS/CTO round's input list.
-Once the bundles that give the previous round's output have passed every
-sub-proof, that output fixes the round's input instead (`_bind_inputs`).
+A VN checks the shape of each sampled CTKS/CTO or shuffle sub-proof as
+its bundle comes (`protocols.round_proof`, the chain links) and defers the
+proof equations to one batch per round: once the round's last expected
+bundle is in, one `verify_linear` (CTKS/CTO) or `verify_shuffle` call
+checks the proofs of all its bundles, and only if that joint batch rejects
+is each bundle checked alone, so a verdict stays per bundle and
+all-or-nothing within it. Before a VN sends its map, and before the leader
+assembles a block, it settles every round still pending. Values two
+bundles must agree on meet in one table through `VnNode._bind`, whichever
+comes first: a DP's range-proved ciphertext and its aggregated input,
+adjacent shuffle-chain links, and a CTKS/CTO round's input list. A proof
+it marks false stays false. Once the bundles that give the previous
+round's output have passed every sub-proof, that output fixes the round's
+input instead (`_bind_inputs`), and the bundles that failed only against
+the list bound before are checked again on the sub-proofs already drawn.
+
+Every CN and VN reads the wire through a decode memo in its query state
+(`serial.Reader`), so it decodes each distinct point once per query; a VN
+seeds its memo with the public noise list it holds.
 """
 
 from __future__ import annotations
 
+import copy
 from types import SimpleNamespace
 
 from .. import elgamal, ledger, protocols
@@ -75,6 +87,7 @@ from ..proofs import rangeproof
 from ..proofs.linear import verify_linear
 from ..proofs.shuffle import decode_shuffle, shuffle_and_prove, verify_shuffle
 from ..proofs.signatures import sign, verify_signature
+from ..proofs.transcript import joint_verdicts
 from ..serial import Reader, pack_bytes, pack_u32
 from .bus import NodeBase
 from .queryparse import apply_filter, decode_query
@@ -264,6 +277,7 @@ class CnNode(NodeBase):
             awaited=None,  # what it awaits now, by (message round, sender)
             round_cts=None,  # the input cts of the running CTKS/CTO round
             current=None,  # root: the ciphertext list through the rounds, count last
+            memo={},  # the query's decode memo (`serial.Reader`)
         )
         for round_, dp in plan.feeds("aggregation", self.identity)[1]:
             if round_ == "dp_response":
@@ -308,7 +322,7 @@ class CnNode(NodeBase):
         reader = Reader(msg.payload)
         if state.round.tag and reader.text() != state.round.tag:
             raise UnexpectedInput(f"{msg.round} for another round than {state.round.proof_type}")
-        cts = read_cts(self.topology.group, reader.rest())
+        cts = read_cts(self.topology.group, reader.rest(), state.memo)
         if state.round.kind == "aggregation":  # the width rule
             return protocols.check_input(state.query.operation, cts)
         if msg.round == "cdp_done":
@@ -433,8 +447,13 @@ class VnNode(NodeBase):
         query = decode_query(body)
         expected = ledger.expected_proofs(query, self.topology.cn_ids, self.range_sigs)
         bound = {}  # slot -> [the value bound to it, the bundles that agreed] (`_bind`)
+        memo = {}  # the query's decode memo (`serial.Reader`)
         if query.dp_privacy:  # the chain's first link shuffles the public list
-            bound[("shuffle", 0)] = [pack_cts(self.topology.initial_noise())]
+            noise = self.topology.initial_noise()
+            bound[("shuffle", 0)] = [pack_cts(noise)]
+            # the list the VN holds, as its own points: no other node's
+            memo.update((point.encode(), copy.copy(point))
+                        for ct in noise for point in (ct.c1, ct.c2))
         self.states[query.query_id] = SimpleNamespace(
             query=query,
             query_bytes=body,
@@ -444,6 +463,10 @@ class VnNode(NodeBase):
             bundles=Awaited(expected),  # one signed bundle per expected proof key
             proved={},  # (prover, proof type) -> what a bundle proved, every sub-proof
             outputs=[],  # each round's output, once `proved` gives it
+            pending={},  # proof type -> {key: (prover, proofs, complete)} awaiting its batch
+            blamed=set(),  # keys `_blame` made false for good
+            unbound={},  # proof type -> {key: drawn indices} failed on the round's input
+            memo=memo,
             ended=False,
             maps=Awaited(()),  # leader: each VN's map, once it assembles
             signatures=Awaited(()),  # leader: each VN's block signature
@@ -456,42 +479,88 @@ class VnNode(NodeBase):
         state = self.states.get(bundle.query_id)
         if state is None:
             return
-        key = bundle.key
-        state.bundles.take(key, lambda: bundle.verified(
+        state.bundles.take(bundle.key, lambda: bundle.verified(
             self.topology.group, self.topology.keys[bundle.prover_id].public))
-        self.kv.setdefault(bundle.query_id, {})[key] = msg.payload
+        self.kv.setdefault(bundle.query_id, {})[bundle.key] = msg.payload
         kind = state.plan.round(bundle.proof_type).kind
-        parts = {}  # sub-proof index -> what its check read
+        parts = {}  # drawn sub-proof index -> what its check read, None if it failed
         status = ledger.probabilistic_verify(
             bundle, self.policy, self.rng,
             lambda i: self._verify_sub(state, bundle, kind, i, parts))
-        proved = list(parts.values())
-        if status == ledger.STATUS_TRUE and kind == "tree":  # the proofs, as one batch
-            if not verify_linear(*proved):
-                status = ledger.STATUS_FALSE
-            # a CTKS/CTO proof's last two targets are its share: (w1, w2) or s·(C1, C2)
-            proved = [elgamal.Ciphertext(*proof.statement.targets[-2:]) for proof in proved]
-        state.map.record(key, status)
-        if status == ledger.STATUS_TRUE and len(proved) == len(bundle.payloads):
-            state.proved[bundle.prover_id, bundle.proof_type] = proved
-            self._bind_inputs(state)
+        self._judge(state, bundle, kind, status, parts)
 
     def _verify_sub(self, state, bundle, kind, index, parts) -> bool:
         """The VN check of the bundle's round, `_check_<kind>`, on one
         sub-proof; what it read goes to `parts`."""
+        parts[index] = None
         try:
             parts[index] = getattr(self, "_check_" + kind)(state, bundle, index)
         except (PrivqError, ValueError, IndexError, KeyError):
             return False
         return parts[index] is not None
 
+    def _judge(self, state, bundle, kind, status, parts):
+        """Record the bundle's verdict. A CTKS/CTO or shuffle bundle whose
+        drawn sub-proofs passed their checks joins its round's batch
+        instead, which `_settle` checks once the round's last expected
+        bundle is in."""
+        read = list(parts.values())
+        complete = len(read) == len(bundle.payloads)  # every sub-proof checked
+        if status == ledger.STATUS_TRUE and kind in ("tree", "shuffle"):
+            state.pending.setdefault(bundle.proof_type, {})[bundle.key] = (
+                bundle.prover_id, read, complete)
+            self._settle(state, bundle.proof_type)
+            return
+        if bundle.key not in state.blamed:
+            state.map.record(bundle.key, status)
+        if status == ledger.STATUS_TRUE and complete:
+            self._prove(state, bundle.key, bundle.prover_id, bundle.proof_type, read)
+
+    def _settle(self, state, proof_type, force=False):
+        """Check the round's pending bundles with one batch, once no bundle
+        of the round is awaited any more (or at once with `force`). Only if
+        the joint batch rejects is each bundle checked alone, so a verdict
+        stays per bundle."""
+        if not force and any(state.map.entries[key].proof_type == proof_type
+                             for key in state.bundles.waiting):
+            return
+        pending = [(key, *entry) for key, entry in state.pending.pop(proof_type, {}).items()
+                   if key not in state.blamed]
+        if not pending:
+            return
+        tree = state.plan.round(proof_type).kind == "tree"
+        verdicts = joint_verdicts(verify_linear if tree else verify_shuffle,
+                                  (proofs for _, _, proofs, _ in pending))
+        for (key, prover, proofs, complete), ok in zip(pending, verdicts):
+            if key in state.blamed:  # by a bundle an earlier one let in
+                continue
+            state.map.record(key, ledger.STATUS_TRUE if ok else ledger.STATUS_FALSE)
+            if ok and complete:
+                # a CTKS/CTO proof's last two targets are its share: (w1, w2)
+                # or s·(C1, C2); a shuffle proof gives its output list
+                self._prove(state, key, prover, proof_type, [
+                    elgamal.Ciphertext(*proof.statement.targets[-2:]) if tree
+                    else list(proof.outputs) for proof in proofs])
+
+    def _settle_all(self, state):
+        """Settle every pending round, as before the VN's map leaves it."""
+        while state.pending:
+            self._settle(state, next(iter(state.pending)), force=True)
+
+    def _prove(self, state, key, prover, proof_type, proved):
+        """A true bundle whose every sub-proof was checked gives what it
+        proved to the rounds whose output follows from it."""
+        if key not in state.blamed:
+            state.proved[prover, proof_type] = proved
+            self._bind_inputs(state)
+
     def _check_range(self, state, bundle, index):
         group = self.topology.group
         reader = Reader(bundle.payloads[index])
         j = reader.u32()
-        ct = elgamal.decode_ciphertext(group, reader.bytes_field())
-        proofs = (rangeproof.decode_range(group, reader.bytes_field()),
-                  rangeproof.decode_range(group, reader.bytes_field()))
+        ct = elgamal.decode_ciphertext(group, reader.bytes_field(), state.memo)
+        proofs = (rangeproof.decode_range(group, reader.bytes_field(), state.memo),
+                  rangeproof.decode_range(group, reader.bytes_field(), state.memo))
         reader.expect_done()
         bounds = state.query.operation.element_bounds()[j]
         # proved one ciphertext and submitted another: this proof is false
@@ -502,7 +571,8 @@ class VnNode(NodeBase):
         return None
 
     def _check_aggregation(self, state, bundle, index):
-        agg = protocols.Aggregation.decode(self.topology.group, bundle.payloads[index])
+        agg = protocols.Aggregation.decode(self.topology.group, bundle.payloads[index],
+                                           state.memo)
         _, inputs = state.plan.feeds("aggregation", bundle.prover_id)
         if not protocols.verify_aggregation(agg, bundle.prover_id, [s for _, s in inputs]):
             return None
@@ -515,21 +585,27 @@ class VnNode(NodeBase):
         return agg.output
 
     def _check_tree(self, state, bundle, index):
-        """Shape check of one CTKS/CTO sub-proof; `on_proof_bundle` verifies
-        the proofs it returns as one batch."""
+        """Shape check of one CTKS/CTO sub-proof; `_settle` verifies the
+        proofs it returns in the round's batch."""
         # all CNs run the round over the same ciphertext list: the previous
         # round's output once the VN has it (`_bind_inputs`), before that the
-        # list of the first bundle seen
+        # list of the first bundle seen, against which a failed sub-proof is
+        # noted to be checked again if `_bind_inputs` replaces that list
         inputs = b"".join(Reader(p).bytes_field() for p in bundle.payloads)
         if not self._bind(state, bundle, ("round", bundle.proof_type), inputs, bundle.key):
+            state.unbound.setdefault(bundle.proof_type, {}).setdefault(
+                bundle.key, []).append(index)
             return None
         return protocols.round_proof(
             self.topology.group, bundle.proof_type, bundle.payloads[index],
             cn_public=self.topology.keys[bundle.prover_id].public,
-            target_pk=self.topology.keys[self.topology.querier_id].public)
+            target_pk=self.topology.keys[self.topology.querier_id].public,
+            memo=state.memo)
 
     def _check_shuffle(self, state, bundle, index):
-        proof = decode_shuffle(self.topology.group, bundle.payloads[index])
+        """Shape and chain check of a shuffle proof; `_settle` verifies the
+        proof it returns in the round's batch."""
+        proof = decode_shuffle(self.topology.group, bundle.payloads[index], state.memo)
         if proof.omega != self.topology.collective_key().public:
             return None
         # chain link i shuffles slot i and fills slot i + 1; slot 0 is the
@@ -542,28 +618,39 @@ class VnNode(NodeBase):
                                          self.tree.nodes[position + 1], "shuffle", 0)
             self._bind(state, bundle, ("shuffle", position + 1), pack_cts(proof.outputs),
                        successor)
-        return list(proof.outputs) if ok and verify_shuffle(proof) else None
+        return proof if ok else None
 
-    @staticmethod
-    def _bind(state, bundle, slot, value, blame) -> bool:
+    @classmethod
+    def _bind(cls, state, bundle, slot, value, blame) -> bool:
         """Bind `value` to the query's `slot`: the first value bound stands,
         whichever bundle brings it, and is kept with the bundles that agree
         with it. A different value marks the proof keyed `blame` false; the
         caller's sub-proof fails only if that proof is `bundle` itself."""
         first = state.bound.setdefault(slot, [value])
         if first[0] == value:
-            first.append((bundle.key, bundle.prover_id, bundle.proof_type))
+            first.append(bundle.key)
             return True
         if blame == bundle.key:
             return False
-        state.map.record(blame, ledger.STATUS_FALSE)
+        cls._blame(state, blame)
         return True
+
+    @staticmethod
+    def _blame(state, key):
+        """Mark the proof keyed `key` false for good: no verdict recorded
+        later changes it, and it gives no round output."""
+        state.blamed.add(key)
+        state.map.record(key, ledger.STATUS_FALSE)
+        entry = state.map.entries.get(key)
+        if entry is not None:
+            state.proved.pop((entry.prover_id, entry.proof_type), None)
 
     def _bind_inputs(self, state):
         """Compute each round's output once every bundle of its `outputs_from`
         passed every sub-proof, and bind the following CTKS/CTO round's input
-        to it: a different list bound first is replaced, and the bundles that
-        agreed with it are false."""
+        to it. A different list bound first is replaced: the bundles that
+        agreed with it are false, and those that failed only against it are
+        checked again, on the sub-proofs already drawn."""
         rounds = state.plan.rounds
         while len(state.outputs) < len(rounds) - 1:
             rnd, following = rounds[len(state.outputs)], rounds[len(state.outputs) + 1]
@@ -579,11 +666,22 @@ class VnNode(NodeBase):
                 continue
             inputs = b"".join(ct.encode() for ct in following.input(output))
             first = state.bound.setdefault(("round", following.proof_type), [inputs])
+            unbound = state.unbound.pop(following.proof_type, {})
             if first[0] != inputs:
-                for key, prover, proof_type in first[1:]:
-                    state.map.record(key, ledger.STATUS_FALSE)
-                    state.proved.pop((prover, proof_type), None)
+                for key in set(first[1:]):
+                    self._blame(state, key)
                 first[:] = [inputs]
+                for key, indices in unbound.items():
+                    self._recheck(state, key, indices)
+
+    def _recheck(self, state, key, indices):
+        """Check the stored bundle keyed `key` again on the sub-proofs
+        `indices` drawn when it came: no new draws."""
+        bundle = ledger.ProofBundle.decode(self.kv[state.query.query_id][key])
+        parts = {}
+        verdicts = [self._verify_sub(state, bundle, "tree", i, parts) for i in indices]
+        self._judge(state, bundle, "tree",
+                    ledger.STATUS_TRUE if all(verdicts) else ledger.STATUS_FALSE, parts)
 
     # ----- block assembly -----
 
@@ -597,6 +695,7 @@ class VnNode(NodeBase):
             if (state.ended and not state.maps.inputs
                     and ledger.block_leader(self.topology.vn_ids, len(self.chain))
                     == self.identity):
+                self._settle_all(state)
                 state.maps = Awaited(self.topology.vn_ids, taken={self.identity: state.map})
                 for vn in self.topology.vn_ids:
                     if vn != self.identity:
@@ -611,6 +710,7 @@ class VnNode(NodeBase):
     def on_map_request(self, msg):
         state = self.states.get(msg.query_id)
         if state is not None:
+            self._settle_all(state)
             self.send(msg.query_id, "map_submit", msg.sender, state.map.encode())
 
     def on_map_submit(self, msg):

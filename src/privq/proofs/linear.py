@@ -131,10 +131,11 @@ def verify_linear(*proofs: LinearRelationProof) -> bool:
     return batch.holds()
 
 
-def decode_linear(group, data: bytes, known=()) -> LinearRelationProof:
+def decode_linear(group, data: bytes, known=(), memo=None) -> LinearRelationProof:
     """Decode a proof; a point encoded exactly like one in `known` is taken
-    as that point instead of being decoded again."""
-    reader = Reader(data, group, known)
+    as that point instead of being decoded again, and the others go through
+    the decode memo `memo` (`serial.Reader`)."""
+    reader = Reader(data, group, known, memo)
     if reader.u8() != _TAG:
         raise MalformedProof("wrong proof type tag")
     n_eqs = reader.u32()
@@ -154,7 +155,7 @@ def decode_linear(group, data: bytes, known=()) -> LinearRelationProof:
                 raise MalformedProof("non-canonical base flag")
         bases.append(tuple(row))
     targets = tuple(reader.point() for _ in range(n_eqs))
-    commitments = tuple(reader.point() for _ in range(n_eqs))
+    commitments = tuple(reader.commitment() for _ in range(n_eqs))
     challenge = reader.scalar()
     responses = tuple(reader.scalar() for _ in range(n_secrets))
     reader.expect_done()

@@ -285,8 +285,8 @@ def verify_bounded(ct, proofs, bounds: tuple[int, int], sigs: RangeSignatures,
     return True
 
 
-def decode_range(group, data: bytes) -> RangeProof:
-    reader = Reader(data, group)
+def decode_range(group, data: bytes, memo=None) -> RangeProof:
+    reader = Reader(data, group, memo=memo)
     if reader.u8() != _TAG:
         raise MalformedProof("wrong proof type tag")
     u = reader.u32()
@@ -295,12 +295,12 @@ def decode_range(group, data: bytes) -> RangeProof:
     if not (2 <= u <= 4096 and 1 <= l <= 64 and 1 <= n_cns <= 64):
         raise MalformedProof("implausible proof shape")
     c2 = reader.point()
-    d_point = reader.point()
+    d_point = reader.commitment()
     challenge = reader.scalar()
     z_r = reader.scalar()
     z_v = tuple(reader.scalar() for _ in range(l))
     z_m = tuple(reader.scalar() for _ in range(l))
-    v_points = tuple(tuple(reader.point() for _ in range(l)) for _ in range(n_cns))
+    v_points = tuple(tuple(reader.commitment() for _ in range(l)) for _ in range(n_cns))
     a_elems = tuple(tuple(reader.gt() for _ in range(l)) for _ in range(n_cns))
     reader.expect_done()
     return RangeProof(c2, challenge, z_r, z_v, z_m, d_point, v_points, a_elems, u, l)

@@ -16,7 +16,8 @@ transcript, in absorb order, is:
     round 5   : alpha_i (2n responses)
 
 Verification checks, as one `transcript.Batch` with weights hashed from
-the whole transcript:
+the whole transcript (from the transcripts of all proofs checked
+together):
 
     Theta_i == alpha_i*Rh_i - alpha_{i+1}*Sh_i          (i < n)
     Theta_i == alpha_i*Gamma - alpha_{(i+1) mod 2n}*B   (n <= i < 2n)
@@ -191,21 +192,21 @@ def shuffle_and_prove(group, inputs, omega, rng):
     return outputs, proof
 
 
-def verify_shuffle(proof: ShuffleProof) -> bool:
-    """Batched verification of all shuffle equations."""
+def _challenges(proof: ShuffleProof):
+    """(rho, lambda, t, digest) recomputed from the proof's transcript, its
+    digest covering every field, or None if the proof's shape or its
+    challenge c = alpha_0 does not check."""
     n = len(proof.inputs)
     if n == 0 or len(proof.outputs) != n:
-        return False
+        return None
     for series, want in (
         (proof.a_pts, n), (proof.c_pts, n), (proof.u_pts, n), (proof.w_pts, n),
         (proof.d_pts, n), (proof.sigma, n), (proof.theta_pts, 2 * n), (proof.alpha, 2 * n),
     ):
         if len(series) != want:
-            return False
-    group = proof.gamma_pt.group
-    base = group.base()
-
-    tr = _statement_transcript(group, proof.inputs, proof.outputs, proof.omega)
+            return None
+    tr = _statement_transcript(proof.gamma_pt.group, proof.inputs, proof.outputs,
+                               proof.omega)
     tr.absorb(proof.gamma_pt, *proof.a_pts, *proof.c_pts, *proof.u_pts,
               *proof.w_pts, proof.lambda1, proof.lambda2)
     rho = tr.challenge_vector(n)
@@ -214,11 +215,15 @@ def verify_shuffle(proof: ShuffleProof) -> bool:
     tr.absorb(*proof.sigma, proof.tau)
     t = tr.challenge()
     tr.absorb(*proof.theta_pts)
-    c = tr.challenge()
-    if proof.alpha[0] != c:
-        return False
-    batch = Batch(group, b"privq/shuffle-batch", tr.absorb(*proof.alpha).digest(),
-                  3 * n + 2)
+    if proof.alpha[0] != tr.challenge():
+        return None
+    return rho, lam, t, tr.absorb(*proof.alpha).digest()
+
+
+def _add_equations(batch: Batch, proof: ShuffleProof, rho, lam, t):
+    """The proof's 3n + 2 equations, each weighted by the batch."""
+    n = len(proof.inputs)
+    base = batch.group.base()
     put = batch.add
     alpha = proof.alpha
     for i in range(n):
@@ -256,11 +261,29 @@ def verify_shuffle(proof: ShuffleProof) -> bool:
         put(-g2 * rho[i], proof.inputs[i].c2)
     put(-g2, proof.lambda2)
     put(-g2 * proof.tau, proof.omega)
+
+
+def verify_shuffle(*proofs: ShuffleProof) -> bool:
+    """True iff every proof's challenges recompute and all its equations
+    hold: the equations of every proof are checked as one `Batch`, with
+    weights hashed from the transcripts of all of them. A chain's links
+    share points (one link's outputs are the next one's inputs), which
+    then share one MSM term."""
+    if not proofs:
+        return True
+    checks = [_challenges(proof) for proof in proofs]
+    if None in checks:
+        return False
+    batch = Batch(proofs[0].gamma_pt.group, b"privq/shuffle-batch",
+                  b"".join(digest for *_, digest in checks),
+                  sum(3 * len(proof.inputs) + 2 for proof in proofs))
+    for proof, (rho, lam, t, _) in zip(proofs, checks):
+        _add_equations(batch, proof, rho, lam, t)
     return batch.holds()
 
 
-def decode_shuffle(group, data: bytes) -> ShuffleProof:
-    reader = Reader(data, group)
+def decode_shuffle(group, data: bytes, memo=None) -> ShuffleProof:
+    reader = Reader(data, group, memo=memo)
     if reader.u8() != _TAG:
         raise MalformedProof("wrong proof type tag")
     n = reader.u32()
@@ -269,17 +292,17 @@ def decode_shuffle(group, data: bytes) -> ShuffleProof:
     omega = reader.point()
     inputs = tuple(Ciphertext.read(reader) for _ in range(n))
     outputs = tuple(Ciphertext.read(reader) for _ in range(n))
-    gamma_pt = reader.point()
-    a_pts = tuple(reader.point() for _ in range(n))
-    c_pts = tuple(reader.point() for _ in range(n))
-    u_pts = tuple(reader.point() for _ in range(n))
-    w_pts = tuple(reader.point() for _ in range(n))
-    lambda1 = reader.point()
-    lambda2 = reader.point()
-    d_pts = tuple(reader.point() for _ in range(n))
+    gamma_pt = reader.commitment()
+    a_pts = tuple(reader.commitment() for _ in range(n))
+    c_pts = tuple(reader.commitment() for _ in range(n))
+    u_pts = tuple(reader.commitment() for _ in range(n))
+    w_pts = tuple(reader.commitment() for _ in range(n))
+    lambda1 = reader.commitment()
+    lambda2 = reader.commitment()
+    d_pts = tuple(reader.commitment() for _ in range(n))
     sigma = tuple(reader.scalar() for _ in range(n))
     tau = reader.scalar()
-    theta_pts = tuple(reader.point() for _ in range(2 * n))
+    theta_pts = tuple(reader.commitment() for _ in range(2 * n))
     alpha = tuple(reader.scalar() for _ in range(2 * n))
     reader.expect_done()
     return ShuffleProof(inputs, outputs, omega, gamma_pt, a_pts, c_pts, u_pts,

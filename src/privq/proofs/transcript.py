@@ -75,3 +75,17 @@ class Batch:
     def holds(self) -> bool:
         terms = [(k, point) for point, k in self._terms.items()]
         return self.group.msm(terms).is_identity()
+
+
+def joint_verdicts(verify, groups) -> list:
+    """The verdict of `verify(*group)` for each group of proofs, read off one
+    `verify` call over the proofs of all groups when that holds; only if it
+    rejects is each group checked alone. `verify` is a batch verifier
+    (`verify_linear`, `verify_shuffle`), so a joint batch that holds a
+    false equation holds with probability at most 2^-128."""
+    groups = [tuple(group) for group in groups]
+    if verify(*(proof for group in groups for proof in group)):
+        return [True] * len(groups)
+    if len(groups) == 1:
+        return [False]
+    return [verify(*group) for group in groups]

@@ -123,8 +123,8 @@ class Aggregation:
         return b"".join(out)
 
     @classmethod
-    def decode(cls, group, data: bytes) -> "Aggregation":
-        reader = Reader(data, group)
+    def decode(cls, group, data: bytes, memo=None) -> "Aggregation":
+        reader = Reader(data, group, memo=memo)
         labels, inputs = [], []
         for _ in range(reader.u32()):
             labels.append(reader.text())
@@ -235,7 +235,7 @@ def ctks_combine(cts, share_sums) -> list:
 
 
 def round_proof(group, proof_type: str, payload: bytes, cn_public=None,
-                target_pk=None):
+                target_pk=None, memo=None):
     """The linear proof of one CTKS ("keyswitch") or CTO ("obfuscation")
     payload if its statement has exactly the shape the step proves over the
     payload's input ciphertext, else None. A key-switch proof must also use
@@ -245,7 +245,7 @@ def round_proof(group, proof_type: str, payload: bytes, cn_public=None,
     decoded: only the input ciphertext and the points the prover chose are.
     """
     reader = Reader(payload)
-    ct = elgamal.decode_ciphertext(group, reader.bytes_field())
+    ct = elgamal.decode_ciphertext(group, reader.bytes_field(), memo)
     if proof_type == "keyswitch":
         base, neg_c1 = group.base(), -ct.c1
         bases = ((base, None), (None, base), (neg_c1, target_pk))
@@ -253,7 +253,7 @@ def round_proof(group, proof_type: str, payload: bytes, cn_public=None,
     else:
         bases = ((ct.c1,), (ct.c2,))
         fixed = (ct.c1, ct.c2)
-    proof = decode_linear(group, reader.rest(), known=fixed)
+    proof = decode_linear(group, reader.rest(), known=fixed, memo=memo)
     if proof.statement.bases != bases:
         return None
     if proof_type == "keyswitch" and proof.statement.targets[0] != cn_public:

@@ -129,6 +129,63 @@ def test_ed25519_decode_matches_inverting_reference(ed):
     assert min(outcomes.values()) > 1000, outcomes
 
 
+def _pow_recover_x(y, sign):
+    """Ed25519 x from y by RFC 8032's single exponentiation, the power
+    (p-5)/8 taken with `pow`."""
+    from privq.group.ed25519 import D, P, SQRT_M1
+
+    if y >= P:
+        raise PrivqError("point encoding not canonical")
+    u, v = (y * y - 1) % P, (D * y * y + 1) % P
+    x = u * pow(v, 3, P) * pow(u * pow(v, 7, P), (P - 5) // 8, P) % P
+    if v * x * x % P != u:
+        if v * x * x % P != (-u) % P:
+            raise PrivqError("not a curve point")
+        x = x * SQRT_M1 % P
+    if x == 0 and sign == 1:
+        raise PrivqError("point encoding not canonical")
+    return P - x if x & 1 != sign else x
+
+
+def test_ed25519_square_root_chain_matches_pow_reference(ed):
+    """Decoding, whose square root runs an addition chain, accepts and
+    rejects exactly as the `pow`-based reference and returns its point."""
+    from privq.group.ed25519 import P
+
+    def reference(data):
+        v = int.from_bytes(data, "little")
+        y = v & ((1 << 255) - 1)
+        return _pow_recover_x(y, v >> 255), y
+
+    def rejected(y):
+        try:
+            _pow_recover_x(y, 0)
+        except PrivqError:
+            return True
+        return False
+
+    non_square = next(y for y in range(2, 100) if rejected(y))  # u/v not a square
+    edge = [P.to_bytes(32, "little"), (P + 5).to_bytes(32, "little"),  # y >= p
+            non_square.to_bytes(32, "little"),
+            ((1 << 255) | 1).to_bytes(32, "little"),  # x = 0 with the sign bit set
+            ed.identity().encode(), ed.base().encode()]
+    rng = Drbg("square-root-chain")
+    verdicts = []
+    for data in edge + [rng.randbytes(32) for _ in range(10_000)]:
+        try:
+            want = reference(data)
+        except PrivqError as exc:
+            with pytest.raises(PrivqError, match=str(exc)):
+                ed.decode_point(data)
+            verdicts.append(False)
+        else:
+            got = ed.decode_point(data)
+            assert (got.x, got.y) == want
+            verdicts.append(True)
+    assert verdicts[:6] == [False, False, False, False, True, True]
+    assert 4000 < sum(verdicts) < 6000
+
+
 def test_msm_matches_naive(group, rng):
     pairs = [(group.random_scalar(rng) % 1000, group.mul(i + 2, group.base()))
              for i in range(25)]

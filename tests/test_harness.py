@@ -1110,3 +1110,199 @@ def test_shared_chain_file_refuses_a_stale_writer(tmp_path):
     with pytest.raises(PrivqError, match="chain.bin"):
         second.run(parse_query("SELECT sum heart_rate ON DP3,DP4", scale=1))
     assert len(Simulation(topo, seed=23).chain()) == 1
+
+
+def _send_forged_round_bundle(sim, forged):
+    """CN2 sends the VNs a `forged` (CTKS or CTO) bundle over encryptions of
+    99 right after the query, and withholds its honest one."""
+    from privq import ledger, protocols
+
+    topo, cn2 = sim.topology, sim.cns["CN2"]
+    honest_on_query, honest_send = cn2.on_query, cn2.send
+
+    def send(query_id, round_, recipient, payload=b""):
+        if round_ != "proof_bundle" or ledger.ProofBundle.decode(payload).proof_type != forged:
+            honest_send(query_id, round_, recipient, payload)
+
+    def on_query(msg):
+        honest_on_query(msg)
+        group, pk = topo.group, topo.collective_key().public
+        fake = [elgamal.encrypt(group, 99, pk, cn2.rng) for _ in range(2)]
+        _, payloads = protocols.round_shares(group, forged, fake, cn2.rng, topo.keys["CN2"],
+                                             topo.keys[topo.querier_id].public)
+        bundle = ledger.ProofBundle(msg.query_id, "CN2", forged, 0,
+                                    tuple(payloads)).signed(group, topo.keys["CN2"].private)
+        for vn in topo.vn_ids:
+            honest_send(msg.query_id, "proof_bundle", vn, bundle.encode())
+
+    cn2.send, cn2.on_query = send, on_query
+
+
+@pytest.mark.parametrize("seed", [0, 2, 8, 10, 11, 14, 15, 16, 18, 19, 20, 21, 24, 26, 28,
+                                  31, 32, 33, 35, 36, 37])
+def test_bundle_failed_against_a_replaced_round_input_is_checked_again(seed):
+    """Under the concurrent scheduler, honest CN1's and CN3's key-switch
+    bundles may reach a VN after CN2's forged one and before the root's
+    aggregation bundle, so they fail against the forged input list. Once
+    the aggregation output replaces that list, the VN checks them again on
+    the sub-proofs it drew: only CN2 is false, on every VN. (These are the
+    seeds of 0..39 on which honest CN3 was false on one or two VNs when
+    nothing was checked again.)"""
+    topo = Topology.build(n_cns=3, n_dps=4, n_vns=3, seed=5)
+    topo.dp_data = {f"DP{i}": [{"x": i}] for i in range(1, 5)}
+    sim = Simulation(topo, seed=seed, scheduler="concurrent")
+    _send_forged_round_bundle(sim, "keyswitch")
+    out = sim.run(parse_query("SELECT sum x ON DP1,DP2,DP3,DP4", scale=1))
+    assert out.result.values[0] == 10.0
+    report = sim.audit(out.query_id)
+    assert [(p, t, vns) for _, p, t, _, vns in report.false_entries] == [
+        ("CN2", "keyswitch", list(topo.vn_ids))]
+
+
+def test_settled_round_keeps_a_false_recorded_while_pending(monkeypatch):
+    """CN2's forged key-switch bundle holds true proofs over encryptions of
+    99. Taken first, it waits in the round's batch until the last CN's
+    bundle is in, and meanwhile the root's aggregation output replaces the
+    round's input and marks it false. Settling the round, whose batch it
+    would pass, leaves it false."""
+    from privq import ledger, protocols
+    from privq.harness import nodes
+
+    topo = Topology.build(n_cns=3, n_dps=4, n_vns=3, seed=5)
+    topo.dp_data = {f"DP{i}": [{"x": i}] for i in range(1, 5)}
+    sim = Simulation(topo, seed=5)
+    _send_forged_round_bundle(sim, "keyswitch")
+    settle, false_while_pending, forged_proofs = nodes.VnNode._settle, set(), []
+
+    def spy(self, state, proof_type, force=False):
+        for key, (prover, proofs, _) in state.pending.get(proof_type, {}).items():
+            if state.map.entries[key].status == ledger.STATUS_FALSE:
+                false_while_pending.add((self.identity, prover))
+                forged_proofs.extend(proofs)
+        return settle(self, state, proof_type, force)
+
+    monkeypatch.setattr(nodes.VnNode, "_settle", spy)
+    out = sim.run(parse_query("SELECT sum x ON DP1,DP2,DP3,DP4", scale=1))
+    assert false_while_pending == {(vn, "CN2") for vn in topo.vn_ids}
+    assert forged_proofs and protocols.verify_linear(*forged_proofs)
+    key = ledger.proof_key(out.query_id, "CN2", "keyswitch", 0)
+    for vn, proofs_map in out.block.maps.items():
+        assert proofs_map.entries[key].status == ledger.STATUS_FALSE, vn
+    assert [(p, t) for _, p, t, _, _ in sim.audit(out.query_id).false_entries] == [
+        ("CN2", "keyswitch")]
+
+
+@pytest.mark.parametrize("link", [0, 1, 2])
+def test_tampered_shuffle_link_alone_is_false(monkeypatch, link):
+    """Link `link` of the noise shuffle chain sends a proof with a wrong
+    tau and forwards its true outputs. The VNs check the three links as
+    one batch, which rejects, then each link alone: only that link's
+    shuffle is false, on every VN."""
+    import dataclasses
+
+    from privq.harness import nodes
+
+    honest, calls = nodes.shuffle_and_prove, []
+
+    def shuffle_and_prove(group, cts, omega, rng):
+        outputs, proof = honest(group, cts, omega, rng)
+        calls.append(proof)
+        if len(calls) == link + 1:  # the chain runs its links in order
+            proof = dataclasses.replace(proof, tau=(proof.tau + 1) % group.order)
+        return outputs, proof
+
+    monkeypatch.setattr(nodes, "shuffle_and_prove", shuffle_and_prove)
+    topo = Topology.build(n_cns=3, n_dps=3, n_vns=3, seed=31)
+    topo.cdp_params = {"epsilon": 1.0, "delta_f": 1.0, "theta": 0.5, "list_size": 8}
+    topo.dp_data = {"DP1": [{"x": 10}], "DP2": [{"x": 20}], "DP3": [{"x": 30}]}
+    sim = Simulation(topo, seed=31)
+    out = sim.run(parse_query("SELECT sum x ON DP1,DP2,DP3", scale=100, dp_privacy=True))
+    assert len(calls) == 3
+    report = sim.audit(out.query_id)
+    assert [(p, t, vns) for _, p, t, _, vns in report.false_entries] == [
+        (topo.cn_ids[link], "shuffle", list(topo.vn_ids))]
+
+
+def test_one_bad_keyswitch_sub_proof_among_six_cns_flags_only_its_cn(monkeypatch):
+    """CN4's key-switch bundle carries one sub-proof with a wrong response,
+    among six CNs' bundles: the round's joint batch rejects, and the batch
+    per bundle marks CN4's keyswitch false on every VN and only it."""
+    from privq import ledger, protocols
+    from privq.proofs.linear import LinearRelationProof
+
+    topo = Topology.build(n_cns=6, n_dps=4, n_vns=3, seed=28)
+    topo.dp_data = dict(HEART)
+    bad_key, honest_share, tampered = topo.keys["CN4"], protocols.ctks_share, []
+
+    def ctks_share(group, c1, cn_key, target_pk, rng):
+        w1, w2, proof = honest_share(group, c1, cn_key, target_pk, rng)
+        if cn_key is bad_key and not tampered:
+            z0, z1 = proof.responses
+            proof = LinearRelationProof(proof.statement, proof.commitments,
+                                        proof.challenge, (z0, (z1 + 1) % group.order))
+            tampered.append(proof)
+        return w1, w2, proof
+
+    monkeypatch.setattr(protocols, "ctks_share", ctks_share)
+    sim = Simulation(topo, seed=28)
+    out = sim.run(parse_query("SELECT sum heart_rate ON DP1,DP2,DP3,DP4", scale=100))
+    assert tampered and out.result.values[0] == sum(FLAT)
+    for vn, proofs_map in out.block.maps.items():
+        for cn in topo.cn_ids:
+            key = ledger.proof_key(out.query_id, cn, "keyswitch", 0)
+            expect = ledger.STATUS_FALSE if cn == "CN4" else ledger.STATUS_TRUE
+            assert proofs_map.entries[key].status == expect, (vn, cn)
+
+
+def test_decode_memo_scope(monkeypatch):
+    """Every CN and VN decodes a query's wire points through one memo in its
+    query state: each entry re-encodes to its bytes, no two nodes hold the
+    same point object (a VN seeds its memo with copies of the public noise
+    list), and `close` drops the memo with the state."""
+    from itertools import combinations
+
+    from privq.harness.bus import NodeBase
+
+    memos, close = {}, NodeBase.close
+
+    def spy(self, query_id):
+        state = self.states.get(query_id)
+        if state is not None and hasattr(state, "memo"):
+            memos[self.identity] = state.memo
+        close(self, query_id)
+
+    monkeypatch.setattr(NodeBase, "close", spy)
+    topo = Topology.build(n_cns=3, n_dps=3, n_vns=3, seed=32)
+    topo.cdp_params = {"epsilon": 1.0, "delta_f": 1.0, "theta": 0.5, "list_size": 8}
+    topo.dp_data = {"DP1": [{"x": 10}], "DP2": [{"x": 20}], "DP3": [{"x": 30}]}
+    sim = Simulation(topo, seed=32)
+    out = sim.run(parse_query("SELECT sum x ON DP1,DP2,DP3", scale=100, dp_privacy=True))
+    assert sim.audit(out.query_id).ok
+    assert set(memos) == {*topo.cn_ids, *topo.vn_ids}
+    for memo in memos.values():
+        assert memo and all(point.encode() == data for data, point in memo.items())
+    noise = {point.encode(): point for ct in topo.initial_noise() for point in (ct.c1, ct.c2)}
+    for vn in topo.vn_ids:
+        assert noise.keys() <= memos[vn].keys()
+        assert all(memos[vn][data] is not point for data, point in noise.items())
+    for a, b in combinations(memos, 2):
+        shared = memos[a].keys() & memos[b].keys()
+        assert shared and all(memos[a][data] is not memos[b][data] for data in shared)
+    _assert_no_query_state(sim)
+
+
+def test_decode_memo_never_holds_a_failed_decode():
+    """A malformed point raises MalformedProof on every read through a memo,
+    and only the points that decoded enter it."""
+    from privq.errors import MalformedProof
+    from privq.group import get_group
+
+    group = get_group("ed25519")
+    good, bad = group.mul(3, group.base()).encode(), b"\xff" * 32
+    memo = {}
+    for _ in range(2):
+        reader = Reader(good + bad, group, memo=memo)
+        assert reader.point().encode() == good
+        with pytest.raises(MalformedProof):
+            reader.point()
+    assert list(memo) == [good]

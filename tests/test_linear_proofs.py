@@ -10,6 +10,7 @@ from privq.errors import MalformedProof
 from privq.group import get_group
 from privq.proofs.linear import (LinearRelationProof, LinearStatement,
                                  decode_linear, prove_linear, verify_linear)
+from privq.proofs.transcript import joint_verdicts
 from privq.rng import Drbg
 
 
@@ -227,3 +228,32 @@ def test_batch_verdict_is_deterministic(ctx):
     tampered[7] = _tamper_response(group, proofs[7], 1)
     assert [verify_linear(*proofs) for _ in range(3)] == [True] * 3
     assert [verify_linear(*tampered) for _ in range(3)] == [False] * 3
+
+
+def test_joint_verdicts_match_per_bundle_verdicts_on_bitflip_corpus(ctx):
+    """The bit-flip corpus again, each corrupted proof in one of three
+    bundles of a round: one joint batch over the round, then one batch per
+    bundle only if it rejects, gives every bundle the verdict that
+    `verify_linear` on that bundle alone gives."""
+    group, rng = ctx
+    statement, secrets = _ctks_instance(group, rng)
+    blob = prove_linear(statement, secrets, rng).encode()
+    honest = _ctks_batch(group, rng, 3)
+    assert joint_verdicts(verify_linear, [honest[:1], honest[1:]]) == [True, True]
+    flip = random.Random(1234)
+    memo = {}  # a corrupted proof shares all points but one with the others
+    compared = 0
+    for trial in range(1000):
+        data = bytearray(blob)
+        data[flip.randrange(len(data))] ^= 1 << flip.randrange(8)
+        try:
+            corrupted = decode_linear(group, bytes(data), memo=memo)
+        except MalformedProof:
+            continue
+        bundles = [honest[:1], honest[1:2], honest[2:]]
+        bundles[trial % 3] = bundles[trial % 3] + [corrupted]
+        verdicts = joint_verdicts(verify_linear, bundles)
+        assert verdicts == [verify_linear(*bundle) for bundle in bundles]
+        assert verdicts.count(False) == 1
+        compared += 1
+    assert compared > 100

@@ -1,6 +1,7 @@
 """Verifiable shuffle: multiset invariance, unlinkability of ciphertext
 bytes, soundness probes, and bit-flip fuzzing."""
 
+import dataclasses
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from privq.errors import EmptyList, MalformedProof
 from privq.group import DlogTable, get_group
 from privq.proofs.shuffle import (ShuffleProof, decode_shuffle,
                                   shuffle_and_prove, verify_shuffle)
+from privq.proofs.transcript import joint_verdicts
 from privq.rng import Drbg
 
 
@@ -145,3 +147,49 @@ def test_verdict_reads_no_os_randomness(ctx, monkeypatch):
     monkeypatch.setattr(secrets, "token_bytes", no_entropy)
     assert verify_shuffle(proof)
     assert not verify_shuffle(bad)
+
+
+def test_chain_of_shuffles_verifies_as_one_batch(ctx):
+    """Three links, each shuffling the previous one's outputs, verify in
+    one batch; a tampered link makes the joint batch reject."""
+    group, rng, kp, _ = ctx
+    cts, proofs = _encrypt_list(ctx, [1, 2, 3]), []
+    for _ in range(3):
+        cts, proof = shuffle_and_prove(group, cts, kp.public, rng)
+        proofs.append(proof)
+    assert verify_shuffle(*proofs)
+    for i, proof in enumerate(proofs):
+        tampered = list(proofs)
+        tampered[i] = dataclasses.replace(proof, tau=(proof.tau + 1) % group.order)
+        assert not verify_shuffle(*tampered), i
+        assert verify_shuffle(*(p for j, p in enumerate(proofs) if j != i))
+
+
+def test_joint_verdicts_match_per_bundle_verdicts_on_bitflip_corpus(ctx):
+    """The first half of the bit-flip corpus of `test_bitflip_fuzz_rejected`,
+    each corrupted proof one of three links' bundles: one joint batch, then
+    one batch per bundle only if it rejects, gives every bundle the verdict
+    that `verify_shuffle` on that bundle alone gives."""
+    group, rng, kp, _ = ctx
+    cts = _encrypt_list(ctx, [5, 6, 7, 8])
+    _, proof = shuffle_and_prove(group, cts, kp.public, rng)
+    blob = proof.encode()
+    honest = [shuffle_and_prove(group, cts, kp.public, rng)[1] for _ in range(2)]
+    assert verify_shuffle(honest[0]) and verify_shuffle(honest[1])
+    flip = random.Random(99)
+    memo = {}  # a corrupted proof shares all points but one with the others
+    compared = 0
+    for trial in range(500):
+        data = bytearray(blob)
+        data[flip.randrange(len(data))] ^= 1 << flip.randrange(8)
+        try:
+            corrupted = decode_shuffle(group, bytes(data), memo)
+        except MalformedProof:
+            continue
+        bundles, alone = [(honest[0],), (honest[1],)], [True, True]
+        bundles.insert(trial % 3, (corrupted,))
+        alone.insert(trial % 3, verify_shuffle(corrupted))
+        assert joint_verdicts(verify_shuffle, bundles) == alone
+        assert alone.count(False) == 1
+        compared += 1
+    assert compared > 100
