@@ -9,9 +9,10 @@ gets one idle callback (the timeout surrogate); if that produces no new
 traffic the pump stops.
 
 A node ends each query with `NodeBase.close`, which drops the query's
-state and parked messages. A message whose handler raises a `PrivqError`
-counts as never sent: the node drops it and logs it in `Bus.dropped`, and
-the timeouts then treat its sender as they treat a dead node.
+state and parked messages. A message whose handler raises a `PrivqError`,
+or that the node has no handler for, counts as never sent: the node drops
+it and logs it in `Bus.dropped`, and the timeouts then treat its sender as
+they treat a dead node.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from ..errors import PrivqError, TransportClosed
+from ..errors import PrivqError, TransportClosed, UnexpectedInput
 from ..serial import Reader, pack_bytes
 
 
@@ -167,16 +168,14 @@ class NodeBase:
                 self._dispatch(parked)
 
     def _dispatch(self, message: Message) -> None:
-        handler = getattr(self, "on_" + message.round, None)
-        if handler is None:
-            raise TransportClosed(
-                f"{self.identity} has no handler for round {message.round!r}"
-            )
         try:
-            handler(message)
+            getattr(self, "on_" + message.round, self._unhandled)(message)
         except PrivqError as exc:  # a message its handler cannot use never arrived
             self.bus.dropped.append((self.identity, message.round, message.sender,
                                      repr(exc)))
+
+    def _unhandled(self, message: Message) -> None:
+        raise UnexpectedInput(f"{self.identity} has no handler for round {message.round!r}")
 
     def close(self, query_id) -> None:
         """End the query here: drop its state and parked messages."""

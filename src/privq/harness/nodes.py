@@ -47,21 +47,23 @@ privq.ledger. Provers sign and send their proof bundles with
 ciphertext list, count last, which `read_cts` reads without trailing
 bytes.
 
-A VN checks the shape of each sampled CTKS/CTO or shuffle sub-proof as
-its bundle comes (`protocols.round_proof`, the chain links) and defers the
-proof equations to one batch per round: once the round's last expected
-bundle is in, one `verify_linear` (CTKS/CTO) or `verify_shuffle` call
-checks the proofs of all its bundles, and only if that joint batch rejects
-is each bundle checked alone, so a verdict stays per bundle and
-all-or-nothing within it. Before a VN sends its map, and before the leader
-assembles a block, it settles every round still pending. Values two
-bundles must agree on meet in one table through `VnNode._bind`, whichever
-comes first: a DP's range-proved ciphertext and its aggregated input,
-adjacent shuffle-chain links, and a CTKS/CTO round's input list. A proof
-it marks false stays false. Once the bundles that give the previous
-round's output have passed every sub-proof, that output fixes the round's
-input instead (`_bind_inputs`), and the bundles that failed only against
-the list bound before are checked again on the sub-proofs already drawn.
+A VN runs the checks of each bundle's sampled sub-proofs as it comes:
+decoding, the shape of a CTKS/CTO or shuffle proof
+(`protocols.round_proof`), and the range, aggregation and shuffle-chain
+checks. Values two bundles must agree on meet in one table through
+`VnNode._bind`, whichever comes first (a DP's range-proved ciphertext and
+its aggregated input, adjacent shuffle-chain links), and a proof it marks
+false stays false. Verdicts are recorded in one place, `VnNode._settle`,
+which settles the query's rounds in plan order: each once no bundle of it
+or an earlier round is awaited, and every round left before the VN's map
+leaves it. A CTKS/CTO bundle holds only over the round's input, the
+previous round's output (`Round.output`) once the bundles that give it
+have held, else the input list of the round's first bundle that had a
+sub-proof drawn. One `verify_linear` or `verify_shuffle` call checks the
+proof equations of a round's bundles that hold, and only if that joint
+batch rejects is each bundle checked alone, so a verdict stays per bundle
+and all-or-nothing within it. A VN takes `end_query` only from the root CN
+and `map_request` only from the block's leader VN.
 
 Every CN and VN reads the wire through a decode memo in its query state
 (`serial.Reader`), so it decodes each distinct point once per query; a VN
@@ -446,11 +448,11 @@ class VnNode(NodeBase):
             return
         query = decode_query(body)
         expected = ledger.expected_proofs(query, self.topology.cn_ids, self.range_sigs)
-        bound = {}  # slot -> [the value bound to it, the bundles that agreed] (`_bind`)
+        bound = {}  # slot -> the value bound to it first (`_bind`)
         memo = {}  # the query's decode memo (`serial.Reader`)
         if query.dp_privacy:  # the chain's first link shuffles the public list
             noise = self.topology.initial_noise()
-            bound[("shuffle", 0)] = [pack_cts(noise)]
+            bound[("shuffle", 0)] = pack_cts(noise)
             # the list the VN holds, as its own points: no other node's
             memo.update((point.encode(), copy.copy(point))
                         for ct in noise for point in (ct.c1, ct.c2))
@@ -461,11 +463,13 @@ class VnNode(NodeBase):
                                      self.range_sigs is not None),
             map=ledger.QueryProofsMap(expected),
             bundles=Awaited(expected),  # one signed bundle per expected proof key
-            proved={},  # (prover, proof type) -> what a bundle proved, every sub-proof
-            outputs=[],  # each round's output, once `proved` gives it
-            pending={},  # proof type -> {key: (prover, proofs, complete)} awaiting its batch
-            blamed=set(),  # keys `_blame` made false for good
-            unbound={},  # proof type -> {key: drawn indices} failed on the round's input
+            # proof type -> {key: (prover, status, what its drawn sub-proofs
+            # read, whether every sub-proof was drawn)}, in arrival order
+            pending={},
+            inputs={},  # key -> a CTKS/CTO bundle's input list, read by a drawn sub-proof
+            settled=0,  # how many plan rounds `_settle` has settled, in order
+            outputs=[],  # each settled round's output, while `Round.output` gives it
+            blamed={},  # key `_bind` made false for good -> its proof type
             memo=memo,
             ended=False,
             maps=Awaited(()),  # leader: each VN's map, once it assembles
@@ -487,7 +491,10 @@ class VnNode(NodeBase):
         status = ledger.probabilistic_verify(
             bundle, self.policy, self.rng,
             lambda i: self._verify_sub(state, bundle, kind, i, parts))
-        self._judge(state, bundle, kind, status, parts)
+        state.pending.setdefault(bundle.proof_type, {})[bundle.key] = (
+            bundle.prover_id, status, list(parts.values()),
+            len(parts) == len(bundle.payloads))
+        self._settle(state)
 
     def _verify_sub(self, state, bundle, kind, index, parts) -> bool:
         """The VN check of the bundle's round, `_check_<kind>`, on one
@@ -499,60 +506,70 @@ class VnNode(NodeBase):
             return False
         return parts[index] is not None
 
-    def _judge(self, state, bundle, kind, status, parts):
-        """Record the bundle's verdict. A CTKS/CTO or shuffle bundle whose
-        drawn sub-proofs passed their checks joins its round's batch
-        instead, which `_settle` checks once the round's last expected
-        bundle is in."""
-        read = list(parts.values())
-        complete = len(read) == len(bundle.payloads)  # every sub-proof checked
-        if status == ledger.STATUS_TRUE and kind in ("tree", "shuffle"):
-            state.pending.setdefault(bundle.proof_type, {})[bundle.key] = (
-                bundle.prover_id, read, complete)
-            self._settle(state, bundle.proof_type)
-            return
-        if bundle.key not in state.blamed:
-            state.map.record(bundle.key, status)
-        if status == ledger.STATUS_TRUE and complete:
-            self._prove(state, bundle.key, bundle.prover_id, bundle.proof_type, read)
+    def _settle(self, state, force=False):
+        """Settle the query's rounds in plan order, each once no bundle of it
+        is awaited (with `force`, every round left: the VN's map is about to
+        leave it, so this is final), and record the verdict of each bundle
+        of the round.
 
-    def _settle(self, state, proof_type, force=False):
-        """Check the round's pending bundles with one batch, once no bundle
-        of the round is awaited any more (or at once with `force`). Only if
-        the joint batch rejects is each bundle checked alone, so a verdict
-        stays per bundle."""
-        if not force and any(state.map.entries[key].proof_type == proof_type
-                             for key in state.bundles.waiting):
-            return
-        pending = [(key, *entry) for key, entry in state.pending.pop(proof_type, {}).items()
-                   if key not in state.blamed]
-        if not pending:
-            return
-        tree = state.plan.round(proof_type).kind == "tree"
-        verdicts = joint_verdicts(verify_linear if tree else verify_shuffle,
-                                  (proofs for _, _, proofs, _ in pending))
-        for (key, prover, proofs, complete), ok in zip(pending, verdicts):
-            if key in state.blamed:  # by a bundle an earlier one let in
-                continue
-            state.map.record(key, ledger.STATUS_TRUE if ok else ledger.STATUS_FALSE)
-            if ok and complete:
-                # a CTKS/CTO proof's last two targets are its share: (w1, w2)
-                # or s·(C1, C2); a shuffle proof gives its output list
-                self._prove(state, key, prover, proof_type, [
-                    elgamal.Ciphertext(*proof.statement.targets[-2:]) if tree
-                    else list(proof.outputs) for proof in proofs])
+        A bundle whose drawn sub-proofs passed their checks holds unless
+        `_bind` blamed it. A CTKS/CTO bundle must also run over the round's
+        input: the previous round's output if the VN has it, else the list
+        of the round's first bundle that had a sub-proof drawn. The CTKS/CTO
+        or shuffle bundles that still hold are checked with one batch, each
+        alone only if it rejects, so a verdict stays per bundle."""
+        rounds = state.plan.rounds
+        while state.settled < len(rounds):
+            stage, rnd = state.settled, rounds[state.settled]
+            if not force and any(state.map.entries[key].proof_type == rnd.proof_type
+                                 for key in state.bundles.waiting):
+                return
+            state.settled += 1
+            pending = state.pending.pop(rnd.proof_type, {})
+            held = {key: read for key, (_, status, read, _) in pending.items()
+                    if status == ledger.STATUS_TRUE and key not in state.blamed}
+            if rnd.kind == "tree":  # every CN runs the round over one list
+                lists = [state.inputs[key] for key in pending if key in state.inputs]
+                if len(state.outputs) == stage:  # the previous round's output
+                    lists = [b"".join(ct.encode() for ct in rnd.input(state.outputs[-1]))]
+                held = {key: read for key, read in held.items() if state.inputs[key] == lists[0]}
+            if held and rnd.kind in ("tree", "shuffle"):
+                holds = joint_verdicts(verify_linear if rnd.kind == "tree" else verify_shuffle,
+                                       held.values())
+                held = {key: read for (key, read), ok in zip(held.items(), holds) if ok}
+            # a bundle that passed its drawn checks but not the round's is false
+            verdicts = {key: ledger.STATUS_FALSE if status == ledger.STATUS_TRUE
+                        and key not in held else status
+                        for key, (_, status, _, _) in pending.items()}
+            settled = {r.proof_type for r in rounds[:state.settled]}
+            verdicts.update((key, ledger.STATUS_FALSE)
+                            for key, proof_type in state.blamed.items() if proof_type in settled)
+            for key, status in verdicts.items():
+                state.map.record(key, status)
+            if len(state.outputs) == stage and state.settled < len(rounds):
+                self._output(state, rnd, {prover: held[key] for key, (prover, _, _, complete)
+                                          in pending.items() if complete and key in held})
 
-    def _settle_all(self, state):
-        """Settle every pending round, as before the VN's map leaves it."""
-        while state.pending:
-            self._settle(state, next(iter(state.pending)), force=True)
-
-    def _prove(self, state, key, prover, proof_type, proved):
-        """A true bundle whose every sub-proof was checked gives what it
-        proved to the rounds whose output follows from it."""
-        if key not in state.blamed:
-            state.proved[prover, proof_type] = proved
-            self._bind_inputs(state)
+    @staticmethod
+    def _output(state, rnd, proved):
+        """Add the settled round's output, if the provers of its
+        `outputs_from` proved it: `proved` maps each prover whose bundle
+        holds and had every sub-proof drawn to what its sub-proofs read."""
+        parts = []
+        for prover in rnd.outputs_from:
+            if prover not in proved:
+                return
+            read = proved[prover]
+            if rnd.kind == "tree":  # a proof's last two targets: (w1, w2) or s·(C1, C2)
+                read = [elgamal.Ciphertext(*proof.statement.targets[-2:]) for proof in read]
+            elif rnd.kind == "shuffle":
+                read = [list(proof.outputs) for proof in read]
+            parts.append(read)
+        try:
+            state.outputs.append(rnd.output(state.outputs[-1] if state.outputs else None,
+                                            parts))
+        except PrivqError:  # a noise list too short: the root drops it too
+            pass
 
     def _check_range(self, state, bundle, index):
         group = self.topology.group
@@ -585,17 +602,10 @@ class VnNode(NodeBase):
         return agg.output
 
     def _check_tree(self, state, bundle, index):
-        """Shape check of one CTKS/CTO sub-proof; `_settle` verifies the
-        proofs it returns in the round's batch."""
-        # all CNs run the round over the same ciphertext list: the previous
-        # round's output once the VN has it (`_bind_inputs`), before that the
-        # list of the first bundle seen, against which a failed sub-proof is
-        # noted to be checked again if `_bind_inputs` replaces that list
-        inputs = b"".join(Reader(p).bytes_field() for p in bundle.payloads)
-        if not self._bind(state, bundle, ("round", bundle.proof_type), inputs, bundle.key):
-            state.unbound.setdefault(bundle.proof_type, {}).setdefault(
-                bundle.key, []).append(index)
-            return None
+        """Shape check of one CTKS/CTO sub-proof; `_settle` checks the
+        bundle's input list and verifies the proofs it returns in the
+        round's batch."""
+        state.inputs[bundle.key] = b"".join(Reader(p).bytes_field() for p in bundle.payloads)
         return protocols.round_proof(
             self.topology.group, bundle.proof_type, bundle.payloads[index],
             cn_public=self.topology.keys[bundle.prover_id].public,
@@ -620,82 +630,36 @@ class VnNode(NodeBase):
                        successor)
         return proof if ok else None
 
-    @classmethod
-    def _bind(cls, state, bundle, slot, value, blame) -> bool:
-        """Bind `value` to the query's `slot`: the first value bound stands,
-        whichever bundle brings it, and is kept with the bundles that agree
-        with it. A different value marks the proof keyed `blame` false; the
-        caller's sub-proof fails only if that proof is `bundle` itself."""
-        first = state.bound.setdefault(slot, [value])
-        if first[0] == value:
-            first.append(bundle.key)
+    @staticmethod
+    def _bind(state, bundle, slot, value, blame) -> bool:
+        """Bind `value` to the query's `slot`, a range-proved ciphertext or a
+        shuffle-chain link's input list: the first value bound stands,
+        whichever bundle brings it. A different value marks the proof keyed
+        `blame` false for good; the caller's sub-proof fails only if that
+        proof is `bundle` itself."""
+        if state.bound.setdefault(slot, value) == value:
             return True
         if blame == bundle.key:
             return False
-        cls._blame(state, blame)
+        state.blamed[blame] = slot[0]  # the proof type of the slot's prover
         return True
-
-    @staticmethod
-    def _blame(state, key):
-        """Mark the proof keyed `key` false for good: no verdict recorded
-        later changes it, and it gives no round output."""
-        state.blamed.add(key)
-        state.map.record(key, ledger.STATUS_FALSE)
-        entry = state.map.entries.get(key)
-        if entry is not None:
-            state.proved.pop((entry.prover_id, entry.proof_type), None)
-
-    def _bind_inputs(self, state):
-        """Compute each round's output once every bundle of its `outputs_from`
-        passed every sub-proof, and bind the following CTKS/CTO round's input
-        to it. A different list bound first is replaced: the bundles that
-        agreed with it are false, and those that failed only against it are
-        checked again, on the sub-proofs already drawn."""
-        rounds = state.plan.rounds
-        while len(state.outputs) < len(rounds) - 1:
-            rnd, following = rounds[len(state.outputs)], rounds[len(state.outputs) + 1]
-            parts = [state.proved.get((prover, rnd.proof_type)) for prover in rnd.outputs_from]
-            if None in parts:
-                return
-            try:
-                output = rnd.output(state.outputs[-1] if state.outputs else None, parts)
-            except PrivqError:  # a noise list too short: the root drops it too
-                return
-            state.outputs.append(output)
-            if following.kind != "tree":
-                continue
-            inputs = b"".join(ct.encode() for ct in following.input(output))
-            first = state.bound.setdefault(("round", following.proof_type), [inputs])
-            unbound = state.unbound.pop(following.proof_type, {})
-            if first[0] != inputs:
-                for key in set(first[1:]):
-                    self._blame(state, key)
-                first[:] = [inputs]
-                for key, indices in unbound.items():
-                    self._recheck(state, key, indices)
-
-    def _recheck(self, state, key, indices):
-        """Check the stored bundle keyed `key` again on the sub-proofs
-        `indices` drawn when it came: no new draws."""
-        bundle = ledger.ProofBundle.decode(self.kv[state.query.query_id][key])
-        parts = {}
-        verdicts = [self._verify_sub(state, bundle, "tree", i, parts) for i in indices]
-        self._judge(state, bundle, "tree",
-                    ledger.STATUS_TRUE if all(verdicts) else ledger.STATUS_FALSE, parts)
 
     # ----- block assembly -----
 
     def on_end_query(self, msg):
+        if msg.sender != self.tree.root:  # the leader then settles for good
+            raise UnexpectedInput(f"end_query from {msg.sender}, which is not the root CN")
         state = self.states.get(msg.query_id)
         if state is not None:
             state.ended = True
 
+    def _leader(self):
+        return ledger.block_leader(self.topology.vn_ids, len(self.chain))
+
     def on_idle(self, level: int = 0):
         for query_id, state in list(self.states.items()):
-            if (state.ended and not state.maps.inputs
-                    and ledger.block_leader(self.topology.vn_ids, len(self.chain))
-                    == self.identity):
-                self._settle_all(state)
+            if state.ended and not state.maps.inputs and self._leader() == self.identity:
+                self._settle(state, force=True)
                 state.maps = Awaited(self.topology.vn_ids, taken={self.identity: state.map})
                 for vn in self.topology.vn_ids:
                     if vn != self.identity:
@@ -708,9 +672,11 @@ class VnNode(NodeBase):
                 self._maybe_seal(query_id, self.policy.f_h)
 
     def on_map_request(self, msg):
+        if msg.sender != self._leader():  # the VN then settles for good
+            raise UnexpectedInput(f"map_request from {msg.sender}, which is not the leader")
         state = self.states.get(msg.query_id)
         if state is not None:
-            self._settle_all(state)
+            self._settle(state, force=True)
             self.send(msg.query_id, "map_submit", msg.sender, state.map.encode())
 
     def on_map_submit(self, msg):
@@ -793,7 +759,7 @@ class MultiRoleNode(NodeBase):
             if hasattr(part, "on_" + msg.round):
                 part.handle(msg)
                 return
-        super().handle(msg)  # raises the no-handler error
+        super().handle(msg)  # drops it: no part handles it
 
     def on_idle(self, level: int = 0):
         for part in self.parts:

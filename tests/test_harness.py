@@ -373,13 +373,15 @@ def test_unusable_round_message_dropped(round_, sender, forge):
     ("round_request", "ctks", "CN3"),
     ("round_request", "cto", "DP1"),
     ("cdp_pass", None, "CN3"),
+    ("map_submit", None, "VN2"),
 ])
 def test_stray_round_opener_dropped(round_, tag, intruder):
     """While CN2 aggregates, a DP or a CN other than its parent (CN1) posts
-    it a round request, or a CN other than its shuffle-chain predecessor
-    (CN1) a noise list. A CN takes either message only from that one node,
-    once, for the round its plan runs next: CN2 drops it and the query
-    answers over every DP with a clean audit."""
+    it a round request, a CN other than its shuffle-chain predecessor (CN1)
+    a noise list, or a VN a map, which no CN handles. A CN takes either of
+    the first two only from that one node, once, for the round its plan
+    runs next: CN2 drops the message and the query answers over every DP
+    with a clean audit."""
     topo = _topo(45)
     topo.cdp_params = {"epsilon": 1.0, "delta_f": 1.0, "theta": 0.5, "list_size": 8}
     sim = Simulation(topo, seed=45)
@@ -402,26 +404,47 @@ def test_stray_round_opener_dropped(round_, tag, intruder):
     _assert_no_query_state(sim)
 
 
-@pytest.mark.parametrize("text, options, forged", [
-    ("SELECT sum x ON DP1,DP2,DP3,DP4", {}, "keyswitch"),
-    ("SELECT or flag ON DP1,DP2,DP3,DP4", {"bitwise_mode": "bits"}, "obfuscation"),
-    ("SELECT or flag ON DP1,DP2,DP3,DP4", {"bitwise_mode": "bits"}, "keyswitch"),
-    ("SELECT sum x ON DP1,DP2,DP3,DP4", {"dp_privacy": True}, "keyswitch"),
-], ids=["after_aggregation", "cto_after_aggregation", "after_cto", "after_shuffle"])
-def test_first_round_bundle_does_not_frame_honest_cns(text, options, forged):
-    """CN2 sends the VNs a CTKS or CTO bundle over encryptions of 99 right
-    after the query, and withholds its honest one. Each VN binds the
-    round's input to the previous round's output once the bundles that give
-    it have passed (the root's aggregation, every CN's CTO shares, the last
-    shuffle link), whichever round bundle came first: only CN2's proof of
-    that round is false, on every VN."""
+@pytest.mark.parametrize("round_, intruder, dead", [
+    ("end_query", "DP1", "DP4"),
+    ("map_request", "DP1", None),
+    ("map_request", "CN2", None),
+])
+def test_vn_takes_end_query_from_root_and_map_request_from_leader(round_, intruder, dead):
+    """A VN settles its rounds for good when the query ends (`end_query`,
+    from the root CN) or when its map leaves it (`map_request`, from the
+    query's leader VN), so it takes either only from that node. DP1 or CN2
+    posts one to every VN as the query reaches it; with DP4 dead, a stray
+    `end_query` would have the leader assemble at the first idle, before
+    key switching. Every VN drops it, and the query answers over the live
+    DPs with a clean audit."""
+    topo = Topology.build(n_cns=3, n_dps=4, n_vns=3, seed=7)
+    topo.dp_data = {f"DP{i}": [{"x": i}] for i in range(1, 5)}
+    sim = Simulation(topo, seed=7)
+    if dead:
+        sim.kill(dead)
+    node = {**sim.cns, **sim.dps}[intruder]
+    honest_on_query = node.on_query
+
+    def on_query(msg):
+        honest_on_query(msg)
+        for vn in topo.vn_ids:
+            sim.bus.post(msg.query_id, round_, intruder, vn)
+
+    node.on_query = on_query
+    out = sim.run(parse_query("SELECT sum x ON DP1,DP2,DP3,DP4", scale=1))
+    assert out.result.values[0] == (6.0 if dead else 10.0)
+    assert sim.audit(out.query_id).ok
+    assert sorted(entry[:3] for entry in sim.bus.dropped) == [
+        (vn, round_, intruder) for vn in topo.vn_ids]
+    _assert_no_query_state(sim)
+
+
+def _send_forged_round_bundle(sim, forged):
+    """CN2 sends the VNs a `forged` (CTKS or CTO) bundle over encryptions of
+    99 right after the query, and withholds its honest one."""
     from privq import ledger, protocols
 
-    topo = Topology.build(n_cns=3, n_dps=4, n_vns=3, seed=5)
-    topo.dp_data = {f"DP{i}": [{"x": i, "flag": i % 2}] for i in range(1, 5)}
-    topo.cdp_params = {"epsilon": 1.0, "delta_f": 1.0, "theta": 0.5, "list_size": 8}
-    sim = Simulation(topo, seed=5)
-    cn2 = sim.cns["CN2"]
+    topo, cn2 = sim.topology, sim.cns["CN2"]
     honest_on_query, honest_send = cn2.on_query, cn2.send
 
     def send(query_id, round_, recipient, payload=b""):
@@ -440,6 +463,26 @@ def test_first_round_bundle_does_not_frame_honest_cns(text, options, forged):
             honest_send(msg.query_id, "proof_bundle", vn, bundle.encode())
 
     cn2.send, cn2.on_query = send, on_query
+
+
+@pytest.mark.parametrize("text, options, forged", [
+    ("SELECT sum x ON DP1,DP2,DP3,DP4", {}, "keyswitch"),
+    ("SELECT or flag ON DP1,DP2,DP3,DP4", {"bitwise_mode": "bits"}, "obfuscation"),
+    ("SELECT or flag ON DP1,DP2,DP3,DP4", {"bitwise_mode": "bits"}, "keyswitch"),
+    ("SELECT sum x ON DP1,DP2,DP3,DP4", {"dp_privacy": True}, "keyswitch"),
+], ids=["after_aggregation", "cto_after_aggregation", "after_cto", "after_shuffle"])
+def test_first_round_bundle_does_not_frame_honest_cns(text, options, forged):
+    """CN2 sends the VNs a CTKS or CTO bundle over encryptions of 99 right
+    after the query, and withholds its honest one. Each VN checks the
+    round's bundles when the round settles, against the previous round's
+    output (the root's aggregation, every CN's CTO shares, the last shuffle
+    link), whichever round bundle came first: only CN2's proof of that
+    round is false, on every VN."""
+    topo = Topology.build(n_cns=3, n_dps=4, n_vns=3, seed=5)
+    topo.dp_data = {f"DP{i}": [{"x": i, "flag": i % 2}] for i in range(1, 5)}
+    topo.cdp_params = {"epsilon": 1.0, "delta_f": 1.0, "theta": 0.5, "list_size": 8}
+    sim = Simulation(topo, seed=5)
+    _send_forged_round_bundle(sim, forged)
     out = sim.run(parse_query(text, scale=1, **options))
     if not options.get("dp_privacy"):
         assert out.result.values[0] == (10.0 if "sum" in text else 1)
@@ -1112,42 +1155,16 @@ def test_shared_chain_file_refuses_a_stale_writer(tmp_path):
     assert len(Simulation(topo, seed=23).chain()) == 1
 
 
-def _send_forged_round_bundle(sim, forged):
-    """CN2 sends the VNs a `forged` (CTKS or CTO) bundle over encryptions of
-    99 right after the query, and withholds its honest one."""
-    from privq import ledger, protocols
-
-    topo, cn2 = sim.topology, sim.cns["CN2"]
-    honest_on_query, honest_send = cn2.on_query, cn2.send
-
-    def send(query_id, round_, recipient, payload=b""):
-        if round_ != "proof_bundle" or ledger.ProofBundle.decode(payload).proof_type != forged:
-            honest_send(query_id, round_, recipient, payload)
-
-    def on_query(msg):
-        honest_on_query(msg)
-        group, pk = topo.group, topo.collective_key().public
-        fake = [elgamal.encrypt(group, 99, pk, cn2.rng) for _ in range(2)]
-        _, payloads = protocols.round_shares(group, forged, fake, cn2.rng, topo.keys["CN2"],
-                                             topo.keys[topo.querier_id].public)
-        bundle = ledger.ProofBundle(msg.query_id, "CN2", forged, 0,
-                                    tuple(payloads)).signed(group, topo.keys["CN2"].private)
-        for vn in topo.vn_ids:
-            honest_send(msg.query_id, "proof_bundle", vn, bundle.encode())
-
-    cn2.send, cn2.on_query = send, on_query
-
-
 @pytest.mark.parametrize("seed", [0, 2, 8, 10, 11, 14, 15, 16, 18, 19, 20, 21, 24, 26, 28,
                                   31, 32, 33, 35, 36, 37])
 def test_bundle_failed_against_a_replaced_round_input_is_checked_again(seed):
     """Under the concurrent scheduler, honest CN1's and CN3's key-switch
     bundles may reach a VN after CN2's forged one and before the root's
-    aggregation bundle, so they fail against the forged input list. Once
-    the aggregation output replaces that list, the VN checks them again on
-    the sub-proofs it drew: only CN2 is false, on every VN. (These are the
-    seeds of 0..39 on which honest CN3 was false on one or two VNs when
-    nothing was checked again.)"""
+    aggregation bundle. The VN checks the round's input only when the
+    round settles, after the aggregation round, against its output: only
+    CN2 is false, on every VN. (These are the seeds of 0..39 on which
+    honest CN3 was false on one or two VNs when the first bundle's list
+    fixed the round's input until the aggregation output came.)"""
     topo = Topology.build(n_cns=3, n_dps=4, n_vns=3, seed=5)
     topo.dp_data = {f"DP{i}": [{"x": i}] for i in range(1, 5)}
     sim = Simulation(topo, seed=seed, scheduler="concurrent")
@@ -1159,31 +1176,26 @@ def test_bundle_failed_against_a_replaced_round_input_is_checked_again(seed):
         ("CN2", "keyswitch", list(topo.vn_ids))]
 
 
-def test_settled_round_keeps_a_false_recorded_while_pending(monkeypatch):
-    """CN2's forged key-switch bundle holds true proofs over encryptions of
-    99. Taken first, it waits in the round's batch until the last CN's
-    bundle is in, and meanwhile the root's aggregation output replaces the
-    round's input and marks it false. Settling the round, whose batch it
-    would pass, leaves it false."""
+def test_round_bundle_with_true_proofs_over_another_input_is_false():
+    """CN2's forged key-switch bundle holds true proofs, over encryptions of
+    99 instead of the root's aggregation output: they pass `verify_linear`
+    on their own, so the round's batch would take them. Checked against
+    the round's input when the round settles, CN2's keyswitch is false on
+    every VN, and the audit names only it."""
     from privq import ledger, protocols
-    from privq.harness import nodes
 
     topo = Topology.build(n_cns=3, n_dps=4, n_vns=3, seed=5)
     topo.dp_data = {f"DP{i}": [{"x": i}] for i in range(1, 5)}
-    sim = Simulation(topo, seed=5)
+    sim = Simulation(topo, seed=5, record_trace=True)
     _send_forged_round_bundle(sim, "keyswitch")
-    settle, false_while_pending, forged_proofs = nodes.VnNode._settle, set(), []
-
-    def spy(self, state, proof_type, force=False):
-        for key, (prover, proofs, _) in state.pending.get(proof_type, {}).items():
-            if state.map.entries[key].status == ledger.STATUS_FALSE:
-                false_while_pending.add((self.identity, prover))
-                forged_proofs.extend(proofs)
-        return settle(self, state, proof_type, force)
-
-    monkeypatch.setattr(nodes.VnNode, "_settle", spy)
     out = sim.run(parse_query("SELECT sum x ON DP1,DP2,DP3,DP4", scale=1))
-    assert false_while_pending == {(vn, "CN2") for vn in topo.vn_ids}
+    [forged] = {ledger.ProofBundle.decode(m.payload) for m in sim.bus.trace
+                if (m.round, m.sender) == ("proof_bundle", "CN2")
+                and ledger.ProofBundle.decode(m.payload).proof_type == "keyswitch"}
+    forged_proofs = [protocols.round_proof(topo.group, "keyswitch", payload,
+                                           cn_public=topo.keys["CN2"].public,
+                                           target_pk=topo.keys[topo.querier_id].public)
+                     for payload in forged.payloads]
     assert forged_proofs and protocols.verify_linear(*forged_proofs)
     key = ledger.proof_key(out.query_id, "CN2", "keyswitch", 0)
     for vn, proofs_map in out.block.maps.items():
