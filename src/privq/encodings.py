@@ -1,14 +1,17 @@
-"""Encodable operations: per-DP encodings, querier-side decodings, neutral
-responses, regression encodings, and the iterative range-reduction scheme.
+"""Encodable operations as one table: per-DP encodings, querier-side
+decodings, neutral responses, and the iterative range-reduction scheme.
 
 An operation f over distributed records factors into a local encoding rho
 (each DP computes a short vector V plus its record count c on its own
 data) and a post-processing pi applied by the querier to the
-homomorphically aggregated vectors. Bit-valued operations use a negated
-representation so that every neutral response is an all-zeros encoding:
-AND/set-intersection encode "input violates the identity" (so the
-aggregate is zero iff the AND holds), OR/set-union encode membership
-directly (aggregate nonzero iff the OR holds).
+homomorphically aggregated vectors. `_OPS` holds one record per operation
+kind, and `OperationSpec`, `plaintext_encode` and `decode` read it. Most
+kinds encode a list of per-record terms summed over the records, each with
+its own element bound, so the list fixes the dimension. Bit-valued
+operations use a negated representation so that every neutral response is
+an all-zeros encoding: AND/set-intersection encode "input violates the
+identity" (so the aggregate is zero iff the AND holds), OR/set-union encode
+membership directly (aggregate nonzero iff the OR holds).
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
+from typing import Callable
 
 import numpy as np
 
@@ -34,14 +39,10 @@ from .errors import (
     ZeroCount,
 )
 
-KINDS = (
-    "sum", "mean", "variance", "stddev", "and", "or", "min", "max",
-    "freq_count", "set_intersection", "set_union", "cosim", "r2",
-    "lin_reg", "log_reg",
-)
-BIT_KINDS = ("and", "or", "min", "max", "set_intersection", "set_union")
-RANGE_KINDS = ("min", "max", "freq_count", "set_intersection", "set_union")
 RANDOM_MARKER_MAX = 255  # random-integer bitwise marker bound, keeps sums decodable
+TAYLOR_LOGSIGMOID = (-math.log(2.0), 0.5, -0.125, 0.0, 1.0 / 192.0)
+# (spec field, least, greatest or None) that every operation needs
+_LIMITS = (("scale", 1, None), ("max_records", 1, None))
 
 
 @dataclass(frozen=True)
@@ -55,94 +56,54 @@ class OperationSpec:
     max_records: int = 1  # per-DP record bound, used for element ranges
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        op = _OPS.get(self.kind)
+        if op is None:
             raise MalformedQuery(f"unknown operation {self.kind!r}")
-        if self.kind in RANGE_KINDS and self.bounds is None:
+        if op.needs_bounds and self.bounds is None:
             raise MalformedQuery(f"{self.kind} needs RANGE bounds")
         if self.bounds is not None and self.bounds[0] >= self.bounds[1]:
             raise MalformedQuery(f"empty bounds {self.bounds}")
         if self.bitwise_mode not in ("random", "bits"):
             raise MalformedQuery(f"unknown bitwise mode {self.bitwise_mode!r}")
+        for name, least, most in _LIMITS + op.limits:
+            value = getattr(self, name)
+            if value < least or (most is not None and value > most):
+                raise MalformedQuery(f"{self.kind} needs {name} in [{least}, "
+                                     f"{'inf' if most is None else most}], got {value}")
+
+    @property
+    def _op(self) -> _Op:
+        return _OPS[self.kind]
 
     @property
     def dimension(self) -> int:
-        kind, d = self.kind, self.feature_count
-        if kind in ("sum", "mean", "and", "or"):
-            return 1
-        if kind in ("variance", "stddev"):
-            return 2
-        if kind in ("cosim", "r2"):
-            return 3
-        if kind in RANGE_KINDS:
-            return self._width
-        if kind == "lin_reg":
-            return 2 * d + 1 + d * (d + 1) // 2
-        return sum((d + 1) ** t for t in range(1, self.approx_degree + 1))
-
-    @property
-    def _width(self) -> int:
-        return self.bounds[1] - self.bounds[0]
+        return self._op.dimension(self)
 
     @property
     def arity(self) -> int:
-        if self.kind in ("cosim", "r2"):
-            return 2
-        if self.kind in ("lin_reg", "log_reg"):
-            return self.feature_count + 1
-        return 1
+        return self._op.arity + (self.feature_count if self._op.labelled else 0)
 
     @property
     def value_scale(self) -> int:
         """Bitwise and counting encodings stay at integer scale."""
-        return 1 if self.kind in BIT_KINDS + ("freq_count",) else self.scale
+        return 1 if self._op.integer_scale else self.scale
 
     @property
     def zero_test_only(self) -> bool:
         """Bitwise results are read as zero/nonzero points, never dlog-decoded
         (after obfuscation the nonzero values are full-range scalars)."""
-        return self.kind in BIT_KINDS
+        return self._op.bitwise
 
     @property
     def uses_obfuscation(self) -> bool:
-        return self.kind in BIT_KINDS and self.bitwise_mode == "bits"
+        return self._op.bitwise and self.bitwise_mode == "bits"
 
     def element_bounds(self) -> list[tuple[int, int]]:
         """Per-element plaintext range [lo, hi) each sent value must lie in,
         at raw (fixed-point) scale; the basis for range proofs."""
         if self.bounds is None:
             raise MalformedQuery("operation has no declared bounds")
-        lo, hi = self.bounds
-        s = self.value_scale
-        mr = self.max_records
-        big = max(abs(lo), abs(hi))
-        if self.kind in ("min", "max", "set_intersection", "set_union", "and", "or"):
-            top = 2 if self.bitwise_mode == "bits" else RANDOM_MARKER_MAX + 1
-            return [(0, top)] * self.dimension
-        if self.kind == "freq_count":
-            return [(0, mr + 1)] * self.dimension
-        sum_b = (min(0, mr * s * lo), mr * s * hi + 1)
-        sq_b = (0, mr * s * big * big + 1)
-        if self.kind in ("sum", "mean"):
-            return [sum_b]
-        if self.kind in ("variance", "stddev"):
-            return [sum_b, sq_b]
-        if self.kind == "cosim":
-            cross = (-mr * s * big * big, mr * s * big * big + 1)
-            return [cross, sq_b, sq_b]
-        if self.kind == "r2":
-            width = hi - lo
-            return [sum_b, sq_b, (0, mr * s * width * width + 1)]
-        if self.kind == "lin_reg":
-            d = self.feature_count
-            prod = (-mr * s * big * big, mr * s * big * big + 1)
-            return [sum_b] * d + [prod] * (d * (d + 1) // 2) + [sum_b] + [prod] * d
-        if self.kind == "log_reg":
-            out = []
-            for t in range(1, self.approx_degree + 1):
-                m = mr * s * big**t
-                out.extend([(-m, m + 1)] * ((self.feature_count + 1) ** t))
-            return out
-        raise MalformedQuery(f"no element bounds for {self.kind}")
+        return self._op.element_bounds(self)
 
 
 @dataclass
@@ -165,16 +126,15 @@ class RegressionModel:
 
 
 def _check_records(op: OperationSpec, records):
-    """Positional kinds (min/max/freq/set) treat the bounds as the value
-    universe and silently exclude records outside it; numeric aggregates
-    reject out-of-bounds records since they would poison the sums."""
-    strict = op.bounds is not None and op.kind in (
-        "sum", "mean", "variance", "stddev", "cosim")
+    """Kinds over the RANGE as a value universe silently exclude records
+    outside it; strict kinds reject out-of-bounds records since they would
+    poison the sums."""
+    strict = op.bounds is not None and op._op.strict
     for rec in records:
         if len(rec) != op.arity:
             raise ArityMismatch(f"{op.kind} expects {op.arity}-tuples, got {rec!r}")
         if strict:
-            for v in rec[: 1 if op.kind != "cosim" else 2]:
+            for v in rec:
                 if not op.bounds[0] <= v < op.bounds[1]:
                     raise ValueOutOfBounds(f"{v} outside [{op.bounds[0]}, {op.bounds[1]})")
 
@@ -184,69 +144,15 @@ def _fx(x, op: OperationSpec) -> int:
     return elgamal.fixed_encode(x, op.value_scale, max_message=None).raw
 
 
-def _marker(op: OperationSpec, rng) -> int:
-    if op.bitwise_mode == "bits":
-        return 1
-    return 1 + rng.randbelow(RANDOM_MARKER_MAX)
+def _marker(mode: str, rng) -> int:
+    return 1 if mode == "bits" else 1 + rng.randbelow(RANDOM_MARKER_MAX)
 
 
 def plaintext_encode(op: OperationSpec, records, rng) -> tuple[list[int], int]:
     """The local encoding rho as raw integers (pre-encryption)."""
     records = [r if isinstance(r, (tuple, list)) else (r,) for r in records]
     _check_records(op, records)
-    c = len(records)
-    kind = op.kind
-    if kind in ("sum", "mean"):
-        return [_fx(sum(r[0] for r in records), op)], c
-    if kind in ("variance", "stddev"):
-        vals = [r[0] for r in records]
-        return [_fx(sum(vals), op), _fx(sum(v * v for v in vals), op)], c
-    if kind in ("and", "or"):
-        bits = [int(bool(r[0])) for r in records]
-        local = all(bits) if kind == "and" else any(bits)
-        violates = (not local) if kind == "and" else local
-        return [_marker(op, rng) if violates else 0], c
-    if kind in ("min", "max"):
-        inside = [r[0] for r in records if op.bounds[0] <= r[0] < op.bounds[1]]
-        if not inside:
-            return [0] * op.dimension, 0
-        extreme = min(inside) if kind == "min" else max(inside)
-        return encode_minmax(extreme, op.bounds, kind, op.bitwise_mode, rng), len(inside)
-    if kind == "freq_count":
-        lo, hi = op.bounds
-        out = [0] * op.dimension
-        counted = 0
-        for r in records:
-            if lo <= r[0] < hi:
-                out[int(r[0]) - lo] += 1
-                counted += 1
-        return out, counted
-    if kind in ("set_intersection", "set_union"):
-        lo, hi = op.bounds
-        members = {int(r[0]) - lo for r in records if lo <= r[0] < hi}
-        out = []
-        for j in range(op.dimension):
-            if kind == "set_union":
-                marked = j in members  # membership itself
-            else:
-                marked = records and j not in members  # violates "everyone has it"
-            out.append(_marker(op, rng) if marked else 0)
-        return out, c
-    if kind == "cosim":
-        a = sum(r[0] * r[1] for r in records)
-        b = sum(r[0] ** 2 for r in records)
-        d = sum(r[1] ** 2 for r in records)
-        return [_fx(a, op), _fx(b, op), _fx(d, op)], c
-    if kind == "r2":
-        sy = sum(r[0] for r in records)
-        syy = sum(r[0] ** 2 for r in records)
-        res = sum((r[0] - r[1]) ** 2 for r in records)
-        return [_fx(sy, op), _fx(syy, op), _fx(res, op)], c
-    if kind == "lin_reg":
-        return encode_linreg_raw(records, op), c
-    if kind == "log_reg":
-        return encode_logreg_raw(records, op), c
-    raise MalformedQuery(f"unknown operation {kind!r}")
+    return op._op.encode(op, records, rng)
 
 
 def encode_minmax(local_extreme: int, bounds, kind: str, mode: str, rng) -> list[int]:
@@ -257,26 +163,10 @@ def encode_minmax(local_extreme: int, bounds, kind: str, mode: str, rng) -> list
     if not lo <= local_extreme < hi:
         raise ValueOutOfBounds(f"{local_extreme} outside [{lo}, {hi})")
     out = []
-    fake_op = OperationSpec(kind="or", bitwise_mode=mode)
     for j in range(lo, hi):
         marked = j > local_extreme if kind == "min" else j < local_extreme
-        out.append(_marker(fake_op, rng) if marked else 0)
+        out.append(_marker(mode, rng) if marked else 0)
     return out
-
-
-def encode_linreg_raw(records, op: OperationSpec) -> list[int]:
-    d = op.feature_count
-    if d < 1:
-        raise MalformedQuery("lin_reg needs at least one feature")
-    sx = [sum(r[e] for r in records) for e in range(d)]
-    sxx = [
-        sum(r[e] * r[z] for r in records)
-        for e in range(d)
-        for z in range(e, d)
-    ]
-    sy = sum(r[d] for r in records)
-    syx = [sum(r[d] * r[e] for r in records) for e in range(d)]
-    return [_fx(v, op) for v in sx + sxx + [sy] + syx]
 
 
 def logreg_index_tuples(d: int, k: int) -> list[tuple]:
@@ -286,29 +176,6 @@ def logreg_index_tuples(d: int, k: int) -> list[tuple]:
     for t in range(1, k + 1):
         out.extend((t, rs) for rs in itertools.product(range(d + 1), repeat=t))
     return out
-
-
-def encode_logreg_raw(records, op: OperationSpec) -> list[int]:
-    d, k = op.feature_count, op.approx_degree
-    if k < 1:
-        raise MalformedQuery("log_reg needs approximation degree >= 1")
-    for r in records:
-        if r[d] not in (0, 1):
-            raise LabelNotBinary(f"label {r[d]!r} not in {{0,1}}")
-    sums = []
-    for t, rs in logreg_index_tuples(d, k):
-        total = 0.0
-        sign = (-1) ** t
-        for r in records:
-            x = (1.0,) + tuple(r[:d])
-            y = r[d]
-            coeff = y - y * sign - 1
-            prod = 1.0
-            for idx in rs:
-                prod *= x[idx]
-            total += coeff * prod
-        sums.append(total)
-    return [_fx(v, op) for v in sums]
 
 
 # ---------------------------------------------------------------------------
@@ -346,68 +213,15 @@ def decode(op: OperationSpec, values: list[int], count: int) -> DecodedResult:
     `values` are raw integers (bitwise operations pre-reduced to 0/1 by the
     zero-test); `count` is the decrypted aggregate record count.
     """
-    s = float(op.value_scale)
-    kind = op.kind
     flags = {}
-    if kind == "sum":
-        return DecodedResult([values[0] / s], count, op)
-    if kind == "mean":
-        _need_count(count)
-        return DecodedResult([values[0] / (s * count)], count, op)
-    if kind in ("variance", "stddev"):
-        _need_count(count)
-        mean = values[0] / (s * count)
-        var = values[1] / (s * count) - mean * mean
-        if var < 0:
-            flags["clamped_negative_variance"] = var
-            var = 0.0
-        out = [math.sqrt(var)] if kind == "stddev" else [var]
-        return DecodedResult(out + [mean], count, op, flags)
-    if kind in ("and", "or"):
-        nonzero = values[0] != 0
-        result = (not nonzero) if kind == "and" else nonzero
-        return DecodedResult([1.0 if result else 0.0], count, op)
-    if kind in ("min", "max"):
-        lo, hi = op.bounds
-        marked = [j for j, v in enumerate(values) if v != 0]
-        if kind == "min":
-            value = lo + (marked[0] - 1) if marked else hi - 1
-        else:
-            value = lo + (marked[-1] + 1) if marked else lo
-        return DecodedResult([float(value)], count, op)
-    if kind == "freq_count":
-        return DecodedResult([float(v) for v in values], count, op)
-    if kind == "set_union":
-        lo, _ = op.bounds
-        return DecodedResult([float(lo + j) for j, v in enumerate(values) if v != 0],
-                             count, op)
-    if kind == "set_intersection":
-        lo, _ = op.bounds
-        return DecodedResult([float(lo + j) for j, v in enumerate(values) if v == 0],
-                             count, op)
-    if kind == "cosim":
-        denom = math.sqrt(values[1] / s) * math.sqrt(values[2] / s)
-        if denom == 0:
-            raise ZeroCount("cosine similarity undefined on zero vectors")
-        return DecodedResult([(values[0] / s) / denom], count, op)
-    if kind == "r2":
-        _need_count(count)
-        ss_tot = values[1] / s - (values[0] / s) ** 2 / count
-        if ss_tot <= 0:
-            raise ZeroCount("zero label variance, R^2 undefined")
-        return DecodedResult([1.0 - (values[2] / s) / ss_tot], count, op)
-    if kind == "lin_reg":
-        model = solve_linreg(values, count, op.feature_count, op.value_scale)
-        return DecodedResult(list(model.coefficients), count, op,
-                             {"model": model})
-    if kind == "log_reg":
-        return DecodedResult([v / s for v in values], count, op)
-    raise MalformedQuery(f"unknown operation {kind!r}")
+    out = op._op.decode(op, values, count, float(op.value_scale), flags)
+    return DecodedResult(out, count, op, flags)
 
 
 def _need_count(count):
     if count <= 0:
         raise ZeroCount("aggregate count is zero")
+    return count
 
 
 def solve_linreg(values: list[int], count: int, d: int, scale: int) -> RegressionModel:
@@ -447,10 +261,230 @@ def solve_linreg(values: list[int], count: int, d: int, scale: int) -> Regressio
 
 
 # ---------------------------------------------------------------------------
+# the operation table
+
+
+@dataclass(frozen=True)
+class _Op:
+    """One operation kind. `dimension(spec)` and `element_bounds(spec)` are
+    rules over the spec; `encode(spec, records, rng)` returns the raw values
+    and the record count, and `decode(spec, values, count, scale, flags)`
+    the result values."""
+    dimension: Callable
+    element_bounds: Callable
+    encode: Callable
+    decode: Callable
+    aliases: tuple = ()
+    arity: int = 1  # values per record, plus feature_count if labelled
+    labelled: bool = False  # records are feature_count features, then a label
+    integer_scale: bool = False
+    bitwise: bool = False
+    strict: bool = False  # rejects records outside the bounds
+    needs_bounds: bool = False
+    limits: tuple = ()  # as _LIMITS, for this kind alone
+
+
+def _summed(terms, decode, **kw) -> _Op:
+    """A kind that encodes a list of (term, span) pairs: each term is a
+    per-record value summed over the records, and `span(lo, hi, largest
+    magnitude)` bounds one record's term. `terms` is the list, or a rule
+    that builds it from the spec."""
+    rule = terms if callable(terms) else (lambda op: terms)
+
+    def bounds(op):
+        lo, hi = op.bounds
+        m = op.max_records * op.value_scale
+        spans = [span(lo, hi, max(abs(lo), abs(hi))) for _, span in rule(op)]
+        return [(m * low, m * high + 1) for low, high in spans]
+
+    def encode(op, records, rng):
+        return [_fx(sum(term(r) for r in records), op) for term, _ in rule(op)], len(records)
+
+    return _Op(lambda op: len(rule(op)), bounds, encode, decode, **kw)
+
+
+def _sum_span(lo, hi, big):
+    return min(0, lo), max(0, hi)  # 0 too: a DP may hold fewer than max_records records
+
+
+def _square_span(lo, hi, big):
+    return 0, big * big
+
+
+def _power_span(t):
+    return lambda lo, hi, big: (-big**t, big**t)
+
+
+def _linreg_terms(op):
+    """Normal-equation sums: x_e, x_e x_z (e <= z), y, y x_e."""
+    d = op.feature_count
+
+    def times(i, j):
+        return (lambda r: r[i] * r[j]), _power_span(2)
+
+    return ([(itemgetter(e), _sum_span) for e in range(d)]
+            + [times(e, z) for e in range(d) for z in range(e, d)]
+            + [(itemgetter(d), _sum_span)] + [times(d, e) for e in range(d)])
+
+
+def _logreg_terms(op):
+    """One approximated-loss sum per (tau, r_1..r_tau) of logreg_index_tuples."""
+    d = op.feature_count
+
+    def term(t, rs):
+        def value(r):
+            y = r[d]
+            if y not in (0, 1):
+                raise LabelNotBinary(f"label {y!r} not in {{0,1}}")
+            x = (1.0, *r[:d])
+            prod = 1.0
+            for idx in rs:
+                prod *= x[idx]
+            return (y - y * (-1) ** t - 1) * prod
+        return value, _power_span(t)
+
+    return [term(t, rs) for t, rs in logreg_index_tuples(d, op.approx_degree)]
+
+
+def _scaled(op, v, count, s, flags):
+    return [x / s for x in v]
+
+
+def _spread(root):
+    def decode_spread(op, v, count, s, flags):
+        mean = v[0] / (s * _need_count(count))
+        var = v[1] / (s * count) - mean * mean
+        if var < 0:
+            flags["clamped_negative_variance"] = var
+            var = 0.0
+        return [root(var), mean]
+    return decode_spread
+
+
+def _decode_cosim(op, v, count, s, flags):
+    denom = math.sqrt(v[1] / s) * math.sqrt(v[2] / s)
+    if denom == 0:
+        raise ZeroCount("cosine similarity undefined on zero vectors")
+    return [(v[0] / s) / denom]
+
+
+def _decode_r2(op, v, count, s, flags):
+    _need_count(count)
+    ss_tot = v[1] / s - (v[0] / s) ** 2 / count
+    if ss_tot <= 0:
+        raise ZeroCount("zero label variance, R^2 undefined")
+    return [1.0 - (v[2] / s) / ss_tot]
+
+
+def _decode_linreg(op, v, count, s, flags):
+    flags["model"] = solve_linreg(v, count, op.feature_count, op.value_scale)
+    return list(flags["model"].coefficients)
+
+
+def _width(op):
+    return op.bounds[1] - op.bounds[0]
+
+
+def _bits(dimension, encode, read, **kw) -> _Op:
+    """A bit-valued kind: every element is 0 or a marker, and `read(spec,
+    marked)` turns the positions marked in the aggregate into the result."""
+    def bounds(op):
+        return [(0, 2 if op.bitwise_mode == "bits" else RANDOM_MARKER_MAX + 1)] * dimension(op)
+
+    def decode(op, v, count, s, flags):
+        return read(op, [j for j, x in enumerate(v) if x])
+
+    return _Op(dimension, bounds, encode, decode, integer_scale=True, bitwise=True, **kw)
+
+
+def _marks(marked):
+    """Bit-valued encoder: a marker at each position in `marked(spec, records)`."""
+    def encode(op, records, rng):
+        at = marked(op, records)
+        return ([_marker(op.bitwise_mode, rng) if j in at else 0 for j in range(op.dimension)],
+                len(records))
+    return encode
+
+
+def _extreme(kind, pick):
+    """min/max encoder (see encode_minmax); records outside the RANGE are skipped."""
+    def encode(op, records, rng):
+        lo, hi = op.bounds
+        inside = [r[0] for r in records if lo <= r[0] < hi]
+        if not inside:
+            return [0] * op.dimension, 0
+        return encode_minmax(pick(inside), op.bounds, kind, op.bitwise_mode, rng), len(inside)
+    return encode
+
+
+def _members(op, records):
+    """RANGE offsets of the records inside it; records outside are skipped."""
+    lo, hi = op.bounds
+    return [int(r[0]) - lo for r in records if lo <= r[0] < hi]
+
+
+def _frequencies(op, records, rng):
+    out = [0] * op.dimension
+    counted = _members(op, records)
+    for j in counted:
+        out[j] += 1
+    return out, len(counted)
+
+
+def _values(op, positions):
+    return [float(op.bounds[0] + j) for j in positions]
+
+
+_X = (itemgetter(0), _sum_span)
+_SPREAD = (_X, (lambda r: r[0] * r[0], _square_span))
+_OPS = {
+    "sum": _summed((_X,), _scaled, strict=True),
+    "mean": _summed((_X,), lambda op, v, n, s, flags: [v[0] / (s * _need_count(n))],
+                    aliases=("average", "avg"), strict=True),
+    "variance": _summed(_SPREAD, _spread(lambda var: var), aliases=("var",), strict=True),
+    "stddev": _summed(_SPREAD, _spread(math.sqrt), aliases=("std_dev", "std"), strict=True),
+    "and": _bits(lambda op: 1,  # a DP marks a record that breaks the AND
+                 _marks(lambda op, records: () if all(r[0] for r in records) else (0,)),
+                 lambda op, at: [0.0 if at else 1.0]),
+    "or": _bits(lambda op: 1,
+                _marks(lambda op, records: (0,) if any(r[0] for r in records) else ()),
+                lambda op, at: [1.0 if at else 0.0]),
+    "min": _bits(_width, _extreme("min", min), lambda op, at: [
+        float(op.bounds[0] + at[0] - 1 if at else op.bounds[1] - 1)], needs_bounds=True),
+    "max": _bits(_width, _extreme("max", max), lambda op, at: [
+        float(op.bounds[0] + at[-1] + 1 if at else op.bounds[0])], needs_bounds=True),
+    "freq_count": _Op(_width, lambda op: [(0, op.max_records + 1)] * _width(op), _frequencies,
+                      _scaled, aliases=("frequency_count", "freqcount"), integer_scale=True,
+                      needs_bounds=True),
+    "set_intersection": _bits(  # a DP with records marks the values it lacks
+        _width, _marks(lambda op, records: records and (
+            set(range(op.dimension)) - set(_members(op, records)))),
+        lambda op, at: _values(op, sorted(set(range(_width(op))) - set(at))),
+        aliases=("intersection",), needs_bounds=True),
+    "set_union": _bits(_width, _marks(lambda op, records: set(_members(op, records))),
+                       _values, aliases=("union",), needs_bounds=True),
+    "cosim": _summed(((lambda r: r[0] * r[1], _power_span(2)),
+                      (lambda r: r[0] ** 2, _square_span), (lambda r: r[1] ** 2, _square_span)),
+                     _decode_cosim, aliases=("cosine_similarity",), arity=2, strict=True),
+    "r2": _summed((_X, (lambda r: r[0] ** 2, _square_span),
+                   (lambda r: (r[0] - r[1]) ** 2, lambda lo, hi, big: (0, (hi - lo) ** 2))),
+                  _decode_r2, arity=2),
+    "lin_reg": _summed(_linreg_terms, _decode_linreg, aliases=("linear_regression",),
+                       labelled=True, limits=(("feature_count", 1, None),)),
+    "log_reg": _summed(_logreg_terms, _scaled, aliases=("logistic_regression",), labelled=True,
+                       limits=(("approx_degree", 1, len(TAYLOR_LOGSIGMOID) - 1),)),
+}
+KINDS = tuple(_OPS)
+ALIASES = {name: kind for kind, op in _OPS.items() for name in (kind, *op.aliases)}
+
+
+def default_feature_count(kind: str, n_attributes: int) -> int:
+    """Labelled kinds take every attribute but the last (the label) as a feature."""
+    return max(1, n_attributes - 1) if _OPS[kind].labelled else 1
+
+
+# ---------------------------------------------------------------------------
 # logistic regression training on aggregated A coefficients
-
-
-TAYLOR_LOGSIGMOID = (-math.log(2.0), 0.5, -0.125, 0.0, 1.0 / 192.0)
 
 
 def logsigmoid_coeffs(k: int, method: str = "taylor", span: float = 8.0):

@@ -5,8 +5,8 @@ Grammar:
     SELECT <op> <attr>(,<attr>)* ON <dp>(,<dp>)*
         [WHERE <attr> <cmp> <literal>] [RANGE <lo>,<hi>]
 
-Operation names are case-insensitive; several aliases map to the canonical
-operation kinds (``average`` -> mean, ``std_dev`` -> stddev, ...). Syntax
+Operation names are case-insensitive; the operation table in ``privq.encodings``
+maps aliases to kinds (``average`` -> mean, ``std_dev`` -> stddev, ...). Syntax
 errors carry the line and column of the offending token.
 """
 
@@ -17,38 +17,8 @@ import json
 import re
 from dataclasses import dataclass, field, fields
 
-from ..encodings import OperationSpec
+from ..encodings import ALIASES, OperationSpec, default_feature_count
 from ..errors import MalformedQuery, QuerySyntaxError
-
-OP_ALIASES = {
-    "sum": "sum",
-    "average": "mean",
-    "avg": "mean",
-    "mean": "mean",
-    "variance": "variance",
-    "var": "variance",
-    "stddev": "stddev",
-    "std_dev": "stddev",
-    "std": "stddev",
-    "and": "and",
-    "or": "or",
-    "min": "min",
-    "max": "max",
-    "freq_count": "freq_count",
-    "frequency_count": "freq_count",
-    "freqcount": "freq_count",
-    "set_intersection": "set_intersection",
-    "intersection": "set_intersection",
-    "set_union": "set_union",
-    "union": "set_union",
-    "cosim": "cosim",
-    "cosine_similarity": "cosim",
-    "r2": "r2",
-    "lin_reg": "lin_reg",
-    "linear_regression": "lin_reg",
-    "log_reg": "log_reg",
-    "logistic_regression": "log_reg",
-}
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<comma>,)|(?P<cmp><=|>=|!=|=|<|>)|(?P<str>'[^']*')"
@@ -144,7 +114,7 @@ def parse_query(text: str, scale: int = 100, bitwise_mode: str = "random",
     parser = _Parser(_tokenize(text), text)
     parser.next("word", "SELECT", what="SELECT")
     op_tok = parser.next("word", what="operation name")
-    kind = OP_ALIASES.get(op_tok.value.lower())
+    kind = ALIASES.get(op_tok.value.lower())
     if kind is None:
         raise QuerySyntaxError(f"unknown operation {op_tok.value!r}",
                                op_tok.line, op_tok.column)
@@ -179,7 +149,7 @@ def parse_query(text: str, scale: int = 100, bitwise_mode: str = "random",
             raise QuerySyntaxError(f"unexpected clause {tok.value!r}",
                                    tok.line, tok.column)
     if feature_count is None:
-        feature_count = max(1, len(attributes) - 1) if kind in ("lin_reg", "log_reg") else 1
+        feature_count = default_feature_count(kind, len(attributes))
     try:
         operation = OperationSpec(
             kind=kind,
