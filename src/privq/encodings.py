@@ -129,12 +129,12 @@ def _check_records(op: OperationSpec, records):
     """Kinds over the RANGE as a value universe silently exclude records
     outside it; strict kinds reject out-of-bounds records since they would
     poison the sums."""
-    strict = op.bounds is not None and op._op.strict
+    strict = op._op.strict if op.bounds is not None else None
     for rec in records:
         if len(rec) != op.arity:
             raise ArityMismatch(f"{op.kind} expects {op.arity}-tuples, got {rec!r}")
-        if strict:
-            for v in rec:
+        if strict is not None:
+            for v in rec[strict]:
                 if not op.bounds[0] <= v < op.bounds[1]:
                     raise ValueOutOfBounds(f"{v} outside [{op.bounds[0]}, {op.bounds[1]})")
 
@@ -279,16 +279,17 @@ class _Op:
     labelled: bool = False  # records are feature_count features, then a label
     integer_scale: bool = False
     bitwise: bool = False
-    strict: bool = False  # rejects records outside the bounds
+    strict: slice | None = None  # the values of a record that must lie in the bounds
     needs_bounds: bool = False
     limits: tuple = ()  # as _LIMITS, for this kind alone
 
 
-def _summed(terms, decode, **kw) -> _Op:
+def _summed(terms, decode, strict=slice(None), **kw) -> _Op:
     """A kind that encodes a list of (term, span) pairs: each term is a
     per-record value summed over the records, and `span(lo, hi, largest
     magnitude)` bounds one record's term. `terms` is the list, or a rule
-    that builds it from the spec."""
+    that builds it from the spec. The `strict` values of each record must
+    lie in the bounds, all of them by default."""
     rule = terms if callable(terms) else (lambda op: terms)
 
     def bounds(op):
@@ -300,7 +301,7 @@ def _summed(terms, decode, **kw) -> _Op:
     def encode(op, records, rng):
         return [_fx(sum(term(r) for r in records), op) for term, _ in rule(op)], len(records)
 
-    return _Op(lambda op: len(rule(op)), bounds, encode, decode, **kw)
+    return _Op(lambda op: len(rule(op)), bounds, encode, decode, strict=strict, **kw)
 
 
 def _sum_span(lo, hi, big):
@@ -418,9 +419,10 @@ def _extreme(kind, pick):
 
 
 def _members(op, records):
-    """RANGE offsets of the records inside it; records outside are skipped."""
+    """RANGE offsets of the records inside it, each in the bin of its floor;
+    records outside are skipped."""
     lo, hi = op.bounds
-    return [int(r[0]) - lo for r in records if lo <= r[0] < hi]
+    return [math.floor(r[0]) - lo for r in records if lo <= r[0] < hi]
 
 
 def _frequencies(op, records, rng):
@@ -438,11 +440,11 @@ def _values(op, positions):
 _X = (itemgetter(0), _sum_span)
 _SPREAD = (_X, (lambda r: r[0] * r[0], _square_span))
 _OPS = {
-    "sum": _summed((_X,), _scaled, strict=True),
+    "sum": _summed((_X,), _scaled),
     "mean": _summed((_X,), lambda op, v, n, s, flags: [v[0] / (s * _need_count(n))],
-                    aliases=("average", "avg"), strict=True),
-    "variance": _summed(_SPREAD, _spread(lambda var: var), aliases=("var",), strict=True),
-    "stddev": _summed(_SPREAD, _spread(math.sqrt), aliases=("std_dev", "std"), strict=True),
+                    aliases=("average", "avg")),
+    "variance": _summed(_SPREAD, _spread(lambda var: var), aliases=("var",)),
+    "stddev": _summed(_SPREAD, _spread(math.sqrt), aliases=("std_dev", "std")),
     "and": _bits(lambda op: 1,  # a DP marks a record that breaks the AND
                  _marks(lambda op, records: () if all(r[0] for r in records) else (0,)),
                  lambda op, at: [0.0 if at else 1.0]),
@@ -465,13 +467,14 @@ _OPS = {
                        _values, aliases=("union",), needs_bounds=True),
     "cosim": _summed(((lambda r: r[0] * r[1], _power_span(2)),
                       (lambda r: r[0] ** 2, _square_span), (lambda r: r[1] ** 2, _square_span)),
-                     _decode_cosim, aliases=("cosine_similarity",), arity=2, strict=True),
+                     _decode_cosim, aliases=("cosine_similarity",), arity=2),
     "r2": _summed((_X, (lambda r: r[0] ** 2, _square_span),
                    (lambda r: (r[0] - r[1]) ** 2, lambda lo, hi, big: (0, (hi - lo) ** 2))),
                   _decode_r2, arity=2),
     "lin_reg": _summed(_linreg_terms, _decode_linreg, aliases=("linear_regression",),
                        labelled=True, limits=(("feature_count", 1, None),)),
     "log_reg": _summed(_logreg_terms, _scaled, aliases=("logistic_regression",), labelled=True,
+                       strict=slice(-1),  # the 0/1 label may lie outside the bounds
                        limits=(("approx_degree", 1, len(TAYLOR_LOGSIGMOID) - 1),)),
 }
 KINDS = tuple(_OPS)

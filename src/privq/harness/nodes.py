@@ -47,23 +47,23 @@ privq.ledger. Provers sign and send their proof bundles with
 ciphertext list, count last, which `read_cts` reads without trailing
 bytes.
 
-A VN runs the checks of each bundle's sampled sub-proofs as it comes:
-decoding, the shape of a CTKS/CTO or shuffle proof
-(`protocols.round_proof`), and the range, aggregation and shuffle-chain
-checks. Values two bundles must agree on meet in one table through
-`VnNode._bind`, whichever comes first (a DP's range-proved ciphertext and
-its aggregated input, adjacent shuffle-chain links), and a proof it marks
-false stays false. Verdicts are recorded in one place, `VnNode._settle`,
-which settles the query's rounds in plan order: each once no bundle of it
-or an earlier round is awaited, and every round left before the VN's map
-leaves it. A CTKS/CTO bundle holds only over the round's input, the
-previous round's output (`Round.output`) once the bundles that give it
-have held, else the input list of the round's first bundle that had a
-sub-proof drawn. One `verify_linear` or `verify_shuffle` call checks the
-proof equations of a round's bundles that hold, and only if that joint
-batch rejects is each bundle checked alone, so a verdict stays per bundle
-and all-or-nothing within it. A VN takes `end_query` only from the root CN
-and `map_request` only from the block's leader VN.
+A VN takes each bundle as it comes, once its signature holds, and judges
+it only when its round settles: `VnNode._settle` settles the query's rounds
+in plan order, each once no bundle of it is awaited, and every round left
+before the VN's map leaves it. It walks a round's bundles in plan order,
+makes each bundle's draws and runs the round's check (`_check_<kind>`) on
+each drawn sub-proof: decoding, the shape of a CTKS/CTO or shuffle proof
+(`protocols.round_proof`), and the aggregation, range and chain checks. A
+check compares only against values that bundles judged before it read
+(`state.slots`), so it can fail only its own sub-proof and the verdicts do
+not depend on arrival order. A CTKS/CTO bundle must run over the round's
+input: the previous round's output (`Round.output`) if the VN has it, else
+the list of the round's first bundle that had a sub-proof drawn. One
+`verify_linear` or `verify_shuffle` call checks the proof equations of a
+round's bundles that passed, and only if that joint batch rejects is each
+bundle checked alone, so a verdict stays per bundle and all-or-nothing
+within it. A VN takes `end_query` only from the root CN and `map_request`
+only from the block's leader VN.
 
 Every CN and VN reads the wire through a decode memo in its query state
 (`serial.Reader`), so it decodes each distinct point once per query; a VN
@@ -448,11 +448,11 @@ class VnNode(NodeBase):
             return
         query = decode_query(body)
         expected = ledger.expected_proofs(query, self.topology.cn_ids, self.range_sigs)
-        bound = {}  # slot -> the value bound to it first (`_bind`)
+        slots = {}  # slot -> what a judged bundle read, for the checks after it
         memo = {}  # the query's decode memo (`serial.Reader`)
         if query.dp_privacy:  # the chain's first link shuffles the public list
             noise = self.topology.initial_noise()
-            bound[("shuffle", 0)] = pack_cts(noise)
+            slots[("shuffle", 0)] = pack_cts(noise)
             # the list the VN holds, as its own points: no other node's
             memo.update((point.encode(), copy.copy(point))
                         for ct in noise for point in (ct.c1, ct.c2))
@@ -461,21 +461,16 @@ class VnNode(NodeBase):
             query_bytes=body,
             plan=protocols.QueryPlan(query, self.tree, self.topology.dp_assignment,
                                      self.range_sigs is not None),
-            map=ledger.QueryProofsMap(expected),
+            map=ledger.QueryProofsMap(expected),  # its entries are in plan order
             bundles=Awaited(expected),  # one signed bundle per expected proof key
-            # proof type -> {key: (prover, status, what its drawn sub-proofs
-            # read, whether every sub-proof was drawn)}, in arrival order
-            pending={},
-            inputs={},  # key -> a CTKS/CTO bundle's input list, read by a drawn sub-proof
             settled=0,  # how many plan rounds `_settle` has settled, in order
             outputs=[],  # each settled round's output, while `Round.output` gives it
-            blamed={},  # key `_bind` made false for good -> its proof type
+            slots=slots,
             memo=memo,
             ended=False,
             maps=Awaited(()),  # leader: each VN's map, once it assembles
             signatures=Awaited(()),  # leader: each VN's block signature
             block=None,  # leader: the assembled block, not yet sealed
-            bound=bound,
         )
 
     def on_proof_bundle(self, msg):
@@ -486,14 +481,6 @@ class VnNode(NodeBase):
         state.bundles.take(bundle.key, lambda: bundle.verified(
             self.topology.group, self.topology.keys[bundle.prover_id].public))
         self.kv.setdefault(bundle.query_id, {})[bundle.key] = msg.payload
-        kind = state.plan.round(bundle.proof_type).kind
-        parts = {}  # drawn sub-proof index -> what its check read, None if it failed
-        status = ledger.probabilistic_verify(
-            bundle, self.policy, self.rng,
-            lambda i: self._verify_sub(state, bundle, kind, i, parts))
-        state.pending.setdefault(bundle.proof_type, {})[bundle.key] = (
-            bundle.prover_id, status, list(parts.values()),
-            len(parts) == len(bundle.payloads))
         self._settle(state)
 
     def _verify_sub(self, state, bundle, kind, index, parts) -> bool:
@@ -509,15 +496,9 @@ class VnNode(NodeBase):
     def _settle(self, state, force=False):
         """Settle the query's rounds in plan order, each once no bundle of it
         is awaited (with `force`, every round left: the VN's map is about to
-        leave it, so this is final), and record the verdict of each bundle
-        of the round.
-
-        A bundle whose drawn sub-proofs passed their checks holds unless
-        `_bind` blamed it. A CTKS/CTO bundle must also run over the round's
-        input: the previous round's output if the VN has it, else the list
-        of the round's first bundle that had a sub-proof drawn. The CTKS/CTO
-        or shuffle bundles that still hold are checked with one batch, each
-        alone only if it rejects, so a verdict stays per bundle."""
+        leave it, so this is final). A round's bundles make their draws and
+        run their checks in plan order; the CTKS/CTO or shuffle bundles that
+        pass are then checked with one batch, each alone only if it rejects."""
         rounds = state.plan.rounds
         while state.settled < len(rounds):
             stage, rnd = state.settled, rounds[state.settled]
@@ -525,30 +506,33 @@ class VnNode(NodeBase):
                                  for key in state.bundles.waiting):
                 return
             state.settled += 1
-            pending = state.pending.pop(rnd.proof_type, {})
-            held = {key: read for key, (_, status, read, _) in pending.items()
-                    if status == ledger.STATUS_TRUE and key not in state.blamed}
-            if rnd.kind == "tree":  # every CN runs the round over one list
-                lists = [state.inputs[key] for key in pending if key in state.inputs]
-                if len(state.outputs) == stage:  # the previous round's output
-                    lists = [b"".join(ct.encode() for ct in rnd.input(state.outputs[-1]))]
-                held = {key: read for key, read in held.items() if state.inputs[key] == lists[0]}
+            if rnd.kind == "tree" and len(state.outputs) == stage:  # the round's input
+                state.slots[rnd.proof_type] = b"".join(
+                    ct.encode() for ct in rnd.input(state.outputs[-1]))
+            judged = {}  # key -> (prover, status, what its drawn sub-proofs read, all drawn)
+            for key, entry in state.map.entries.items():
+                bundle = state.bundles.inputs.get(key)
+                if entry.proof_type != rnd.proof_type or bundle is None:
+                    continue
+                parts = {}  # drawn sub-proof index -> what its check read, None if it failed
+                status = ledger.probabilistic_verify(
+                    bundle, self.policy, self.rng,
+                    lambda i: self._verify_sub(state, bundle, rnd.kind, i, parts))
+                judged[key] = (bundle.prover_id, status, list(parts.values()),
+                               len(parts) == len(bundle.payloads))
+            held = {key: read for key, (_, status, read, _) in judged.items()
+                    if status == ledger.STATUS_TRUE}
             if held and rnd.kind in ("tree", "shuffle"):
                 holds = joint_verdicts(verify_linear if rnd.kind == "tree" else verify_shuffle,
                                        held.values())
                 held = {key: read for (key, read), ok in zip(held.items(), holds) if ok}
-            # a bundle that passed its drawn checks but not the round's is false
-            verdicts = {key: ledger.STATUS_FALSE if status == ledger.STATUS_TRUE
-                        and key not in held else status
-                        for key, (_, status, _, _) in pending.items()}
-            settled = {r.proof_type for r in rounds[:state.settled]}
-            verdicts.update((key, ledger.STATUS_FALSE)
-                            for key, proof_type in state.blamed.items() if proof_type in settled)
-            for key, status in verdicts.items():
-                state.map.record(key, status)
+            for key, (_, status, _, _) in judged.items():
+                # a bundle that passed its drawn checks but not the round's batch is false
+                state.map.record(key, ledger.STATUS_FALSE if status == ledger.STATUS_TRUE
+                                 and key not in held else status)
             if len(state.outputs) == stage and state.settled < len(rounds):
                 self._output(state, rnd, {prover: held[key] for key, (prover, _, _, complete)
-                                          in pending.items() if complete and key in held})
+                                          in judged.items() if complete and key in held})
 
     @staticmethod
     def _output(state, rnd, proved):
@@ -572,40 +556,44 @@ class VnNode(NodeBase):
             pass
 
     def _check_range(self, state, bundle, index):
-        group = self.topology.group
+        """A DP's range proof holds over the ciphertext its CN aggregated, if
+        the VN verified that aggregation: proving one ciphertext and
+        submitting another makes this proof false."""
+        group, j = self.topology.group, bundle.seq_index
         reader = Reader(bundle.payloads[index])
-        j = reader.u32()
+        if reader.u32() != j:  # a proof of another element than its key names
+            return None
         ct = elgamal.decode_ciphertext(group, reader.bytes_field(), state.memo)
         proofs = (rangeproof.decode_range(group, reader.bytes_field(), state.memo),
                   rangeproof.decode_range(group, reader.bytes_field(), state.memo))
         reader.expect_done()
         bounds = state.query.operation.element_bounds()[j]
-        # proved one ciphertext and submitted another: this proof is false
-        if self._bind(state, bundle, ("range", bundle.prover_id, j), ct, bundle.key) and (
+        if state.slots.get(("range", bundle.prover_id, j), ct) == ct and (
                 rangeproof.verify_bounded(ct, proofs, bounds, self.range_sigs,
                                           self.topology.collective_key().public)):
             return ct
         return None
 
     def _check_aggregation(self, state, bundle, index):
+        """A CN's aggregation sums inputs from its sources; the ciphertexts
+        it aggregated for its DPs fill the slots their range proofs read."""
         agg = protocols.Aggregation.decode(self.topology.group, bundle.payloads[index],
                                            state.memo)
         _, inputs = state.plan.feeds("aggregation", bundle.prover_id)
         if not protocols.verify_aggregation(agg, bundle.prover_id, [s for _, s in inputs]):
             return None
-        if state.query.bounds is not None and self.range_sigs is not None:
-            for label, cts in zip(agg.labels, agg.inputs):
-                if ("dp_response", label) in inputs:  # the vector the DP range-proved
-                    for j, ct in enumerate(cts[:-1]):
-                        self._bind(state, bundle, ("range", label, j), ct,
-                                   ledger.proof_key(state.query.query_id, label, "range", j))
+        for label, cts in zip(agg.labels, agg.inputs):
+            if ("dp_response", label) in inputs:
+                state.slots.update((("range", label, j), ct) for j, ct in enumerate(cts[:-1]))
         return agg.output
 
     def _check_tree(self, state, bundle, index):
-        """Shape check of one CTKS/CTO sub-proof; `_settle` checks the
-        bundle's input list and verifies the proofs it returns in the
-        round's batch."""
-        state.inputs[bundle.key] = b"".join(Reader(p).bytes_field() for p in bundle.payloads)
+        """Input and shape check of one CTKS/CTO sub-proof (the round's input
+        is set as the module docstring says); `_settle` verifies the proofs it
+        returns in the round's batch."""
+        listed = b"".join(Reader(p).bytes_field() for p in bundle.payloads)
+        if state.slots.setdefault(bundle.proof_type, listed) != listed:
+            return None
         return protocols.round_proof(
             self.topology.group, bundle.proof_type, bundle.payloads[index],
             cn_public=self.topology.keys[bundle.prover_id].public,
@@ -613,36 +601,16 @@ class VnNode(NodeBase):
             memo=state.memo)
 
     def _check_shuffle(self, state, bundle, index):
-        """Shape and chain check of a shuffle proof; `_settle` verifies the
-        proof it returns in the round's batch."""
+        """Shape and chain check of a shuffle proof: link i shuffles link
+        i - 1's output list, as its proof states it, and link 0 the public
+        list. `_settle` verifies the proof it returns in the round's batch."""
         proof = decode_shuffle(self.topology.group, bundle.payloads[index], state.memo)
         if proof.omega != self.topology.collective_key().public:
             return None
-        # chain link i shuffles slot i and fills slot i + 1; slot 0 is the
-        # public list, and a mismatch in slot i + 1 blames link i + 1
         position = self.tree.nodes.index(bundle.prover_id)
-        ok = self._bind(state, bundle, ("shuffle", position), pack_cts(proof.inputs),
-                        bundle.key)
-        if position + 1 < len(self.tree.nodes):
-            successor = ledger.proof_key(state.query.query_id,
-                                         self.tree.nodes[position + 1], "shuffle", 0)
-            self._bind(state, bundle, ("shuffle", position + 1), pack_cts(proof.outputs),
-                       successor)
-        return proof if ok else None
-
-    @staticmethod
-    def _bind(state, bundle, slot, value, blame) -> bool:
-        """Bind `value` to the query's `slot`, a range-proved ciphertext or a
-        shuffle-chain link's input list: the first value bound stands,
-        whichever bundle brings it. A different value marks the proof keyed
-        `blame` false for good; the caller's sub-proof fails only if that
-        proof is `bundle` itself."""
-        if state.bound.setdefault(slot, value) == value:
-            return True
-        if blame == bundle.key:
-            return False
-        state.blamed[blame] = slot[0]  # the proof type of the slot's prover
-        return True
+        state.slots[("shuffle", position + 1)] = pack_cts(proof.outputs)
+        listed = pack_cts(proof.inputs)
+        return proof if state.slots.get(("shuffle", position), listed) == listed else None
 
     # ----- block assembly -----
 

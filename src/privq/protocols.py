@@ -340,7 +340,9 @@ class Round:
     """One round of a query plan. `kind` is the step its provers run and the
     VN check (`VnNode._check_<kind>`): "range", "aggregation", "tree" (CTO
     or CTKS, whose messages carry `tag`) or "shuffle". Each prover signs
-    `proofs` bundles; those of `outputs_from` give the round's output."""
+    `proofs` bundles; those of `outputs_from` give the round's output. A VN
+    judges a round's bundles once the round settles, in the order of
+    `provers`."""
 
     proof_type: str
     kind: str
@@ -372,18 +374,20 @@ class Round:
 
 
 class QueryPlan:
-    """The rounds of `query` over the CN tree `tree`, in order: the DPs'
-    range proofs (with `range_proofs` and bounds), aggregation (CTA), CTO
-    for bit-wise results, the noise shuffle (CDP) under DP privacy, and
-    CTKS. Each round after aggregation runs over the previous one's output."""
+    """The rounds of `query` over the CN tree `tree`, in order: aggregation
+    (CTA), the DPs' range proofs (with `range_proofs` and bounds), CTO for
+    bit-wise results, the noise shuffle (CDP) under DP privacy, and CTKS.
+    Each round after aggregation runs over the previous one's output. A VN
+    judges the rounds in this order, so a range proof is checked against
+    the ciphertext its DP's CN aggregated, and shuffle link i against link
+    i - 1's output list."""
 
     def __init__(self, query, tree, dp_assignment=None, range_proofs=False):
         self.query, self.tree, self.dp_assignment = query, tree, dp_assignment or {}
         cns, op = tree.nodes, query.operation
-        rounds = []
+        rounds = [Round("aggregation", "aggregation", cns, outputs_from=cns[:1])]
         if range_proofs and query.bounds is not None:
             rounds.append(Round("range", "range", tuple(query.dp_list), op.dimension))
-        rounds.append(Round("aggregation", "aggregation", cns, outputs_from=cns[:1]))
         if op.uses_obfuscation:
             rounds.append(Round("obfuscation", "tree", cns, tag="cto", outputs_from=cns))
         if query.dp_privacy:

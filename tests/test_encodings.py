@@ -223,6 +223,54 @@ def test_freq_count(ctx):
     assert result.values == [1.0, 3.0, 0.0, 0.0, 1.0]
 
 
+def test_members_take_the_bin_of_their_floor(ctx):
+    """freq_count and set_union (and set_intersection, by the same rule)
+    put a value in the bin of its floor, on both sides of zero, and a value
+    just below the top of a RANGE at or below zero in the last bin."""
+    _, rng, _, _ = ctx
+    op = enc.OperationSpec("freq_count", bounds=(-5, 5), max_records=2)
+    assert enc.plaintext_encode(op, [(-2.5,), (2.5,)], rng) == (
+        [0, 0, 1, 0, 0, 0, 0, 1, 0, 0], 2)
+    op = enc.OperationSpec("freq_count", bounds=(-3, 0), max_records=2)
+    assert enc.plaintext_encode(op, [(-0.5,), (-3,)], rng) == ([1, 0, 1], 2)
+    union = enc.OperationSpec("set_union", bounds=(-3, 0), bitwise_mode="bits")
+    assert enc.plaintext_encode(union, [(-0.5,)], rng) == ([0, 0, 1], 1)
+
+
+def test_freq_count_below_zero_through_pipeline():
+    from privq.harness.pipeline import Simulation
+    from privq.harness.queryparse import parse_query
+    from privq.harness.topology import Topology
+
+    topo = Topology.build(n_cns=2, n_dps=2, n_vns=3, seed=41)
+    topo.dp_data = {"DP1": [{"x": -0.5}], "DP2": [{"x": -3}]}
+    out = Simulation(topo, seed=41).run(parse_query(
+        "SELECT freq_count x ON DP1,DP2 RANGE -3,0", scale=1))
+    assert out.result.values == [1.0, 0.0, 1.0]
+
+
+@pytest.mark.parametrize("kind, record", [
+    ("r2", (20, 0)),
+    ("lin_reg", (20, 3)),
+    ("log_reg", (20, 1)),
+    ("lin_reg", (3, 20)),  # the label too
+], ids=["r2", "lin_reg", "log_reg", "lin_reg_label"])
+def test_regression_refuses_a_value_outside_the_range(ctx, kind, record):
+    _, rng, _, _ = ctx
+    op = enc.OperationSpec(kind, bounds=(0, 10), scale=1)
+    with pytest.raises(ValueOutOfBounds):
+        enc.plaintext_encode(op, [record], rng)
+
+
+def test_logreg_label_may_lie_outside_the_range(ctx):
+    _, rng, _, _ = ctx
+    op = enc.OperationSpec("log_reg", bounds=(2, 10), scale=1)
+    raws, count = enc.plaintext_encode(op, [(3, 0), (5, 1)], rng)
+    assert count == 2
+    for raw, (low, high) in zip(raws, op.element_bounds()):
+        assert low <= raw < high
+
+
 def test_set_operations(ctx):
     union = aggregate_and_decode(
         ctx, enc.OperationSpec("set_union", bounds=(0, 6)),

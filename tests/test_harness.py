@@ -439,6 +439,15 @@ def test_vn_takes_end_query_from_root_and_map_request_from_leader(round_, intrud
     _assert_no_query_state(sim)
 
 
+def _one_record_topo(seed, t_sub=1.0):
+    """3 CNs, 4 DPs holding one record each, and 3 VNs: the setup of the
+    forged-bundle and delivery-order tests, and of `tests/verdict_sweep.py`."""
+    topo = Topology.build(n_cns=3, n_dps=4, n_vns=3, seed=seed, thresholds={"t_sub": t_sub})
+    topo.dp_data = {f"DP{i}": [{"x": i, "flag": i % 2}] for i in range(1, 5)}
+    topo.cdp_params = {"epsilon": 1.0, "delta_f": 1.0, "theta": 0.5, "list_size": 8}
+    return topo
+
+
 def _send_forged_round_bundle(sim, forged):
     """CN2 sends the VNs a `forged` (CTKS or CTO) bundle over encryptions of
     99 right after the query, and withholds its honest one."""
@@ -478,9 +487,7 @@ def test_first_round_bundle_does_not_frame_honest_cns(text, options, forged):
     output (the root's aggregation, every CN's CTO shares, the last shuffle
     link), whichever round bundle came first: only CN2's proof of that
     round is false, on every VN."""
-    topo = Topology.build(n_cns=3, n_dps=4, n_vns=3, seed=5)
-    topo.dp_data = {f"DP{i}": [{"x": i, "flag": i % 2}] for i in range(1, 5)}
-    topo.cdp_params = {"epsilon": 1.0, "delta_f": 1.0, "theta": 0.5, "list_size": 8}
+    topo = _one_record_topo(5)
     sim = Simulation(topo, seed=5)
     _send_forged_round_bundle(sim, forged)
     out = sim.run(parse_query(text, scale=1, **options))
@@ -579,6 +586,39 @@ def test_range_proved_ciphertext_must_be_the_aggregated_one(range_first):
     dp2.send, cn2.send = send_dp, send_cn
     out = sim.run(parse_query("SELECT sum x ON DP1,DP2 RANGE 0,16", scale=1))
     assert out.result.values[0] == 8.0
+    report = sim.audit(out.query_id)
+    assert [(p, t, i, vns) for _, p, t, i, vns in report.false_entries] == [
+        ("DP2", "range", 0, list(topo.vn_ids))]
+
+
+def test_range_proof_must_prove_the_element_its_key_names():
+    """DP2 sends its CN an encryption of 1000 as element 0, and element 1's
+    range proof under both its range keys, so no bundle proves element 0.
+    Every VN marks DP2's range proof 0 false, and nothing else."""
+    from privq import ledger
+
+    topo = Topology.build(n_cns=2, n_dps=2, n_vns=3, profile="pairing80", seed=37)
+    topo.dp_data = {"DP1": [{"x": 3}], "DP2": [{"x": 5}]}
+    sim = Simulation(topo, seed=37)
+    dp2 = sim.dps["DP2"]
+    dp_send = dp2.send
+
+    def send_dp(query_id, round_, recipient, payload=b""):
+        if round_ == "dp_response":
+            cts = unpack_cts(topo.group, Reader(payload))
+            cts[0] = elgamal.encrypt(topo.group, 1000, topo.collective_key().public, dp2.rng)
+            payload = pack_cts(cts)
+        bundle = ledger.ProofBundle.decode(payload) if round_ == "proof_bundle" else None
+        if bundle is not None and bundle.proof_type == "range":
+            if bundle.seq_index == 0:  # element 0's own proof is withheld
+                return
+            copy = ledger.ProofBundle(query_id, "DP2", "range", 0, bundle.payloads)
+            dp_send(query_id, round_, recipient,
+                    copy.signed(topo.group, topo.keys["DP2"].private).encode())
+        dp_send(query_id, round_, recipient, payload)
+
+    dp2.send = send_dp
+    out = sim.run(parse_query("SELECT variance x ON DP1,DP2 RANGE 0,16", scale=1))
     report = sim.audit(out.query_id)
     assert [(p, t, i, vns) for _, p, t, i, vns in report.false_entries] == [
         ("DP2", "range", 0, list(topo.vn_ids))]
@@ -943,6 +983,24 @@ def test_concurrent_scheduler_equivalence():
             sim = Simulation(topo, seed=100 + trial, scheduler=scheduler)
             results.append(sim.run(parse_query(text, scale=100)).result.values)
         assert results[0] == results[1], (trial, op, data)
+
+
+@pytest.mark.parametrize("t_sub", [0.3, 1.0])
+def test_block_maps_do_not_depend_on_delivery_order(t_sub):
+    """Every node's draws are fixed by the topology seed, and only the
+    concurrent scheduler's delivery order varies: each honest query commits
+    the same VN maps under every order, since a VN makes its draws and
+    judges a round's bundles once the round settles, in plan order."""
+    topo = _one_record_topo(5, t_sub)
+    for text, options in (("SELECT variance x ON DP1,DP2,DP3,DP4", {}),
+                          ("SELECT sum x ON DP1,DP2,DP3,DP4", {"dp_privacy": True}),
+                          ("SELECT or flag ON DP1,DP2,DP3,DP4", {"bitwise_mode": "bits"})):
+        maps = set()
+        for seed in range(6):
+            sim = Simulation(topo, seed=seed, scheduler="concurrent")
+            block = sim.run(parse_query(text, scale=1, **options)).block
+            maps.add(tuple(sorted((vn, m.encode()) for vn, m in block.maps.items())))
+        assert len(maps) == 1, (text, len(maps))
 
 
 def test_role_composition_cn_vn_colocated():
