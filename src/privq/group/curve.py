@@ -111,11 +111,10 @@ class CurveGroup:
         return self._sum([(k, point)])
 
     def msm(self, pairs) -> Point:
-        """sum(k_i * P_i) over a list of (int, point) pairs; a single term
-        goes through `mul`."""
-        pairs = list(pairs)
+        """sum(k_i * P_i) over (int, point) pairs, a sized iterable read
+        once; a single term goes through `mul`."""
         if len(pairs) == 1:
-            return self.mul(*pairs[0])
+            return self.mul(*next(iter(pairs)))
         return self._sum(pairs)
 
     def walk(self, start: Point, step: Point, n: int) -> list:

@@ -12,9 +12,16 @@ the top bit; encodings are canonical and round-trip bit-exactly. Decoding
 takes one square root (RFC 8032, section 5.1.3), whose power z^((p-5)/8)
 runs the ref10 addition chain: 251 squarings and 11 multiplications, each
 product partially reduced like the point formulas' coordinates.
+
+`hash_to_point` reads an encoding off SHA-512 of a label and a counter,
+counting up until it decodes, and multiplies the point by the cofactor 8
+with three doublings, so nobody knows its discrete log to the base.
 """
 
 from __future__ import annotations
+
+import hashlib
+from itertools import count
 
 from ..errors import MalformedProof
 from . import mult
@@ -185,3 +192,18 @@ class Ed25519Group(CurveGroup):
         v = int.from_bytes(data, "little")
         y = v & ((1 << 255) - 1)
         return Point(_recover_x(y, v >> 255), y, self)
+
+    def hash_to_point(self, label: bytes) -> Point:
+        """A non-identity point of the prime-order subgroup derived from
+        `label` by try-and-increment (module docstring)."""
+        for counter in count():
+            v = int.from_bytes(hashlib.sha512(
+                b"privq/hash-to-point/" + label + counter.to_bytes(4, "little")).digest()[:32],
+                "little")
+            try:
+                x = _recover_x(v & _LOW, v >> 255)
+            except MalformedProof:
+                continue
+            point = self._affine([_dbl(self._proj(Point(x, v & _LOW, self)), 3)])[0]
+            if not point.is_identity():
+                return point

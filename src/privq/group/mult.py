@@ -154,21 +154,22 @@ def pippenger(terms, ops, c):
     """sum(s * k * P) over (k >= 0, s = +-1, entry P) terms with signed c-bit
     windows: per window, each term goes into the bucket of its digit's
     magnitude, as P or -P, and 2^(c-1) buckets are summed by running sums.
-    Each term's digits are kept packed, a few bytes each."""
+    Each term's digits of s * k are kept packed, a few bytes each, and -P
+    is made only where a bucket takes it."""
     add, dbl, entry, _, lift, neg = ops
     nwin = (max(k for k, _, _ in terms).bit_length() + c) // c
-    signed = [(p, neg(p)) if s > 0 else (neg(p), p) for _, s, p in terms]  # +P, -P
     code = "h" if c < 16 else "i"  # every digit is at most 2^(c-1) in magnitude
-    digits = [array(code, (signed_windows(k, c) + [0] * nwin)[:nwin]) for k, _, _ in terms]
+    digits = [array(code, ((signed_windows(k, c) if s > 0 else [-d for d in signed_windows(k, c)])
+                           + [0] * nwin)[:nwin]) for k, s, _ in terms]
     result = None
     for w in reversed(range(nwin)):
         if result is not None:
             result = dbl(result, c)
         buckets = [None] * (1 << (c - 1))
-        for ds, pm in zip(digits, signed):
+        for ds, (_, _, p) in zip(digits, terms):
             d = ds[w]
             if d:
-                b, e = (d - 1, pm[0]) if d > 0 else (-d - 1, pm[1])  # buckets[|d| - 1]
+                b, e = (d - 1, p) if d > 0 else (-d - 1, neg(p))  # buckets[|d| - 1]
                 bucket = buckets[b]
                 buckets[b] = lift(e) if bucket is None else add(bucket, e)
         running = total = None

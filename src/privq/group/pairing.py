@@ -26,9 +26,17 @@ compressed to a little-endian x coordinate plus one byte carrying the
 parity of y (0x02/0x03), all-zero for the identity. Target-group elements
 serialize as the two little-endian field coordinates (real part, then the
 coefficient of i); there is no compression in the target group.
+
+`hash_to_point` reads an x < p off SHA-512 of a label and a counter,
+counting up until x^3 + x is a square, and multiplies the point by the
+cofactor (p + 1)/r without reducing it mod r, so nobody knows its discrete
+log to the base.
 """
 
 from __future__ import annotations
+
+import hashlib
+from itertools import count
 
 from ..errors import MalformedProof, PairingUnavailable
 from . import mult
@@ -250,17 +258,41 @@ class PairingGroup(CurveGroup):
         if tag not in (2, 3):
             raise MalformedProof("bad point compression tag")
         x = int.from_bytes(data[:-1], "little")
+        y = self._root(x)
+        if y & 1 != tag & 1:
+            if y == 0:  # (0, 0) has one encoding, tag 2
+                raise MalformedProof("point encoding not canonical")
+            y = self.p - y
+        return Point(x, y, self)
+
+    def _root(self, x):
+        """A y with (x, y) on the curve, for a canonical x."""
         if x >= self.p:
             raise MalformedProof("point encoding not canonical")
         y2 = (x * x * x + x) % self.p
         y = pow(y2, (self.p + 1) // 4, self.p)
         if y * y % self.p != y2:
             raise MalformedProof("not a curve point")
-        if y & 1 != tag & 1:
-            if y == 0:  # (0, 0) has one encoding, tag 2
-                raise MalformedProof("point encoding not canonical")
-            y = self.p - y
-        return Point(x, y, self)
+        return y
+
+    def hash_to_point(self, label: bytes) -> Point:
+        """A non-identity point of the order-r subgroup derived from `label`
+        by try-and-increment (module docstring)."""
+        bits = self.p.bit_length()
+        size = (bits + 7) // 8
+        for counter in count():
+            seed = b"privq/hash-to-point/" + label + counter.to_bytes(4, "little")
+            stream = b"".join(hashlib.sha512(seed + bytes([block])).digest()
+                              for block in range(-(-size // 64)))
+            x = int.from_bytes(stream[:size], "little") >> (8 * size - bits)
+            try:
+                y = self._root(x)
+            except MalformedProof:
+                continue
+            acc = mult.straus([(self.cofactor, 1, (x, y, 1))], self._ops)
+            point = self._affine([acc])[0]
+            if not point.is_identity():
+                return point
 
     def gt_one(self) -> GtElement:
         return GtElement(1, 0, self)

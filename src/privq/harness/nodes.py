@@ -20,7 +20,9 @@ signature from every VN.
 
 Timeouts are modeled by the bus idle callback: a CN missing DP responses
 proceeds without them, a CN missing another CN's input aborts the query,
-naming its stage and the CNs it still awaits, and the leader VN starts
+naming its stage and the CNs it still awaits (in the noise shuffle, whose
+middle links each report to the root once they have forwarded, the first
+link in chain order that has not), and the leader VN starts
 block assembly once traffic has drained; on the hard timeout it assembles
 and seals with the f_h maps and signatures it holds. A block enters a VN's
 or the querier's chain only through `ledger.Chain.append`; a
@@ -292,11 +294,10 @@ class CnNode(NodeBase):
         state = self.states[query_id]
         state.stage, state.round = stage, state.plan.rounds[stage]
         state.opener, state.inputs = state.plan.feeds(state.round.kind, self.identity)
-        if state.round.kind == "shuffle" and self.is_root:  # link 0 starts the chain
-            self.send(query_id, "cdp_pass", self.identity,
-                      pack_cts(self.topology.initial_noise()))
         if state.opener:
             state.awaited = Awaited([state.opener])
+        elif state.round.kind == "shuffle":  # the root, link 0, starts the chain
+            self._step(query_id, list(self.topology.initial_noise()))
         else:  # aggregation, or the root's CTKS/CTO round over its output so far
             self._step(query_id, state.round.input(state.current))
 
@@ -318,10 +319,13 @@ class CnNode(NodeBase):
             self._try_finish(msg.query_id)
 
     on_dp_response = on_cta_partial = on_round_request = _take_input
-    on_round_share = on_cdp_pass = on_cdp_done = _take_input
+    on_round_share = on_cdp_pass = on_cdp_ack = on_cdp_done = _take_input
 
     def _read(self, state, msg):
         reader = Reader(msg.payload)
+        if msg.round == "cdp_ack":  # empty: the link has forwarded its list
+            reader.expect_done()
+            return None
         if state.round.tag and reader.text() != state.round.tag:
             raise UnexpectedInput(f"{msg.round} for another round than {state.round.proof_type}")
         cts = read_cts(self.topology.group, reader.rest(), state.memo)
@@ -345,6 +349,8 @@ class CnNode(NodeBase):
             following = self.tree.nodes[self.index + 1:]
             self.send(query_id, "cdp_pass" if following else "cdp_done",
                       following[0] if following else self.tree.root, pack_cts(list(outputs)))
+            if following and not self.is_root:
+                self.send(query_id, "cdp_ack", self.tree.root)
         elif rnd.kind == "tree":
             state.round_cts = cts
             for _, child in state.inputs:
@@ -377,7 +383,7 @@ class CnNode(NodeBase):
                 self.send(query_id, "cta_partial", self.parent, pack_cts(agg.output))
         elif rnd.kind == "shuffle":
             if self.is_root:
-                (state.current,) = inputs.values()
+                state.current = inputs[state.inputs[-1]]  # the last link's list
         elif self.is_root:  # the shares of every CN
             state.current = rnd.output(state.current, list(inputs.values()))
         else:  # the sums of this CN's and its children's shares
@@ -406,7 +412,11 @@ class CnNode(NodeBase):
                 continue
             # hard timeout: the traffic has drained, so nothing more can
             # arrive for the queries this CN still holds (only CNs are awaited)
-            missing = sorted(sender for _, sender in state.awaited.waiting)
+            waiting = state.awaited.waiting
+            missing = sorted(sender for _, sender in waiting)
+            if waiting and state.round.kind == "shuffle" and self.is_root:
+                # a silent link starves the links after it: name the first
+                missing = [next(key for key in state.inputs if key in waiting)[1]]
             if missing or self.is_root:
                 self._abort(query_id, f"stage {state.round.proof_type}: "
                                       f"unresponsive CNs: {missing}")

@@ -72,9 +72,17 @@ class Batch:
     def add(self, k: int, point):
         self._terms[point] = (self._terms.get(point, 0) + k) % self.group.order
 
+    def __len__(self):
+        return len(self._terms)
+
+    def __iter__(self):
+        """The (scalar, point) terms, read off the batch one at a time."""
+        return ((k, point) for point, k in self._terms.items())
+
     def holds(self) -> bool:
-        terms = [(k, point) for point, k in self._terms.items()]
-        return self.group.msm(terms).is_identity()
+        """Whether the batch's MSM is the identity; the MSM reads the terms
+        off the batch, with no copy of them."""
+        return self.group.msm(self).is_identity()
 
 
 def joint_verdicts(verify, groups) -> list:

@@ -411,8 +411,10 @@ class QueryPlan:
     def feeds(self, kind, cn):
         """(opener, inputs) of CN `cn` in a round of `kind`, as (message
         round, sender) pairs: the one that opens the round on it, or None,
-        and those it then collects. Shuffle link i opens with link i - 1's
-        list (the root sends itself the public one)."""
+        and those it then collects. Shuffle link i > 0 opens with link
+        i - 1's list; the root, link 0, shuffles the public list with no
+        opener and collects, in chain order, an empty `cdp_ack` from each
+        middle link once it has forwarded and the last link's list."""
         nodes, i = self.tree.nodes, self.tree.nodes.index(cn)
         children = [("round_share", nodes[c]) for c in self.tree.children(i)]
         if kind == "aggregation":
@@ -420,5 +422,7 @@ class QueryPlan:
                    if self.dp_assignment.get(dp) == cn]
             return None, dps + [("cta_partial", child) for _, child in children]
         if kind == "shuffle":
-            return ("cdp_pass", nodes[i - 1] if i else cn), [] if i else [("cdp_done", nodes[-1])]
+            if i:
+                return ("cdp_pass", nodes[i - 1]), []
+            return None, [("cdp_ack", link) for link in nodes[1:-1]] + [("cdp_done", nodes[-1])]
         return (("round_request", nodes[self.tree.parents[i]]) if i else None), children

@@ -46,13 +46,13 @@ GOLDEN = {
     "or_bits_dp": (
         {}, f"SELECT or flag ON {DPS}", {"bitwise_mode": "bits", "dp_privacy": True}, {},
         81,
-        "e4530d4dd6c32dee2723199266458bd8e0a9275e7227141cc227e91ada88d05c",
+        "345a79d705f7113ee3579211fac78956092bdb0241c1fd2f5f13bf5602c7b9df",
         "f2fd2ee0211ef15918887fe5e6ac34933d689be43c572c2f92a679f4b1b323cb",
     ),
     "dp_sum": (
         {}, f"SELECT sum x ON {DPS}", {"dp_privacy": True}, {},
         68,
-        "4eec8444a77dbe7b54149fcf38206f9a60461a05c5b7c1149c158447b09f9e87",
+        "b1f8ddf283631490886b6ba2746b12b868f580d0be229b2146bda7794541aa09",
         "2c17627f0c51045a76a9b1ae19c9a3e7351366e569bad00d81531ef4d7e6876e",
     ),
     "variance_chain": (

@@ -272,10 +272,12 @@ def test_aggregation_counting_an_input_twice_is_false(monkeypatch):
     ("cdp_pass", "CN2", ["CN3"]),
     ("cdp_done", "CN3", ["CN1"]),
     ("result", "CN1", ["Q"]),
+    ("cdp_ack", "CN2", ["CN1"]),
 ])
 def test_payload_with_trailing_bytes_dropped(round_, sender, recipients):
-    """A ciphertext-list payload is read whole: with 4 bytes appended it is
-    dropped and logged, and the query goes on as if it never arrived."""
+    """A payload (a ciphertext list, or the empty `cdp_ack`) is read whole:
+    with 4 bytes appended it is dropped and logged, and the query goes on as
+    if it never arrived."""
     topo = _topo(36)
     topo.cdp_params = {"epsilon": 1.0, "delta_f": 1.0, "theta": 0.5, "list_size": 8}
     sim = Simulation(topo, seed=36)
@@ -851,6 +853,20 @@ def test_noise_list_shorter_than_the_result_aborts():
     _assert_no_query_state(sim)
 
 
+def test_silent_shuffle_link_is_named():
+    """CN2, the middle link of the noise shuffle chain, ignores the list CN1
+    passes it: the root aborts at the hard timeout naming CN2, the first
+    link that did not report, and not CN3, which CN2 starved."""
+    topo = Topology.build(n_cns=3, n_dps=3, n_vns=3, seed=36)
+    topo.cdp_params = {"epsilon": 1.0, "delta_f": 1.0, "theta": 0.5, "list_size": 4}
+    topo.dp_data = {"DP1": [{"x": 10}], "DP2": [{"x": 20}], "DP3": [{"x": 30}]}
+    sim = Simulation(topo, seed=36)
+    sim.cns["CN2"].on_cdp_pass = lambda msg: None
+    with pytest.raises(CnUnavailable, match=r"stage shuffle: unresponsive CNs: \['CN2'\]"):
+        sim.run(parse_query("SELECT sum x ON DP1,DP2,DP3", scale=100, dp_privacy=True))
+    _assert_no_query_state(sim)
+
+
 def test_shuffle_link_checked_whichever_bundle_arrives_first():
     """CN2, second in the shuffle chain, sends its shuffle bundle before CN1
     has shuffled: over an all-zero list it encrypted itself, whose shuffle
@@ -874,9 +890,12 @@ def test_shuffle_link_checked_whichever_bundle_arrives_first():
         forged[msg.query_id], proof = nodes.shuffle_and_prove(group, zeros, pk, cn2.rng)
         nodes.emit_bundle(cn2, msg.query_id, "shuffle", 0, (proof.encode(),))
 
+    def on_cdp_pass(msg):  # forward the forged list, and report to the root as a link does
+        cn2.send(msg.query_id, "cdp_pass", "CN3", elgamal.pack_cts(list(forged[msg.query_id])))
+        cn2.send(msg.query_id, "cdp_ack", "CN1")
+
     cn2.on_query = on_query
-    cn2.on_cdp_pass = lambda msg: cn2.send(msg.query_id, "cdp_pass", "CN3",
-                                           elgamal.pack_cts(list(forged[msg.query_id])))
+    cn2.on_cdp_pass = on_cdp_pass
     out = sim.run(parse_query("SELECT sum x ON DP1,DP2,DP3", scale=100, dp_privacy=True))
     assert out.result.values[0] == 60.0
     report = sim.audit(out.query_id)
@@ -1265,7 +1284,7 @@ def test_round_bundle_with_true_proofs_over_another_input_is_false():
 @pytest.mark.parametrize("link", [0, 1, 2])
 def test_tampered_shuffle_link_alone_is_false(monkeypatch, link):
     """Link `link` of the noise shuffle chain sends a proof with a wrong
-    tau and forwards its true outputs. The VNs check the three links as
+    s_4 and forwards its true outputs. The VNs check the three links as
     one batch, which rejects, then each link alone: only that link's
     shuffle is false, on every VN."""
     import dataclasses
@@ -1278,7 +1297,7 @@ def test_tampered_shuffle_link_alone_is_false(monkeypatch, link):
         outputs, proof = honest(group, cts, omega, rng)
         calls.append(proof)
         if len(calls) == link + 1:  # the chain runs its links in order
-            proof = dataclasses.replace(proof, tau=(proof.tau + 1) % group.order)
+            proof = dataclasses.replace(proof, s_4=(proof.s_4 + 1) % group.order)
         return outputs, proof
 
     monkeypatch.setattr(nodes, "shuffle_and_prove", shuffle_and_prove)

@@ -68,11 +68,27 @@ def test_substituted_output_rejected(ctx):
     outputs, proof = shuffle_and_prove(group, cts, kp.public, rng)
     tampered = list(outputs)
     tampered[1] = elgamal.encrypt(group, 99, kp.public, rng)
-    bad = ShuffleProof(proof.inputs, tuple(tampered), proof.omega, proof.gamma_pt,
-                       proof.a_pts, proof.c_pts, proof.u_pts, proof.w_pts,
-                       proof.lambda1, proof.lambda2, proof.d_pts, proof.sigma,
-                       proof.tau, proof.theta_pts, proof.alpha)
+    bad = ShuffleProof(proof.inputs, tuple(tampered), proof.omega, proof.c_pts,
+                       proof.c_hat, proof.t_1, proof.t_2, proof.t_3, proof.t_4,
+                       proof.t_hat, proof.s_1, proof.s_2, proof.s_3, proof.s_4,
+                       proof.s_hat, proof.s_prime)
     assert not verify_shuffle(bad)
+
+
+@pytest.mark.parametrize("half", [0, 1])
+def test_proof_over_outputs_with_a_shifted_component_rejected(ctx, monkeypatch, half):
+    """A prover that adds the base point to one component of every output,
+    so that each output decrypts to another value, and proves honestly over
+    those outputs: the half of t_4 on that component rejects it."""
+    import privq.proofs.shuffle as shuffle
+
+    group, rng, kp, _ = ctx
+    base, honest = group.base(), elgamal.Ciphertext
+    monkeypatch.setattr(shuffle, "Ciphertext", lambda c1, c2: (
+        honest(c1 + base, c2) if half == 0 else honest(c1, c2 + base)))
+    _, proof = shuffle_and_prove(group, _encrypt_list(ctx, [1, 2, 3]), kp.public, rng)
+    monkeypatch.undo()
+    assert not verify_shuffle(proof)
 
 
 def test_completeness_sweep(ctx):
@@ -137,9 +153,9 @@ def test_verdict_reads_no_os_randomness(ctx, monkeypatch):
     group, rng, kp, _ = ctx
     cts = _encrypt_list(ctx, [1, 2, 3])
     _, proof = shuffle_and_prove(group, cts, kp.public, rng)
-    # alpha_1 enters no challenge, so only the weighted equations catch it
-    alpha = (proof.alpha[0], (proof.alpha[1] + 1) % group.order, *proof.alpha[2:])
-    bad = dataclasses.replace(proof, alpha=alpha)
+    # s'_2 enters no challenge, so only the weighted equations catch it
+    s_prime = (proof.s_prime[0], (proof.s_prime[1] + 1) % group.order, *proof.s_prime[2:])
+    bad = dataclasses.replace(proof, s_prime=s_prime)
 
     def no_entropy(n):
         raise AssertionError("verify_shuffle read OS randomness")
@@ -160,7 +176,7 @@ def test_chain_of_shuffles_verifies_as_one_batch(ctx):
     assert verify_shuffle(*proofs)
     for i, proof in enumerate(proofs):
         tampered = list(proofs)
-        tampered[i] = dataclasses.replace(proof, tau=(proof.tau + 1) % group.order)
+        tampered[i] = dataclasses.replace(proof, s_4=(proof.s_4 + 1) % group.order)
         assert not verify_shuffle(*tampered), i
         assert verify_shuffle(*(p for j, p in enumerate(proofs) if j != i))
 
@@ -193,3 +209,83 @@ def test_joint_verdicts_match_per_bundle_verdicts_on_bitflip_corpus(ctx):
         assert alone.count(False) == 1
         compared += 1
     assert compared > 100
+
+
+def _tampered(proof):
+    """(name, proof) for every single-element change of `proof`: each point
+    of each point field moved by the base point, each scalar plus one."""
+    group = proof.omega.group
+    base = group.base()
+
+    def moved(ct, half):
+        return elgamal.Ciphertext(ct.c1 + base, ct.c2) if half == 0 else \
+            elgamal.Ciphertext(ct.c1, ct.c2 + base)
+
+    out = [("omega", dataclasses.replace(proof, omega=proof.omega + base))]
+    for name in ("inputs", "outputs"):
+        series = getattr(proof, name)
+        for j in range(len(series)):
+            for half in (0, 1):
+                changed = series[:j] + (moved(series[j], half),) + series[j + 1:]
+                out.append((f"{name}[{j}].c{half + 1}", dataclasses.replace(proof, **{name: changed})))
+    for name in ("c_pts", "c_hat", "t_4", "t_hat", "s_hat", "s_prime"):
+        series = getattr(proof, name)
+        for j in range(len(series)):
+            element = (series[j] + 1) % group.order if name.startswith("s_") else series[j] + base
+            changed = series[:j] + (element,) + series[j + 1:]
+            out.append((f"{name}[{j}]", dataclasses.replace(proof, **{name: changed})))
+    for name in ("t_1", "t_2", "t_3"):
+        out.append((name, dataclasses.replace(proof, **{name: getattr(proof, name) + base})))
+    for name in ("s_1", "s_2", "s_3", "s_4"):
+        out.append((name, dataclasses.replace(proof, **{name: (getattr(proof, name) + 1) % group.order})))
+    return out
+
+
+@pytest.mark.parametrize("profile", ["ed25519", "pairing80"])
+def test_every_tampered_field_rejected_alone_and_in_a_chain(profile):
+    """Three chained links of 3 entries verify together. Each single-element
+    change of any field of a link's proof (the statement's key, inputs and
+    outputs, the commitments c, c^, t_1..t_4, t^ and every response) is
+    rejected alone and inside the joint batch of the three links, the
+    changed link at each position in turn."""
+    group = get_group(profile)
+    rng = Drbg(f"tamper/{profile}")
+    kp = elgamal.KeyPair.generate(group, rng)
+    cts, chain = [elgamal.encrypt(group, v, kp.public, rng) for v in (3, 1, 4)], []
+    for _ in range(3):
+        cts, proof = shuffle_and_prove(group, cts, kp.public, rng)
+        chain.append(proof)
+    assert verify_shuffle(*chain)
+    changes = [_tampered(proof) for proof in chain]  # the same fields, link by link
+    assert len(changes[0]) == 1 + 4 * 3 + 2 * 3 + 2 + 3 * 3 + 3 + 4
+    for k in range(len(changes[0])):
+        position = k % 3
+        name, bad = changes[position][k]
+        assert not verify_shuffle(bad), name
+        joint = list(chain)
+        joint[position] = bad
+        assert not verify_shuffle(*joint), (name, position)
+
+
+@pytest.mark.parametrize("profile", ["ed25519", "pairing80"])
+def test_generators_are_distinct_points_of_prime_order(profile):
+    """`hash_to_point` is deterministic, and the shuffle's h, h_1..h_n are
+    n + 1 distinct non-identity points, each of prime order: times the
+    order, by a double-and-add that never reduces the scalar, each is the
+    identity."""
+    from privq.proofs.shuffle import _generators
+    from privq.serial import pack_u32
+
+    group = get_group(profile)
+    n = 5
+    generators = _generators(group, n)
+    assert len(generators) == n + 1 and len(set(generators)) == n + 1
+    for i, point in enumerate(generators):
+        assert point == group.hash_to_point(b"shuffle/" + pack_u32(i))
+        assert not point.is_identity() and point != group.base()
+        acc = group.identity()
+        for bit in bin(group.order)[2:]:
+            acc = acc + acc
+            if bit == "1":
+                acc = acc + point
+        assert acc.is_identity(), i

@@ -52,7 +52,7 @@ def _range(group, rng):
 def _shuffle(group, rng):
     omega = group.mul(group.random_scalar(rng), group.base())
     _, proof = shuffle.shuffle_and_prove(group, [_ct(group, rng)], omega, rng)
-    return proof.encode(), proof.gamma_pt, lambda data: shuffle.decode_shuffle(group, data)
+    return proof.encode(), proof.c_pts[0], lambda data: shuffle.decode_shuffle(group, data)
 
 
 def _signature(group, rng):
