@@ -54,18 +54,20 @@ it only when its round settles: `VnNode._settle` settles the query's rounds
 in plan order, each once no bundle of it is awaited, and every round left
 before the VN's map leaves it. It walks a round's bundles in plan order,
 makes each bundle's draws and runs the round's check (`_check_<kind>`) on
-each drawn sub-proof: decoding, the shape of a CTKS/CTO or shuffle proof
-(`protocols.round_proof`), and the aggregation, range and chain checks. A
-check compares only against values that bundles judged before it read
+each drawn sub-proof: decoding, the statement of a CTKS/CTO proof, which
+`protocols.round_proof` builds from the payload and the keys the VN holds,
+the shape of a shuffle proof, and the aggregation, range and chain checks.
+A check compares only against values that bundles judged before it read
 (`state.slots`), so it can fail only its own sub-proof and the verdicts do
-not depend on arrival order. A CTKS/CTO bundle must run over the round's
-input: the previous round's output (`Round.output`) if the VN has it, else
-the list of the round's first bundle that had a sub-proof drawn. One
-`verify_linear` or `verify_shuffle` call checks the proof equations of a
-round's bundles that passed, and only if that joint batch rejects is each
-bundle checked alone, so a verdict stays per bundle and all-or-nothing
-within it. A VN takes `end_query` only from the root CN and `map_request`
-only from the block's leader VN.
+not depend on arrival order; a CN's aggregation, judged after its
+children's, must list their checked outputs. A CTKS/CTO bundle must run
+over the round's input: the previous round's output (`Round.output`) if
+the VN has it, else the list of the round's first bundle that had a
+sub-proof drawn. One `verify_linear` or `verify_shuffle` call checks the
+proof equations of a round's bundles that passed, and only if that joint
+batch rejects is each bundle checked alone, so a verdict stays per bundle
+and all-or-nothing within it. A VN takes `end_query` only from the root CN
+and `map_request` only from the block's leader VN.
 
 Every CN and VN reads the wire through a decode memo in its query state
 (`serial.Reader`), so it decodes each distinct point once per query; a VN
@@ -585,22 +587,29 @@ class VnNode(NodeBase):
         return None
 
     def _check_aggregation(self, state, bundle, index):
-        """A CN's aggregation sums inputs from its sources; the ciphertexts
-        it aggregated for its DPs fill the slots their range proofs read."""
+        """A CN's aggregation sums inputs from its sources and lists for a
+        child CN the output of the child's, if the VN verified it; its output
+        and its DPs' ciphertexts fill the slots that its parent's check and
+        their range proofs read."""
         agg = protocols.Aggregation.decode(self.topology.group, bundle.payloads[index],
                                            state.memo)
         _, inputs = state.plan.feeds("aggregation", bundle.prover_id)
         if not protocols.verify_aggregation(agg, bundle.prover_id, [s for _, s in inputs]):
             return None
-        for label, cts in zip(agg.labels, agg.inputs):
+        listed = list(zip(agg.labels, agg.inputs))
+        if any(("cta_partial", label) in inputs
+               and state.slots.get(("partial", label), cts) != cts for label, cts in listed):
+            return None
+        for label, cts in listed:
             if ("dp_response", label) in inputs:
                 state.slots.update((("range", label, j), ct) for j, ct in enumerate(cts[:-1]))
+        state.slots[("partial", bundle.prover_id)] = agg.output
         return agg.output
 
     def _check_tree(self, state, bundle, index):
-        """Input and shape check of one CTKS/CTO sub-proof (the round's input
-        is set as the module docstring says); `_settle` verifies the proofs it
-        returns in the round's batch."""
+        """Input check of one CTKS/CTO sub-proof (the round's input is set as
+        the module docstring says), and its proof read against the VN's own
+        statement; `_settle` verifies the proofs it returns in a batch."""
         listed = b"".join(Reader(p).bytes_field() for p in bundle.payloads)
         if state.slots.setdefault(bundle.proof_type, listed) != listed:
             return None

@@ -3,7 +3,9 @@
 Proves knowledge of scalars y_1..y_n satisfying a system of equations
 P_j = sum_i y_i * G_{j,i} over public points, without revealing the y_i.
 Key-switch shares, obfuscation shares, and key-possession statements are
-all instances. Non-interactive via the transcript in `transcript.py`;
+all instances. Non-interactive via the transcript in `transcript.py`,
+which absorbs the whole statement; prover and verifier each build the
+statement from values they hold, so it is not on the wire.
 `verify_linear` checks any number of proofs as one `transcript.Batch`, in
 which equal points share one MSM term.
 """
@@ -13,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import MalformedProof
-from ..serial import Reader, pack_u8, pack_u32
+from ..serial import Reader, pack_u8
 from .transcript import Batch, Transcript
 
 _TAG = 0x01
@@ -47,23 +49,12 @@ class LinearRelationProof:
     responses: tuple  # z_i per secret
 
     def encode(self) -> bytes:
+        """Tag, commitments, challenge, responses: no statement (`decode_linear`)."""
         group = self.statement.targets[0].group
-        out = [pack_u8(_TAG), pack_u32(len(self.statement.targets)),
-               pack_u32(self.statement.n_secrets)]
-        for row in self.statement.bases:
-            for base in row:
-                if base is None:
-                    out.append(pack_u8(0))
-                else:
-                    out.append(pack_u8(1))
-                    out.append(base.encode())
-        for target in self.statement.targets:
-            out.append(target.encode())
-        for w in self.commitments:
-            out.append(w.encode())
+        out = [pack_u8(_TAG)]
+        out.extend(w.encode() for w in self.commitments)
         out.append(group.encode_scalar(self.challenge))
-        for z in self.responses:
-            out.append(group.encode_scalar(z))
+        out.extend(group.encode_scalar(z) for z in self.responses)
         return b"".join(out)
 
 
@@ -131,34 +122,14 @@ def verify_linear(*proofs: LinearRelationProof) -> bool:
     return batch.holds()
 
 
-def decode_linear(group, data: bytes, known=(), memo=None) -> LinearRelationProof:
-    """Decode a proof; a point encoded exactly like one in `known` is taken
-    as that point instead of being decoded again, and the others go through
-    the decode memo `memo` (`serial.Reader`)."""
-    reader = Reader(data, group, known, memo)
+def decode_linear(group, data: bytes, statement: LinearStatement) -> LinearRelationProof:
+    """Decode a proof of `statement`, which the caller built from values it
+    holds: one commitment per equation and one response per secret."""
+    reader = Reader(data, group)
     if reader.u8() != _TAG:
         raise MalformedProof("wrong proof type tag")
-    n_eqs = reader.u32()
-    n_secrets = reader.u32()
-    if n_eqs == 0 or n_secrets == 0 or n_eqs > 64 or n_secrets > 64:
-        raise MalformedProof("implausible proof shape")
-    bases = []
-    for _ in range(n_eqs):
-        row = []
-        for _ in range(n_secrets):
-            flag = reader.u8()
-            if flag == 1:
-                row.append(reader.point())
-            elif flag == 0:
-                row.append(None)
-            else:
-                raise MalformedProof("non-canonical base flag")
-        bases.append(tuple(row))
-    targets = tuple(reader.point() for _ in range(n_eqs))
-    commitments = tuple(reader.commitment() for _ in range(n_eqs))
+    commitments = tuple(reader.commitment() for _ in statement.targets)
     challenge = reader.scalar()
-    responses = tuple(reader.scalar() for _ in range(n_secrets))
+    responses = tuple(reader.scalar() for _ in range(statement.n_secrets))
     reader.expect_done()
-    return LinearRelationProof(
-        LinearStatement(tuple(bases), targets), commitments, challenge, responses
-    )
+    return LinearRelationProof(statement, commitments, challenge, responses)

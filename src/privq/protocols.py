@@ -170,21 +170,21 @@ def verify_aggregation(agg: Aggregation, cn, sources) -> bool:
 # Key switching (CTKS)
 
 
-def ctks_share(group, c1, cn_key, target_pk, rng):
-    """One CN's key-switch share for a single ciphertext.
-
-    w1 = alpha*B, w2 = -k_i*C1 + alpha*K'; the emitted proof shows the same
-    k_i as the CN's published key and the same alpha in both shares.
-    """
-    alpha = group.random_scalar(rng)
+def ctks_statement(group, c1, cn_public, target_pk, w1, w2) -> LinearStatement:
+    """The share (w1, w2) = (alpha*B, -k_i*C1 + alpha*K') of a ciphertext
+    with first point `c1`, k_i that of the CN's published key K_i = k_i*B."""
     base = group.base()
-    w1 = group.mul(alpha, base)
-    neg_c1 = -c1
-    w2 = group.msm([(cn_key.private, neg_c1), (alpha, target_pk)])
-    statement = LinearStatement(
-        bases=((base, None), (None, base), (neg_c1, target_pk)),
-        targets=(cn_key.public, w1, w2),
-    )
+    return LinearStatement(bases=((base, None), (None, base), (-c1, target_pk)),
+                           targets=(cn_public, w1, w2))
+
+
+def ctks_share(group, c1, cn_key, target_pk, rng):
+    """One CN's key-switch share (w1, w2) for a single ciphertext, with the
+    proof of its `ctks_statement`."""
+    alpha = group.random_scalar(rng)
+    w1 = group.mul(alpha, group.base())
+    w2 = group.msm([(cn_key.private, -c1), (alpha, target_pk)])
+    statement = ctks_statement(group, c1, cn_key.public, target_pk, w1, w2)
     proof = prove_linear(statement, (cn_key.private, alpha), rng)
     return w1, w2, proof
 
@@ -193,17 +193,19 @@ def ctks_share(group, c1, cn_key, target_pk, rng):
 # Obfuscation (CTO)
 
 
+def cto_statement(ct: Ciphertext, blinded: Ciphertext) -> LinearStatement:
+    """The blinded pair is s*(C1, C2), one s for both points."""
+    return LinearStatement(bases=((ct.c1,), (ct.c2,)), targets=(blinded.c1, blinded.c2))
+
+
 def cto_share(group, ct: Ciphertext, rng):
-    """One CN's multiplicative blinding share s_i * (C1, C2) with proof."""
+    """One CN's multiplicative blinding share s_i * (C1, C2), with the proof
+    of its `cto_statement`."""
     s = 0
     while s == 0:
         s = group.random_scalar(rng)
     blinded = Ciphertext(group.mul(s, ct.c1), group.mul(s, ct.c2))
-    statement = LinearStatement(
-        bases=((ct.c1,), (ct.c2,)),
-        targets=(blinded.c1, blinded.c2),
-    )
-    proof = prove_linear(statement, (s,), rng)
+    proof = prove_linear(cto_statement(ct, blinded), (s,), rng)
     return blinded, proof
 
 
@@ -214,8 +216,8 @@ def cto_share(group, ct: Ciphertext, rng):
 def round_shares(group, proof_type, cts, rng, cn_key=None, target_pk=None):
     """One CN's CTKS ("keyswitch") or CTO ("obfuscation") step over a
     ciphertext list: its shares, which add componentwise (a key-switch share
-    (w1, w2) is carried as a Ciphertext), and one payload per share, the
-    input ciphertext then the proof."""
+    (w1, w2) is carried as a Ciphertext), and one payload per share: the
+    input ciphertext, the share, then the proof, without its statement."""
     shares, payloads = [], []
     for ct in cts:
         if proof_type == "keyswitch":
@@ -224,7 +226,7 @@ def round_shares(group, proof_type, cts, rng, cn_key=None, target_pk=None):
         else:
             share, proof = cto_share(group, ct, rng)
         shares.append(share)
-        payloads.append(pack_bytes(ct.encode()) + proof.encode())
+        payloads.append(pack_bytes(ct.encode()) + share.encode() + proof.encode())
     return shares, payloads
 
 
@@ -237,28 +239,16 @@ def ctks_combine(cts, share_sums) -> list:
 def round_proof(group, proof_type: str, payload: bytes, cn_public=None,
                 target_pk=None, memo=None):
     """The linear proof of one CTKS ("keyswitch") or CTO ("obfuscation")
-    payload if its statement has exactly the shape the step proves over the
-    payload's input ciphertext, else None. A key-switch proof must also use
-    the CN's published key `cn_public` and the target key `target_pk`.
-
-    The fixed statement parts are matched by their encodings and never
-    decoded: only the input ciphertext and the points the prover chose are.
-    """
-    reader = Reader(payload)
+    payload, read against the statement built from its input ciphertext and
+    share (and, for a key switch, the CN's key `cn_public` and `target_pk`)."""
+    reader = Reader(payload, group, memo=memo)
     ct = elgamal.decode_ciphertext(group, reader.bytes_field(), memo)
+    share = Ciphertext.read(reader)
     if proof_type == "keyswitch":
-        base, neg_c1 = group.base(), -ct.c1
-        bases = ((base, None), (None, base), (neg_c1, target_pk))
-        fixed = (base, neg_c1, target_pk, cn_public)
+        statement = ctks_statement(group, ct.c1, cn_public, target_pk, share.c1, share.c2)
     else:
-        bases = ((ct.c1,), (ct.c2,))
-        fixed = (ct.c1, ct.c2)
-    proof = decode_linear(group, reader.rest(), known=fixed, memo=memo)
-    if proof.statement.bases != bases:
-        return None
-    if proof_type == "keyswitch" and proof.statement.targets[0] != cn_public:
-        return None
-    return proof
+        statement = cto_statement(ct, share)
+    return decode_linear(group, reader.rest(), statement)
 
 
 # ---------------------------------------------------------------------------
@@ -378,14 +368,16 @@ class QueryPlan:
     (CTA), the DPs' range proofs (with `range_proofs` and bounds), CTO for
     bit-wise results, the noise shuffle (CDP) under DP privacy, and CTKS.
     Each round after aggregation runs over the previous one's output. A VN
-    judges the rounds in this order, so a range proof is checked against
-    the ciphertext its DP's CN aggregated, and shuffle link i against link
-    i - 1's output list."""
+    judges the rounds in this order, and the aggregations children first
+    (`CnTree.bottom_up`), so a CN's aggregation is checked against its
+    children's outputs, a range proof against the ciphertext its DP's CN
+    aggregated, and shuffle link i against link i - 1's output list."""
 
     def __init__(self, query, tree, dp_assignment=None, range_proofs=False):
         self.query, self.tree, self.dp_assignment = query, tree, dp_assignment or {}
         cns, op = tree.nodes, query.operation
-        rounds = [Round("aggregation", "aggregation", cns, outputs_from=cns[:1])]
+        children_first = tuple(cns[i] for i in tree.bottom_up())
+        rounds = [Round("aggregation", "aggregation", children_first, outputs_from=cns[:1])]
         if range_proofs and query.bounds is not None:
             rounds.append(Round("range", "range", tuple(query.dp_list), op.dimension))
         if op.uses_obfuscation:

@@ -19,30 +19,26 @@ def pack_bytes(data: bytes) -> bytes:
 
 
 class Reader:
-    """Fields read in order off one record. A point field encoded exactly
-    like one of the `known` points is taken as that point instead of being
-    decoded again.
+    """Fields read in order off one record.
 
-    Every other point field goes through `memo`, a decode memo from
-    encodings to the points decoded from them: bytes already in it are
-    taken from it, and a successful decode is added. A node keeps one memo
-    per query in its query state and passes it to every reader of that
-    query, so it decodes each distinct wire point once per query; without
-    one, a reader memoizes within its own record. The invariant is
-    `memo[b].encode() == b` for every entry, as decoding is canonical, so
-    a hit returns the point a decode would; a field that fails to decode
-    raises on every read and never enters the memo. `known` points are
-    never added: they may be shared with other nodes, a memo's points are
-    its node's own. A proof's commitments, read with `commitment()`, bypass
-    the memo: its prover draws them for that proof alone, so no other
-    record repeats them and memoizing them would only keep them alive.
+    A point field goes through `memo`, a decode memo from encodings to the
+    points decoded from them: bytes already in it are taken from it, and a
+    successful decode is added. A node keeps one memo per query in its
+    query state and passes it to every reader of that query, so it decodes
+    each distinct wire point once per query; without one, a reader
+    memoizes within its own record. The invariant is `memo[b].encode() ==
+    b` for every entry, as decoding is canonical, so a hit returns the
+    point a decode would; a field that fails to decode raises on every read
+    and never enters the memo. A proof's commitments, read with
+    `commitment()`, bypass the memo: its prover draws them for that proof
+    alone, so no other record repeats them and memoizing them would only
+    keep them alive.
     """
 
-    def __init__(self, data: bytes, group=None, known=(), memo=None):
+    def __init__(self, data: bytes, group=None, memo=None):
         self.data = data
         self.pos = 0
         self.group = group
-        self.known = {point.encode(): point for point in known if point is not None}
         self.memo = {} if memo is None else memo
 
     def take(self, n: int) -> bytes:
@@ -72,11 +68,9 @@ class Reader:
 
     def point(self):
         raw = self.take(self.group.point_bytes)
-        hit = self.known.get(raw)
+        hit = self.memo.get(raw)
         if hit is None:
-            hit = self.memo.get(raw)
-            if hit is None:
-                hit = self.memo[raw] = self.group.decode_point(raw)
+            hit = self.memo[raw] = self.group.decode_point(raw)
         return hit
 
     def commitment(self):

@@ -358,7 +358,7 @@ def test_proof_system_soundness_suite():
                          ed.msm([(k, -c1), (a, kq)])))
             proof = lp.prove_linear(st, (k, a), rng)
             assert lp.verify_linear(proof)
-        assert _flip_fuzz(proof.encode(), lambda b: lp.decode_linear(ed, b),
+        assert _flip_fuzz(proof.encode(), lambda b: lp.decode_linear(ed, b, st),
                           lp.verify_linear, 1000, 101) == 0
 
         # range: completeness sweep, boundary rejects, forged transcripts, fuzz

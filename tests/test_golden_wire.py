@@ -33,38 +33,38 @@ GOLDEN = {
     "sum": (
         {}, f"SELECT sum x ON {DPS}", {}, {},
         55,
-        "51a07e05facdefe5d8c9bd1de7563218aebb7398abd1384f74e7431cd83815cf",
+        "596b844d2f04010ee6ae3d196840c4b2448111ca8c406777b73a48a08bf366fa",
         "d02b651d1478428469d865efac03a1678f4c1d9b6b11309440edc665fe991976",
     ),
     "or_bits": (
         {}, f"SELECT or flag ON {DPS}", {"bitwise_mode": "bits"}, {},
         68,
-        "b55bf348e5aee036b7682c3db8cf88bcf83ca37b301b58b8982bd02a4b514f1b",
+        "6db7bccd8557539852198cc61e8f996ddfcb91ebfc33c94411badbf5f586abff",
         "db2a391e22c1b9413ea1b27d6f87504d7e80ae1db0e7e7b04fedd1d80ad441ae",
     ),
     # the one four-round plan: aggregation, obfuscation, shuffle, keyswitch
     "or_bits_dp": (
         {}, f"SELECT or flag ON {DPS}", {"bitwise_mode": "bits", "dp_privacy": True}, {},
         81,
-        "345a79d705f7113ee3579211fac78956092bdb0241c1fd2f5f13bf5602c7b9df",
+        "c9164dd25116410cbcd2bf77f1a8be6c24fd417bf6c4b0d699368b4f3d8fe6ff",
         "f2fd2ee0211ef15918887fe5e6ac34933d689be43c572c2f92a679f4b1b323cb",
     ),
     "dp_sum": (
         {}, f"SELECT sum x ON {DPS}", {"dp_privacy": True}, {},
         68,
-        "b1f8ddf283631490886b6ba2746b12b868f580d0be229b2146bda7794541aa09",
+        "d27f8b9aca541bd24e9cf7c11b66d50c70125a9504d1738a012625bb682b3f8b",
         "2c17627f0c51045a76a9b1ae19c9a3e7351366e569bad00d81531ef4d7e6876e",
     ),
     "variance_chain": (
         {"tree_shape": "chain"}, f"SELECT variance x ON {DPS}", {}, {},
         55,
-        "9d24c461db01126ae0791cc2d867421a3405349057114c3b26b5b83a38e4b2f9",
+        "3579ba9af53defd278fbab6cd07ec45127b7a666a36c425c481c622da5e2561e",
         "d74116e5294cda9330722f287aef1a0dbc51e01e5d1975d5c664d67d6c13af21",
     ),
     "range_sum": (
         {"profile": "pairing80"}, f"SELECT sum flag ON {DPS} RANGE 0,2", {}, {},
         67,
-        "cbed7ffe3e658b1c556021e84d7f4e192e014753534bc5b24f15d3b5c4e47731",
+        "0cdd16c5ae5b6fac476eee481e6dec6ab64760d2b7c80a16bf7e6f082dc2b6e3",
         "bd0c535bb327d181c895b637cb5790b223505b49b51587d826fc3134c4dee1a9",
     ),
 }

@@ -104,7 +104,7 @@ def test_bitflip_fuzz_rejected(ctx):
         data = bytearray(blob)
         data[flip.randrange(len(data))] ^= 1 << flip.randrange(8)
         try:
-            if verify_linear(decode_linear(group, bytes(data))):
+            if verify_linear(decode_linear(group, bytes(data), statement)):
                 accepted += 1
         except MalformedProof:
             pass
@@ -115,17 +115,18 @@ def test_serialization_roundtrip(ctx):
     group, rng = ctx
     statement, secrets = _ctks_instance(group, rng)
     proof = prove_linear(statement, secrets, rng)
-    decoded = decode_linear(group, proof.encode())
+    decoded = decode_linear(group, proof.encode(), statement)
     assert decoded.encode() == proof.encode()
     assert verify_linear(decoded)
 
 
 def test_malformed_transcript_raises(ctx):
     group, _ = ctx
+    statement, _ = _cto_instance(group, Drbg("malformed-transcript"))
     with pytest.raises(MalformedProof):
-        decode_linear(group, b"\x01\x00\x00")
+        decode_linear(group, b"\x01\x00\x00", statement)
     with pytest.raises(MalformedProof):
-        decode_linear(group, b"\x09" + b"\x00" * 40)
+        decode_linear(group, b"\x09" + b"\x00" * 40, statement)
 
 
 def test_fiat_shamir_deterministic(ctx):
@@ -192,14 +193,14 @@ def test_batch_matches_per_proof_verdicts_on_bitflip_corpus(ctx):
     statement, secrets = _ctks_instance(group, rng)
     blob = prove_linear(statement, secrets, rng).encode()
     honest = _ctks_batch(group, rng, 2)
-    assert verify_linear(*honest, decode_linear(group, blob))
+    assert verify_linear(*honest, decode_linear(group, blob, statement))
     flip = random.Random(1234)
     compared = 0
     for trial in range(1000):
         data = bytearray(blob)
         data[flip.randrange(len(data))] ^= 1 << flip.randrange(8)
         try:
-            corrupted = decode_linear(group, bytes(data))
+            corrupted = decode_linear(group, bytes(data), statement)
         except MalformedProof:
             continue
         batch = list(honest)
@@ -241,13 +242,12 @@ def test_joint_verdicts_match_per_bundle_verdicts_on_bitflip_corpus(ctx):
     honest = _ctks_batch(group, rng, 3)
     assert joint_verdicts(verify_linear, [honest[:1], honest[1:]]) == [True, True]
     flip = random.Random(1234)
-    memo = {}  # a corrupted proof shares all points but one with the others
     compared = 0
     for trial in range(1000):
         data = bytearray(blob)
         data[flip.randrange(len(data))] ^= 1 << flip.randrange(8)
         try:
-            corrupted = decode_linear(group, bytes(data), memo=memo)
+            corrupted = decode_linear(group, bytes(data), statement)
         except MalformedProof:
             continue
         bundles = [honest[:1], honest[1:2], honest[2:]]

@@ -45,3 +45,12 @@ def test_tracer_finds_every_patch_point():
     assert proc.returncode == 0, proc.stderr
     names = set(json.loads(proc.stdout.strip().splitlines()[-1]))
     assert not set(VERIFYING_LAYERS) - names, sorted(names)
+
+
+def test_benchmark_selfcheck_passes():
+    """perfbench/selfcheck.py runs every workload once at its minimal size
+    and applies its correctness checks, so a change that breaks a
+    workload's result fails here and not first in a benchmark run."""
+    proc = subprocess.run([sys.executable, os.path.join(ROOT, "perfbench", "selfcheck.py")],
+                          cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

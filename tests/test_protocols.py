@@ -7,8 +7,8 @@ import pytest
 
 from privq import elgamal, protocols
 from privq.encodings import OperationSpec
-from privq.errors import (DimensionMismatch, InvalidPrivacyParams, NoiseExhausted,
-                          OutOfTableRange)
+from privq.errors import (DimensionMismatch, InvalidPrivacyParams, MalformedProof,
+                          NoiseExhausted, OutOfTableRange)
 from privq.group import DlogTable, get_group
 from privq.harness.pipeline import Simulation
 from privq.harness.queryparse import parse_query
@@ -224,6 +224,56 @@ def test_cto_proofs_verify(ctx):
         assert payloads[0].startswith(pack_bytes(ct.encode()))
         proof = protocols.round_proof(group, "obfuscation", payloads[0])
         assert proof is not None and verify_linear(proof)
+
+
+def _round_payloads(profile, proof_type, n=3):
+    """The payloads of one CN's CTKS or CTO step over n ciphertexts on
+    `profile`, and the (CN key, target key) that `round_proof` reads a
+    key-switch payload with."""
+    group = get_group(profile)
+    rng = Drbg(f"round-payloads/{profile}/{proof_type}")
+    cn_key, target = elgamal.KeyPair.generate(group, rng), elgamal.KeyPair.generate(group, rng)
+    cts = [elgamal.encrypt(group, m, cn_key.public, rng) for m in range(n)]
+    _, payloads = protocols.round_shares(group, proof_type, cts, rng, cn_key, target.public)
+    return group, payloads, (cn_key.public, target.public)
+
+
+@pytest.mark.parametrize("profile", ["ed25519", "pairing80"])
+def test_round_payload_layout(profile):
+    """A CTKS or CTO payload is the input ciphertext, the share, then the
+    proof's tag, commitments, challenge and responses, and nothing of the
+    statement: P and S are the point and scalar sizes."""
+    for proof_type in ("keyswitch", "obfuscation"):
+        group, (payload, *_), _ = _round_payloads(profile, proof_type, 1)
+        P, S = group.point_bytes, group.scalar_bytes
+        if proof_type == "keyswitch":
+            assert len(payload) == 4 + 2 * P + 2 * P + 1 + 3 * P + S + 2 * S
+        else:
+            assert len(payload) == 4 + 2 * P + 2 * P + 1 + 2 * P + S + S
+
+
+@pytest.mark.parametrize("profile", ["ed25519", "pairing80"])
+@pytest.mark.parametrize("proof_type", ["keyswitch", "obfuscation"])
+def test_round_payload_bitflips_rejected(profile, proof_type):
+    """One bit flipped in each byte after the input ciphertext of a CTKS or
+    CTO payload (in the share, the tag, a commitment, the challenge or a
+    response): `round_proof` raises, or `verify_linear` rejects its proof
+    alone and in one batch with the step's honest proofs."""
+    group, (blob, *others), keys = _round_payloads(profile, proof_type)
+    honest = [protocols.round_proof(group, proof_type, p, *keys) for p in others]
+    assert verify_linear(protocols.round_proof(group, proof_type, blob, *keys), *honest)
+    decoded = 0
+    for i in range(4 + 2 * group.point_bytes, len(blob)):
+        data = bytearray(blob)
+        data[i] ^= 1 << (i % 8)
+        try:
+            proof = protocols.round_proof(group, proof_type, bytes(data), *keys)
+        except MalformedProof:
+            continue
+        decoded += 1
+        assert not verify_linear(proof), i
+        assert not verify_linear(*honest, proof), i
+    assert decoded > 0
 
 
 def test_quantize_laplace_contract():

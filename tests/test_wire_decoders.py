@@ -39,7 +39,8 @@ def _linear(group, rng):
     sk = group.random_scalar(rng)
     statement = linear.LinearStatement(((group.base(),),), (group.mul(sk, group.base()),))
     proof = linear.prove_linear(statement, [sk], rng)
-    return proof.encode(), proof.commitments[0], lambda data: linear.decode_linear(group, data)
+    return (proof.encode(), proof.commitments[0],
+            lambda data: linear.decode_linear(group, data, statement))
 
 
 def _range(group, rng):
