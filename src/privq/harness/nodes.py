@@ -459,7 +459,9 @@ class VnNode(NodeBase):
         if not verify_signature(group, querier_pk, body, signature):
             return
         query = decode_query(body)
-        expected = ledger.expected_proofs(query, self.topology.cn_ids, self.range_sigs)
+        plan = protocols.QueryPlan(query, self.tree, self.topology.dp_assignment,
+                                   self.range_sigs is not None)
+        expected = ledger.expected_proofs(plan)
         slots = {}  # slot -> what a judged bundle read, for the checks after it
         memo = {}  # the query's decode memo (`serial.Reader`)
         if query.dp_privacy:  # the chain's first link shuffles the public list
@@ -471,8 +473,7 @@ class VnNode(NodeBase):
         self.states[query.query_id] = SimpleNamespace(
             query=query,
             query_bytes=body,
-            plan=protocols.QueryPlan(query, self.tree, self.topology.dp_assignment,
-                                     self.range_sigs is not None),
+            plan=plan,
             map=ledger.QueryProofsMap(expected),  # its entries are in plan order
             bundles=Awaited(expected),  # one signed bundle per expected proof key
             settled=0,  # how many plan rounds `_settle` has settled, in order

@@ -43,7 +43,6 @@ from .errors import (
     UnexpectedInput,
 )
 from .proofs.signatures import sign, verify_signature
-from .protocols import QueryPlan, build_tree
 from .serial import Reader, pack_bytes, pack_u32
 
 STATUS_TRUE = "true"
@@ -227,13 +226,12 @@ class QueryProofsMap:
         return isinstance(other, QueryProofsMap) and self.encode() == other.encode()
 
 
-def expected_proofs(query, cn_ids, range_sigs) -> dict:
+def expected_proofs(plan) -> dict:
     """key -> (prover_id, proof_type, seq_index), identical on every VN: the
-    proofs of every round of the query's `protocols.QueryPlan`, whose range
-    round needs a range setup (`range_sigs` not None)."""
+    proofs of every round of the query's `protocols.QueryPlan`, in its order."""
+    query = plan.query
     if not getattr(query, "dp_list", None):
         raise MalformedQuery("query names no data providers")
-    plan = QueryPlan(query, build_tree(cn_ids), range_proofs=range_sigs is not None)
     return {proof_key(query.query_id, prover, r.proof_type, i): (prover, r.proof_type, i)
             for r in plan.rounds for prover in r.provers for i in range(r.proofs)}
 

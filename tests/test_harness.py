@@ -264,32 +264,37 @@ def test_aggregation_counting_an_input_twice_is_false(monkeypatch):
         ("CN1", "aggregation", list(topo.vn_ids))]
 
 
-def test_parent_swapping_a_child_partial_is_false():
-    """Root CN1 sums an encryption of 50 in place of CN2's partial sum and
-    lists it under CN2's label. The VNs judge CN2's aggregation before
-    CN1's, and what CN1 lists for CN2 is not CN2's stated output: every VN
-    marks CN1's aggregation false, and the audit names only it."""
+@pytest.mark.parametrize("shape, parent, child", [
+    ("binary", "CN1", "CN2"), ("chain", "CN2", "CN3")])
+def test_parent_swapping_a_child_partial_is_false(shape, parent, child):
+    """A parent CN (the root in a binary tree, the middle link of a chain)
+    sums an encryption of 50 in place of its child's partial sum and lists
+    it under the child's label. The VNs judge the child's aggregation before
+    the parent's, and what the parent lists for the child is not the child's
+    stated output: every VN marks the parent's aggregation false, and the
+    audit names only it."""
     import dataclasses
 
-    topo = Topology.build(n_cns=3, n_dps=4, n_vns=3, seed=5)
+    topo = Topology.build(n_cns=3, n_dps=4, n_vns=3, seed=5, tree_shape=shape)
     topo.dp_data = {f"DP{i}": [{"x": i}] for i in range(1, 5)}
     sim = Simulation(topo, seed=5)
-    cn1 = sim.cns["CN1"]
-    honest_take = cn1.on_cta_partial
+    cn = sim.cns[parent]
+    honest_take = cn.on_cta_partial
 
     def on_cta_partial(msg):
-        if msg.sender == "CN2":
+        if msg.sender == child:
             cts = unpack_cts(topo.group, Reader(msg.payload))
-            cts[0] = elgamal.encrypt(topo.group, 50, topo.collective_key().public, cn1.rng)
+            cts[0] = elgamal.encrypt(topo.group, 50, topo.collective_key().public, cn.rng)
             msg = dataclasses.replace(msg, payload=pack_cts(cts))
         honest_take(msg)
 
-    cn1.on_cta_partial = on_cta_partial
+    cn.on_cta_partial = on_cta_partial
     out = sim.run(parse_query("SELECT sum x ON DP1,DP2,DP3,DP4", scale=1))
-    assert out.result.values[0] == 58.0  # 10, with CN2's partial 2 swapped for 50
+    swapped = sum(i for i in range(1, 5) if topo.dp_assignment[f"DP{i}"] == child)
+    assert out.result.values[0] == 10 - swapped + 50
     report = sim.audit(out.query_id)
     assert [(p, t, vns) for _, p, t, _, vns in report.false_entries] == [
-        ("CN1", "aggregation", list(topo.vn_ids))]
+        (parent, "aggregation", list(topo.vn_ids))]
 
 
 @pytest.mark.parametrize("round_, sender, recipients", [

@@ -12,6 +12,7 @@ from privq.encodings import OperationSpec
 from privq.errors import (BlockNotFound, BrokenChain, InsufficientSignatures,
                           InvalidPolicy, MalformedProof, PrivqError)
 from privq.group import get_group
+from privq.protocols import QueryPlan, build_tree
 from privq.rng import Drbg
 from privq.serial import pack_bytes
 
@@ -92,9 +93,12 @@ def _query(kind="variance", dps=("dp1", "dp2"), bounds=None, dp_privacy=False,
                            bounds=bounds, dp_privacy=dp_privacy)
 
 
+def _plan(query, cn_ids, range_proofs=True):
+    return QueryPlan(query, build_tree(cn_ids), range_proofs=range_proofs)
+
+
 def test_expected_proofs_counting():
-    expected = ledger.expected_proofs(_query(bounds=(0, 16)), ("cn1", "cn2", "cn3"),
-                                      range_sigs=object())
+    expected = ledger.expected_proofs(_plan(_query(bounds=(0, 16)), ("cn1", "cn2", "cn3")))
     range_keys = [m for m in expected.values() if m[1] == "range"]
     cn_keys = [m for m in expected.values() if m[1] != "range"]
     assert len(range_keys) == 4  # 2 DPs x dimension 2
@@ -102,19 +106,19 @@ def test_expected_proofs_counting():
 
 
 def test_expected_proofs_no_bounds_no_range_keys():
-    expected = ledger.expected_proofs(_query(), ("cn1",), range_sigs=object())
+    expected = ledger.expected_proofs(_plan(_query(), ("cn1",)))
     assert not [m for m in expected.values() if m[1] == "range"]
 
 
 def test_expected_proofs_deterministic_across_vns():
-    a = ledger.expected_proofs(_query(bounds=(0, 4)), ("cn1", "cn2"), range_sigs=object())
-    b = ledger.expected_proofs(_query(bounds=(0, 4)), ("cn1", "cn2"), range_sigs=object())
+    a = ledger.expected_proofs(_plan(_query(bounds=(0, 4)), ("cn1", "cn2")))
+    b = ledger.expected_proofs(_plan(_query(bounds=(0, 4)), ("cn1", "cn2")))
     assert a == b
 
 
 def test_expected_proofs_rounds():
     q = _query(kind="or", dp_privacy=True, bitwise_mode="bits")
-    expected = ledger.expected_proofs(q, ("cn1",), range_sigs=None)
+    expected = ledger.expected_proofs(_plan(q, ("cn1",), range_proofs=False))
     types = sorted(m[1] for m in expected.values())
     assert types == ["aggregation", "keyswitch", "obfuscation", "shuffle"]
 
