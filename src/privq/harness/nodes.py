@@ -63,11 +63,14 @@ not depend on arrival order; a CN's aggregation, judged after its
 children's, must list their checked outputs. A CTKS/CTO bundle must run
 over the round's input: the previous round's output (`Round.output`) if
 the VN has it, else the list of the round's first bundle that had a
-sub-proof drawn. One `verify_linear` or `verify_shuffle` call checks the
-proof equations of a round's bundles that passed, and only if that joint
-batch rejects is each bundle checked alone, so a verdict stays per bundle
-and all-or-nothing within it. A VN takes `end_query` only from the root CN
-and `map_request` only from the block's leader VN.
+sub-proof drawn. A CTKS bundle is one sub-proof, the CN's shares of the
+whole list with one batched proof; a CTO bundle has one per ciphertext.
+The round's output sums the shares the payloads carry. One
+`verify_linear` or `verify_shuffle` call checks the proof equations of a
+round's bundles that passed (a batched statement term by term), and only
+if that joint batch rejects is each bundle checked alone, so a verdict
+stays per bundle and all-or-nothing within it. A VN takes `end_query`
+only from the root CN and `map_request` only from the block's leader VN.
 
 Every CN and VN reads the wire through a decode memo in its query state
 (`serial.Reader`), so it decodes each distinct point once per query; a VN
@@ -299,7 +302,8 @@ class CnNode(NodeBase):
         if state.opener:
             state.awaited = Awaited([state.opener])
         elif state.round.kind == "shuffle":  # the root, link 0, starts the chain
-            self._step(query_id, list(self.topology.initial_noise()))
+            scale = state.query.operation.value_scale
+            self._step(query_id, list(self.topology.initial_noise(scale)))
         else:  # aggregation, or the root's CTKS/CTO round over its output so far
             self._step(query_id, state.round.input(state.current))
 
@@ -465,7 +469,7 @@ class VnNode(NodeBase):
         slots = {}  # slot -> what a judged bundle read, for the checks after it
         memo = {}  # the query's decode memo (`serial.Reader`)
         if query.dp_privacy:  # the chain's first link shuffles the public list
-            noise = self.topology.initial_noise()
+            noise = self.topology.initial_noise(query.operation.value_scale)
             slots[("shuffle", 0)] = pack_cts(noise)
             # the list the VN holds, as its own points: no other node's
             memo.update((point.encode(), copy.copy(point))
@@ -535,9 +539,9 @@ class VnNode(NodeBase):
                                len(parts) == len(bundle.payloads))
             held = {key: read for key, (_, status, read, _) in judged.items()
                     if status == ledger.STATUS_TRUE}
-            if held and rnd.kind in ("tree", "shuffle"):
+            if held and rnd.kind in ("tree", "shuffle"):  # (what it proved, proof) each
                 holds = joint_verdicts(verify_linear if rnd.kind == "tree" else verify_shuffle,
-                                       held.values())
+                                       ([proof for _, proof in read] for read in held.values()))
                 held = {key: read for (key, read), ok in zip(held.items(), holds) if ok}
             for key, (_, status, _, _) in judged.items():
                 # a bundle that passed its drawn checks but not the round's batch is false
@@ -557,10 +561,10 @@ class VnNode(NodeBase):
             if prover not in proved:
                 return
             read = proved[prover]
-            if rnd.kind == "tree":  # a proof's last two targets: (w1, w2) or s·(C1, C2)
-                read = [elgamal.Ciphertext(*proof.statement.targets[-2:]) for proof in read]
+            if rnd.kind == "tree":  # the shares its payloads carry, in list order
+                read = [share for shares, _ in read for share in shares]
             elif rnd.kind == "shuffle":
-                read = [list(proof.outputs) for proof in read]
+                read = [outputs for outputs, _ in read]
             parts.append(read)
         try:
             state.outputs.append(rnd.output(state.outputs[-1] if state.outputs else None,
@@ -609,8 +613,8 @@ class VnNode(NodeBase):
 
     def _check_tree(self, state, bundle, index):
         """Input check of one CTKS/CTO sub-proof (the round's input is set as
-        the module docstring says), and its proof read against the VN's own
-        statement; `_settle` verifies the proofs it returns in a batch."""
+        the module docstring says), and its shares and its proof read against
+        the VN's own statement; `_settle` verifies the proofs in a batch."""
         listed = b"".join(Reader(p).bytes_field() for p in bundle.payloads)
         if state.slots.setdefault(bundle.proof_type, listed) != listed:
             return None
@@ -623,14 +627,16 @@ class VnNode(NodeBase):
     def _check_shuffle(self, state, bundle, index):
         """Shape and chain check of a shuffle proof: link i shuffles link
         i - 1's output list, as its proof states it, and link 0 the public
-        list. `_settle` verifies the proof it returns in the round's batch."""
+        list. `_settle` verifies the proof in the round's batch."""
         proof = decode_shuffle(self.topology.group, bundle.payloads[index], state.memo)
         if proof.omega != self.topology.collective_key().public:
             return None
         position = self.tree.nodes.index(bundle.prover_id)
         state.slots[("shuffle", position + 1)] = pack_cts(proof.outputs)
         listed = pack_cts(proof.inputs)
-        return proof if state.slots.get(("shuffle", position), listed) == listed else None
+        if state.slots.get(("shuffle", position), listed) != listed:
+            return None
+        return list(proof.outputs), proof
 
     # ----- block assembly -----
 

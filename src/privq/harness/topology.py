@@ -75,10 +75,13 @@ class Topology:
         return (params.get("epsilon", 1.0), params.get("delta_f", 1.0),
                 params.get("theta", 0.5), params.get("list_size", 100))
 
-    def initial_noise(self) -> tuple:
+    def initial_noise(self, scale: int | None = None) -> tuple:
         """The public list that starts the CDP shuffle chain
-        (`protocols.initial_noise`), computed once per set of its inputs."""
-        inputs = (self.group, *self.noise_params(), self.collective_key().public, self.scale)
+        (`protocols.initial_noise`), encoded at `scale`, the query's (by
+        default the topology's, at which `Simulation.run` parses query text),
+        and computed once per set of its inputs."""
+        inputs = (self.group, *self.noise_params(), self.collective_key().public,
+                  self.scale if scale is None else scale)
         if self._noise is None or self._noise[0] != inputs:
             self._noise = (inputs, tuple(protocols.initial_noise(*inputs)[1]))
         return self._noise[1]

@@ -8,6 +8,11 @@ which absorbs the whole statement; prover and verifier each build the
 statement from values they hold, so it is not on the wire.
 `verify_linear` checks any number of proofs as one `transcript.Batch`, in
 which equal points share one MSM term.
+
+A base or a target may be a `WeightedSum` of points (as in
+`protocols.ctks_statement`): the transcript absorbs its terms,
+`prove_linear` expands it, and `verify_linear` adds its terms to the
+batch, so a point that several statements share stays one term.
 """
 
 from __future__ import annotations
@@ -22,9 +27,41 @@ _TAG = 0x01
 
 
 @dataclass(frozen=True)
+class WeightedSum:
+    """sum_t k_t * Q_t over its (int, Point) `terms`."""
+
+    terms: tuple
+
+    @property
+    def group(self):
+        return self.terms[0][1].group
+
+    def point(self):
+        return self.group.msm(self.terms)
+
+
+def _absorb(tr: Transcript, item):
+    if isinstance(item, WeightedSum):
+        tr.absorb(len(item.terms))
+        for k, point in item.terms:
+            tr.absorb(k, point)
+    else:
+        tr.absorb(item)
+
+
+def _fold(batch: Batch, k: int, item):
+    """Add k * item to `batch`, a WeightedSum term by term."""
+    if isinstance(item, WeightedSum):
+        for weight, point in item.terms:
+            batch.add(k * weight, point)
+    else:
+        batch.add(k, item)
+
+
+@dataclass(frozen=True)
 class LinearStatement:
     """Equations P_j = sum_i y_i * G_{j,i}; a None base means y_i is absent
-    from equation j."""
+    from equation j. A base or a target may be a `WeightedSum`."""
 
     bases: tuple  # tuple of rows, each row a tuple of Point | None
     targets: tuple  # tuple of Point, one per row
@@ -62,9 +99,9 @@ def _absorb_statement(tr: Transcript, statement: LinearStatement):
     tr.absorb(len(statement.targets), statement.n_secrets)
     for row in statement.bases:
         for base in row:
-            tr.absorb(base)
+            _absorb(tr, base)
     for target in statement.targets:
-        tr.absorb(target)
+        _absorb(tr, target)
 
 
 def prove_linear(statement: LinearStatement, secrets, rng) -> LinearRelationProof:
@@ -73,7 +110,8 @@ def prove_linear(statement: LinearStatement, secrets, rng) -> LinearRelationProo
     nonces = [group.random_scalar(rng) for _ in range(statement.n_secrets)]
     commitments = []
     for row in statement.bases:
-        pairs = [(v, g) for v, g in zip(nonces, row) if g is not None]
+        pairs = [(v, g.point() if isinstance(g, WeightedSum) else g)
+                 for v, g in zip(nonces, row) if g is not None]
         commitments.append(group.msm(pairs))
     tr = Transcript(group, "linear")
     _absorb_statement(tr, statement)
@@ -116,8 +154,8 @@ def verify_linear(*proofs: LinearRelationProof) -> bool:
             r = batch.equation()
             for z, g in zip(proof.responses, row):
                 if g is not None:
-                    batch.add(r * z, g)
-            batch.add(-r * c, target)
+                    _fold(batch, r * z, g)
+            _fold(batch, -r * c, target)
             batch.add(-r, w)
     return batch.holds()
 

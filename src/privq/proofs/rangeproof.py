@@ -1,5 +1,5 @@
-"""Anytrust range proofs: a value committed as C2 = mB + r*Omega is shown to
-lie in [0, u^l) without revealing it.
+"""Anytrust range proofs: a value encrypted as (C1, C2) = (rB, mB + r*Omega)
+is shown to lie in [0, u^l) without revealing it.
 
 Setup: each computing node i picks a secret x_i and publishes Z_i = x_i*B
 together with digit signatures A_{i,b} = (x_i + b)^{-1} * B for every base-u
@@ -9,18 +9,22 @@ Since at least one node's x_i is unknown to the prover (the Anytrust
 premise), the blinded signatures are unforgeable for any digit value the
 nodes did not sign.
 
-Verification checks one linear equation over the commitment,
+Verification checks two linear equations over the ciphertext,
 
     D == c*C2 + z_r*Omega + sum_j (u^j * z_mj) * B,
+    D1 == c*C1 + z_r*B,
 
-which binds the digit responses to the committed value, and per (node,
-digit) one pairing equation,
+as one `transcript.Batch`: the first binds the digit responses to the
+committed value, and the second, through the z_r both share, binds C2's
+nonce to C1, so that the ciphertext decrypts to the proved value. Per
+(node, digit) one pairing equation,
 
     a_{i,j} == e(V_{i,j}, Z_i)^c * e(V_{i,j}, B)^{-z_mj} * e(B, B)^{z_vj}.
 
-The challenge c is the transcript hash over the statement AND the
-commitments (D, every V_{i,j}, every a_{i,j}); binding the commitments is
-what makes the non-interactive proof sound.
+The challenge c is the transcript hash over the statement (C1 and C2
+among it) AND the commitments (D, D1, every V_{i,j}, every a_{i,j});
+binding the commitments is what makes the non-interactive proof sound. C1
+is not on the wire: a verifier passes the C1 of the ciphertext it holds.
 
 Arbitrary ranges [b_l, b_u) reduce to this form by proving both m - b_l
 and m - b_u + u^l in [0, u^l) with minimal l (`prove_bounded` and
@@ -34,7 +38,7 @@ from dataclasses import dataclass
 from ..errors import MalformedProof, OutOfRange
 from ..group import require_pairing
 from ..serial import Reader, pack_u8, pack_u32
-from .transcript import Transcript
+from .transcript import Batch, Transcript
 
 _TAG = 0x02
 DEFAULT_DIGIT_BASE = 16
@@ -89,6 +93,7 @@ class RangeProof:
     z_v: tuple  # per digit j
     z_m: tuple  # per digit j
     d_point: object
+    d1_point: object
     v_points: tuple  # v_points[i][j], per CN i and digit j
     a_elems: tuple  # a_elems[i][j], target-group elements
     u: int
@@ -103,6 +108,7 @@ class RangeProof:
             pack_u32(len(self.v_points)),
             self.c2.encode(),
             self.d_point.encode(),
+            self.d1_point.encode(),
             enc_s(self.challenge),
             enc_s(self.z_r),
         ]
@@ -148,21 +154,24 @@ def _digits(m: int, u: int, l: int) -> list[int]:
     return out
 
 
-def _challenge(group, omega, sigs, c2, d_point, v_points, a_elems, u, l) -> int:
+def _transcript(group, omega, sigs, c1, c2, d_point, d1_point, v_points, a_elems,
+                u, l) -> Transcript:
+    """The range transcript over the statement and the commitments, from
+    which the challenge is drawn."""
     tr = Transcript(group, "range")
-    tr.absorb(group.base(), omega, c2, u, l, len(sigs.z_points))
+    tr.absorb(group.base(), omega, c1, c2, u, l, len(sigs.z_points))
     tr.absorb(*sigs.z_points)
-    tr.absorb(d_point)
+    tr.absorb(d_point, d1_point)
     for row in v_points:
         tr.absorb(*row)
     for row in a_elems:
         tr.absorb(*row)
-    return tr.challenge()
+    return tr
 
 
 def prove_range(group, m: int, r_nonce: int, omega, sigs: RangeSignatures,
                 l: int, rng) -> RangeProof:
-    """Prove C2 = mB + r*Omega commits to m in [0, u^l)."""
+    """Prove (C1, C2) = (rB, mB + r*Omega) encrypts m in [0, u^l)."""
     if not 0 <= m < sigs.u**l:
         raise OutOfRange(f"{m} outside [0, {sigs.u}^{l})")
     return prove_range_unchecked(group, m, r_nonce, omega, sigs, l, rng)
@@ -177,6 +186,7 @@ def prove_range_unchecked(group, m: int, r_nonce: int, omega,
     u = sigs.u
     order = group.order
     base = group.base()
+    c1 = group.mul(r_nonce, base)
     c2 = group.mul(m, base) + group.mul(r_nonce, omega)
     digits = digits if digits is not None else _digits(m % u**l, u, l)
 
@@ -201,17 +211,20 @@ def prove_range_unchecked(group, m: int, r_nonce: int, omega,
         [(pow(u, j, order) * s_list[j] % order, base) for j in range(l)]
         + [(n_nonce, omega)]
     )
+    d1_point = group.mul(n_nonce, base)
     v_points = tuple(tuple(row) for row in v_points)
     a_elems = tuple(tuple(row) for row in a_elems)
-    c = _challenge(group, omega, sigs, c2, d_point, v_points, a_elems, u, l)
+    c = _transcript(group, omega, sigs, c1, c2, d_point, d1_point, v_points, a_elems,
+                    u, l).challenge()
     z_v = tuple((t_list[j] - v_list[j] * c) % order for j in range(l))
     z_m = tuple((s_list[j] - digits[j] * c) % order for j in range(l))
     z_r = (n_nonce - r_nonce * c) % order
-    return RangeProof(c2, c, z_r, z_v, z_m, d_point, v_points, a_elems, u, l)
+    return RangeProof(c2, c, z_r, z_v, z_m, d_point, d1_point, v_points, a_elems, u, l)
 
 
-def verify_range(proof: RangeProof, sigs: RangeSignatures, omega) -> bool:
-    """Check the linear commitment equation and all pairing equations."""
+def verify_range(proof: RangeProof, sigs: RangeSignatures, omega, c1) -> bool:
+    """Check the proof against the ciphertext (c1, proof.c2): its two linear
+    equations as one batch, then all pairing equations."""
     group = sigs.group
     u, l = proof.u, proof.l
     if u != sigs.u or l < 1:
@@ -224,15 +237,23 @@ def verify_range(proof: RangeProof, sigs: RangeSignatures, omega) -> bool:
         return False
     if len(proof.z_v) != l or len(proof.z_m) != l:
         return False
-    c = _challenge(group, omega, sigs, proof.c2, proof.d_point,
-                   proof.v_points, proof.a_elems, u, l)
+    tr = _transcript(group, omega, sigs, c1, proof.c2, proof.d_point, proof.d1_point,
+                     proof.v_points, proof.a_elems, u, l)
+    c = tr.challenge()
     if c != proof.challenge:
         return False
     order = group.order
     base = group.base()
     digits_term = sum(pow(u, j, order) * proof.z_m[j] for j in range(l)) % order
-    rhs = group.msm([(c, proof.c2), (proof.z_r, omega), (digits_term, base)])
-    if rhs != proof.d_point:
+    batch = Batch(group, b"privq/range-batch", tr.absorb(proof.z_r, *proof.z_m).digest(), 2)
+    r = batch.equation()  # c*C2 + z_r*Omega + digits_term*B - D
+    for k, point in ((c, proof.c2), (proof.z_r, omega), (digits_term, base),
+                     (-1, proof.d_point)):
+        batch.add(r * k, point)
+    r = batch.equation()  # c*C1 + z_r*B - D1
+    for k, point in ((c, c1), (proof.z_r, base), (-1, proof.d1_point)):
+        batch.add(r * k, point)
+    if not batch.holds():
         return False
     e_bb = group.pair(base, base)
     for i in range(sigs.n_cns):
@@ -251,7 +272,7 @@ def verify_range(proof: RangeProof, sigs: RangeSignatures, omega) -> bool:
 
 def prove_bounded(group, m: int, r_nonce: int, omega, sigs: RangeSignatures,
                   bounds: tuple[int, int], rng) -> tuple[RangeProof, RangeProof]:
-    """Prove that C2 = mB + r*Omega commits to m in [b_l, b_u): one proof
+    """Prove that (C1, C2) = (rB, mB + r*Omega) encrypts m in [b_l, b_u): one proof
     per shift of `bounded_shifts` under the setup's digit base.
 
     An out-of-range m still gets both proofs, and the one whose shifted
@@ -271,7 +292,7 @@ def verify_bounded(ct, proofs, bounds: tuple[int, int], sigs: RangeSignatures,
                    omega) -> bool:
     """Check a `prove_bounded` pair against the ciphertext `ct`: each proof
     has the setup's base and the minimal l, commits to ct.c2 minus its
-    shift times B, and verifies."""
+    shift times B, and verifies with ct.c1."""
     group = sigs.group
     l, shifts = bounded_shifts(bounds, sigs.u)
     lower, upper = proofs
@@ -280,7 +301,7 @@ def verify_bounded(ct, proofs, bounds: tuple[int, int], sigs: RangeSignatures,
             return False
         if proof.c2 != ct.c2 - group.mul(shift, group.base()):
             return False
-        if not verify_range(proof, sigs, omega):
+        if not verify_range(proof, sigs, omega, ct.c1):
             return False
     return True
 
@@ -296,6 +317,7 @@ def decode_range(group, data: bytes, memo=None) -> RangeProof:
         raise MalformedProof("implausible proof shape")
     c2 = reader.point()
     d_point = reader.commitment()
+    d1_point = reader.commitment()
     challenge = reader.scalar()
     z_r = reader.scalar()
     z_v = tuple(reader.scalar() for _ in range(l))
@@ -303,4 +325,5 @@ def decode_range(group, data: bytes, memo=None) -> RangeProof:
     v_points = tuple(tuple(reader.commitment() for _ in range(l)) for _ in range(n_cns))
     a_elems = tuple(tuple(reader.gt() for _ in range(l)) for _ in range(n_cns))
     reader.expect_done()
-    return RangeProof(c2, challenge, z_r, z_v, z_m, d_point, v_points, a_elems, u, l)
+    return RangeProof(c2, challenge, z_r, z_v, z_m, d_point, d1_point, v_points, a_elems,
+                      u, l)

@@ -46,6 +46,12 @@ class Transcript:
         return [self.challenge() for _ in range(n)]
 
 
+def weights(domain: bytes, digest: bytes, n: int) -> list[int]:
+    """n 128-bit weights read from SHAKE-256 over `domain` and `digest`."""
+    stream = hashlib.shake_256(domain + digest).digest(16 * n)
+    return [int.from_bytes(stream[i:i + 16], "little") for i in range(0, 16 * n, 16)]
+
+
 class Batch:
     """Small-exponent batch verification (Bellare, Garay & Rabin, EUROCRYPT
     1998): equation e gets a 128-bit weight r_e, and the batch holds iff
@@ -60,9 +66,7 @@ class Batch:
 
     def __init__(self, group, domain: bytes, digest: bytes, n: int):
         self.group = group
-        stream = hashlib.shake_256(domain + digest).digest(16 * n)
-        self._weights = (int.from_bytes(stream[i:i + 16], "little")
-                         for i in range(0, 16 * n, 16))
+        self._weights = iter(weights(domain, digest, n))
         self._terms = {}  # point -> its summed scalar mod the order
 
     def equation(self) -> int:

@@ -27,11 +27,13 @@ from dataclasses import dataclass
 
 from . import elgamal
 from .elgamal import Ciphertext, pack_cts, unpack_cts
-from .errors import DimensionMismatch, InvalidPrivacyParams, NoiseExhausted
+from .errors import DimensionMismatch, InvalidPrivacyParams, MalformedProof, NoiseExhausted
 # verify_linear and shuffle_and_prove are not called here: they are
 # imported because perfbench/spans.py patches them on this module
-from .proofs.linear import LinearStatement, decode_linear, prove_linear, verify_linear
+from .proofs.linear import (
+    LinearStatement, WeightedSum, decode_linear, prove_linear, verify_linear)
 from .proofs.shuffle import shuffle_and_prove
+from .proofs.transcript import Transcript, weights
 from .serial import Reader, pack_bytes, pack_u32
 
 
@@ -170,23 +172,39 @@ def verify_aggregation(agg: Aggregation, cn, sources) -> bool:
 # Key switching (CTKS)
 
 
-def ctks_statement(group, c1, cn_public, target_pk, w1, w2) -> LinearStatement:
-    """The share (w1, w2) = (alpha*B, -k_i*C1 + alpha*K') of a ciphertext
-    with first point `c1`, k_i that of the CN's published key K_i = k_i*B."""
+def ctks_statement(group, c1s, cn_public, target_pk, shares) -> LinearStatement:
+    """A CN's key-switch shares (w1_j, w2_j) = (alpha_j*B, -k_i*C1_j +
+    alpha_j*K') of ciphertexts with first points `c1s`, k_i that of its
+    published key K_i = k_i*B, as one statement (Chaum-Pedersen, batched as
+    in Privacy Pass): with 128-bit weights rho_j hashed from the two keys and
+    every (C1_j, w1_j, w2_j), K_i = k_i*B, sum rho_j*w1_j = alpha*B and
+    sum rho_j*w2_j = -k_i*sum rho_j*C1_j + alpha*K', alpha = sum rho_j*alpha_j.
+    A wrong share passes with probability about 2^-128 over the weights."""
+    if len(c1s) != len(shares) or not shares:
+        raise ValueError("one key-switch share per ciphertext required")
+    tr = Transcript(group, "ctks-weights").absorb(cn_public, target_pk, len(shares))
+    for c1, share in zip(c1s, shares):
+        tr.absorb(c1, share.c1, share.c2)
+    rho = weights(b"privq/ctks-weights", tr.digest(), len(shares))
     base = group.base()
-    return LinearStatement(bases=((base, None), (None, base), (-c1, target_pk)),
-                           targets=(cn_public, w1, w2))
+    return LinearStatement(
+        bases=((base, None), (None, base),
+               (WeightedSum(tuple((-r, c1) for r, c1 in zip(rho, c1s))), target_pk)),
+        targets=(cn_public, WeightedSum(tuple((r, s.c1) for r, s in zip(rho, shares))),
+                 WeightedSum(tuple((r, s.c2) for r, s in zip(rho, shares)))))
 
 
-def ctks_share(group, c1, cn_key, target_pk, rng):
-    """One CN's key-switch share (w1, w2) for a single ciphertext, with the
-    proof of its `ctks_statement`."""
-    alpha = group.random_scalar(rng)
-    w1 = group.mul(alpha, group.base())
-    w2 = group.msm([(cn_key.private, -c1), (alpha, target_pk)])
-    statement = ctks_statement(group, c1, cn_key.public, target_pk, w1, w2)
-    proof = prove_linear(statement, (cn_key.private, alpha), rng)
-    return w1, w2, proof
+def ctks_share(group, c1s, cn_key, target_pk, rng):
+    """One CN's key-switch shares of the ciphertexts with first points `c1s`,
+    each a Ciphertext (w1, w2), with one proof of their `ctks_statement`."""
+    base = group.base()
+    alphas = [group.random_scalar(rng) for _ in c1s]
+    shares = [Ciphertext(group.mul(a, base), group.msm([(cn_key.private, -c1), (a, target_pk)]))
+              for c1, a in zip(c1s, alphas)]
+    statement = ctks_statement(group, c1s, cn_key.public, target_pk, shares)
+    rho = [r for r, _ in statement.targets[1].terms]  # the statement's weights
+    alpha = sum(r * a for r, a in zip(rho, alphas)) % group.order
+    return shares, prove_linear(statement, (cn_key.private, alpha), rng)
 
 
 # ---------------------------------------------------------------------------
@@ -216,18 +234,24 @@ def cto_share(group, ct: Ciphertext, rng):
 def round_shares(group, proof_type, cts, rng, cn_key=None, target_pk=None):
     """One CN's CTKS ("keyswitch") or CTO ("obfuscation") step over a
     ciphertext list: its shares, which add componentwise (a key-switch share
-    (w1, w2) is carried as a Ciphertext), and one payload per share: the
-    input ciphertext, the share, then the proof, without its statement."""
+    (w1, w2) is carried as a Ciphertext), and its payloads. A payload is the
+    input ciphertexts it covers, their shares, then the proof of them,
+    without its statement: one payload covers a key switch's whole list, and
+    obfuscation has one per ciphertext, whose blinding factor is its own."""
+    if proof_type == "keyswitch":
+        shares, proof = ctks_share(group, [ct.c1 for ct in cts], cn_key, target_pk, rng)
+        return shares, [_round_payload(cts, shares, proof)]
     shares, payloads = [], []
     for ct in cts:
-        if proof_type == "keyswitch":
-            w1, w2, proof = ctks_share(group, ct.c1, cn_key, target_pk, rng)
-            share = Ciphertext(w1, w2)
-        else:
-            share, proof = cto_share(group, ct, rng)
+        share, proof = cto_share(group, ct, rng)
         shares.append(share)
-        payloads.append(pack_bytes(ct.encode()) + share.encode() + proof.encode())
+        payloads.append(_round_payload([ct], [share], proof))
     return shares, payloads
+
+
+def _round_payload(cts, shares, proof) -> bytes:
+    return (pack_bytes(b"".join(ct.encode() for ct in cts))
+            + b"".join(share.encode() for share in shares) + proof.encode())
 
 
 def ctks_combine(cts, share_sums) -> list:
@@ -238,17 +262,23 @@ def ctks_combine(cts, share_sums) -> list:
 
 def round_proof(group, proof_type: str, payload: bytes, cn_public=None,
                 target_pk=None, memo=None):
-    """The linear proof of one CTKS ("keyswitch") or CTO ("obfuscation")
-    payload, read against the statement built from its input ciphertext and
-    share (and, for a key switch, the CN's key `cn_public` and `target_pk`)."""
+    """The shares of one CTKS ("keyswitch") or CTO ("obfuscation") payload
+    and its linear proof, read against the statement built from its input
+    ciphertexts and shares (and, for a key switch, the CN's key `cn_public`
+    and `target_pk`): (shares, proof)."""
     reader = Reader(payload, group, memo=memo)
-    ct = elgamal.decode_ciphertext(group, reader.bytes_field(), memo)
-    share = Ciphertext.read(reader)
+    listed = Reader(reader.bytes_field(), group, memo=memo)
+    cts = []
+    while not listed.done():
+        cts.append(Ciphertext.read(listed))
+    if not cts or (proof_type != "keyswitch" and len(cts) != 1):
+        raise MalformedProof(f"{proof_type} payload over {len(cts)} ciphertexts")
+    shares = [Ciphertext.read(reader) for _ in cts]
     if proof_type == "keyswitch":
-        statement = ctks_statement(group, ct.c1, cn_public, target_pk, share.c1, share.c2)
+        statement = ctks_statement(group, [ct.c1 for ct in cts], cn_public, target_pk, shares)
     else:
-        statement = cto_statement(ct, share)
-    return decode_linear(group, reader.rest(), statement)
+        statement = cto_statement(cts[0], shares[0])
+    return shares, decode_linear(group, reader.rest(), statement)
 
 
 # ---------------------------------------------------------------------------
@@ -266,9 +296,15 @@ def quantize_laplace(epsilon: float, delta_f: float, theta: float, l_count: int)
     deviation is half the heaviest interval's mass, which naive
     per-sample rounding roughly doubles by centering atoms instead of
     cumulative counts. The list is exactly symmetric and contains 0.
+
+    theta must divide delta_f: on another lattice a neighbour's shift by
+    delta_f lands between atoms, and the two lists' supports drift apart.
     """
     if epsilon <= 0 or delta_f <= 0 or theta <= 0 or l_count < 1:
         raise InvalidPrivacyParams("need epsilon, delta_f, theta > 0 and l >= 1")
+    steps = delta_f / theta
+    if not math.isclose(steps, round(steps), rel_tol=1e-9):
+        raise InvalidPrivacyParams(f"theta {theta} does not divide delta_f {delta_f}")
     b = delta_f / epsilon
 
     def cdf(x: float) -> float:

@@ -369,15 +369,16 @@ def test_proof_system_soundness_suite():
             m = rng.randbelow(256)
             nonce = pg.random_scalar(rng)
             proof = rp.prove_range(pg, m, nonce, omega, sigs, 2, rng)
-            assert rp.verify_range(proof, sigs, omega)
+            assert rp.verify_range(proof, sigs, omega, pg.mul(nonce, pg.base()))
         for m in (16**2, 16**2 + 1, 2 * 16**2):
             with pytest.raises(OutOfRange):
                 rp.prove_range(pg, m, pg.random_scalar(rng), omega, sigs, 2, rng)
-            forged = rp.prove_range_unchecked(pg, m, pg.random_scalar(rng),
-                                              omega, sigs, 2, rng)
-            assert not rp.verify_range(forged, sigs, omega)
+            forged_nonce = pg.random_scalar(rng)
+            forged = rp.prove_range_unchecked(pg, m, forged_nonce, omega, sigs, 2, rng)
+            assert not rp.verify_range(forged, sigs, omega, pg.mul(forged_nonce, pg.base()))
+        c1 = pg.mul(nonce, pg.base())
         assert _flip_fuzz(proof.encode(), lambda b: rp.decode_range(pg, b),
-                          lambda p: rp.verify_range(p, sigs, omega),
+                          lambda p: rp.verify_range(p, sigs, omega, c1),
                           1000, 102) == 0
 
         # shuffle: completeness sweep + fuzz

@@ -33,38 +33,38 @@ GOLDEN = {
     "sum": (
         {}, f"SELECT sum x ON {DPS}", {}, {},
         55,
-        "596b844d2f04010ee6ae3d196840c4b2448111ca8c406777b73a48a08bf366fa",
+        "8093e678bb2d3e99359c31ad2d65c12fe47041310653ba5ece265caf6538a2b9",
         "d02b651d1478428469d865efac03a1678f4c1d9b6b11309440edc665fe991976",
     ),
     "or_bits": (
         {}, f"SELECT or flag ON {DPS}", {"bitwise_mode": "bits"}, {},
         68,
-        "6db7bccd8557539852198cc61e8f996ddfcb91ebfc33c94411badbf5f586abff",
+        "679dd0dbe985fcdfca83fa26b0cb87d7229e4493bf40177ce408b747291c38f4",
         "db2a391e22c1b9413ea1b27d6f87504d7e80ae1db0e7e7b04fedd1d80ad441ae",
     ),
     # the one four-round plan: aggregation, obfuscation, shuffle, keyswitch
     "or_bits_dp": (
         {}, f"SELECT or flag ON {DPS}", {"bitwise_mode": "bits", "dp_privacy": True}, {},
         81,
-        "c9164dd25116410cbcd2bf77f1a8be6c24fd417bf6c4b0d699368b4f3d8fe6ff",
+        "f6bdce9a2a5902920868bd0cc5f0d1c21b47e4cea58517b4c0b9e2f7e5bb631a",
         "f2fd2ee0211ef15918887fe5e6ac34933d689be43c572c2f92a679f4b1b323cb",
     ),
     "dp_sum": (
         {}, f"SELECT sum x ON {DPS}", {"dp_privacy": True}, {},
         68,
-        "d27f8b9aca541bd24e9cf7c11b66d50c70125a9504d1738a012625bb682b3f8b",
+        "beee209902028db36b8b417634f0ac7136da244ce536eec41c259f63b0dd45f0",
         "2c17627f0c51045a76a9b1ae19c9a3e7351366e569bad00d81531ef4d7e6876e",
     ),
     "variance_chain": (
         {"tree_shape": "chain"}, f"SELECT variance x ON {DPS}", {}, {},
         55,
-        "3579ba9af53defd278fbab6cd07ec45127b7a666a36c425c481c622da5e2561e",
+        "fc82e9fa833834892b4485e73649b909b82fbaafbf6225d4971c38531fc04da6",
         "d74116e5294cda9330722f287aef1a0dbc51e01e5d1975d5c664d67d6c13af21",
     ),
     "range_sum": (
         {"profile": "pairing80"}, f"SELECT sum flag ON {DPS} RANGE 0,2", {}, {},
         67,
-        "0cdd16c5ae5b6fac476eee481e6dec6ab64760d2b7c80a16bf7e6f082dc2b6e3",
+        "7b07def20b1953e4fc5bb5be5b19629567a4542215ca3b64e57d986eb99133fa",
         "bd0c535bb327d181c895b637cb5790b223505b49b51587d826fc3134c4dee1a9",
     ),
 }

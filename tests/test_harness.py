@@ -9,7 +9,8 @@ import pytest
 
 from privq import elgamal
 from privq.elgamal import pack_cts, unpack_cts
-from privq.errors import CnUnavailable, ConfigError, PairingUnavailable, PrivqError
+from privq.errors import (
+    CnUnavailable, ConfigError, OutOfTableRange, PairingUnavailable, PrivqError)
 from privq.harness.pipeline import Simulation, run_iterative_extreme
 from privq.harness.queryparse import parse_query
 from privq.harness.topology import Topology, load_records
@@ -659,6 +660,39 @@ def test_range_proof_must_prove_the_element_its_key_names():
         ("DP2", "range", 0, list(topo.vn_ids))]
 
 
+@pytest.mark.parametrize("text, options, rows", [
+    ("SELECT sum x ON DP1,DP2 RANGE 0,16", {}, ({"x": 3}, {"x": 5})),
+    ("SELECT or flag ON DP1,DP2 RANGE 0,2", {"bitwise_mode": "bits"},
+     ({"flag": 0}, {"flag": 0})),
+], ids=["sum", "or_bits"])
+def test_range_proof_binds_the_ciphertexts_first_point(text, options, rows):
+    """DP2 shifts the first point of its element 0 by B in the ciphertext it
+    sends its CN and in the one its range proof names, with an honest proof
+    of the second point: decryption yields m*B minus the collective key, a
+    value nobody chose (an undecodable sum, or an OR of 1 over flags of 0).
+    The range statement binds C1 too, so every VN marks DP2's range proof 0
+    false, and nothing else."""
+    topo = Topology.build(n_cns=2, n_dps=2, n_vns=3, profile="pairing80", seed=37)
+    topo.dp_data = {"DP1": [rows[0]], "DP2": [rows[1]]}
+    sim = Simulation(topo, seed=37)
+    dp2 = sim.dps["DP2"]
+    honest_emit = dp2._emit_range_proofs
+
+    def emit_range_proofs(query, pk, raws, nonces, cts):
+        cts[0] = elgamal.Ciphertext(cts[0].c1 + topo.group.base(), cts[0].c2)
+        honest_emit(query, pk, raws, nonces, cts)  # the response then sends cts too
+
+    dp2._emit_range_proofs = emit_range_proofs
+    query = parse_query(text, scale=1, **options)
+    try:
+        assert sim.run(query).result.values == [1]  # the CNs do not check range proofs
+    except OutOfTableRange:
+        assert "sum" in text
+    report = sim.audit(query.query_id)
+    assert [(p, t, i, vns) for _, p, t, i, vns in report.false_entries] == [
+        ("DP2", "range", 0, list(topo.vn_ids))]
+
+
 def test_initial_noise_computed_once_per_inputs():
     topo = Topology.build(n_cns=2, n_dps=2, n_vns=1, seed=38)
     topo.cdp_params = {"list_size": 4}
@@ -824,20 +858,20 @@ def test_one_bad_keyswitch_sub_proof_flags_only_its_cn(monkeypatch):
     honest_share = protocols.ctks_share
     shares_by_bad_cn = []
 
-    def ctks_share(group, c1, cn_key, target_pk, rng):
-        w1, w2, proof = honest_share(group, c1, cn_key, target_pk, rng)
+    def ctks_share(group, c1s, cn_key, target_pk, rng):
+        shares, proof = honest_share(group, c1s, cn_key, target_pk, rng)
         if cn_key is bad_key:
             shares_by_bad_cn.append(proof)
-            if len(shares_by_bad_cn) == 2:
+            if len(shares_by_bad_cn) == 1:
                 z0, z1 = proof.responses
                 proof = LinearRelationProof(proof.statement, proof.commitments,
                                             proof.challenge, (z0, (z1 + 1) % group.order))
-        return w1, w2, proof
+        return shares, proof
 
     monkeypatch.setattr(protocols, "ctks_share", ctks_share)
     sim = Simulation(topo, seed=27)
     out = sim.run(parse_query("SELECT variance heart_rate ON DP1,DP2,DP3,DP4", scale=100))
-    assert len(shares_by_bad_cn) == 3  # sum, sum of squares, count
+    assert len(shares_by_bad_cn) == 1  # one proof: sum, sum of squares, count
     assert out.result.values[0] == pytest.approx(statistics.pvariance(FLAT), abs=0.01)
     for vn, proofs_map in out.block.maps.items():
         for cn in topo.cn_ids:
@@ -847,6 +881,27 @@ def test_one_bad_keyswitch_sub_proof_flags_only_its_cn(monkeypatch):
     report = sim.audit(out.query_id)
     assert [(p, t, i, vns) for _, p, t, i, vns in report.false_entries] == [
         ("CN2", "keyswitch", 0, list(topo.vn_ids))]
+
+
+def test_noise_is_encoded_at_the_query_scale():
+    """Topology scale 100, query scale 1: every DP-privacy sum minus the true
+    sum is a value of the published noise list at scale 1, and the VNs,
+    which seed the shuffle chain with the list at the query's scale too,
+    audit clean."""
+    from privq import protocols
+
+    topo = Topology.build(n_cns=2, n_dps=2, n_vns=3, seed=41)
+    topo.cdp_params = {"epsilon": 1.0, "delta_f": 1.0, "theta": 0.5, "list_size": 8}
+    topo.dp_data = {"DP1": [{"x": 10}], "DP2": [{"x": 20}]}
+    published = {elgamal.fixed_encode(v, 1).raw
+                 for v in protocols.quantize_laplace(1.0, 1.0, 0.5, 8)}
+    sim = Simulation(topo, seed=41)
+    assert topo.scale == 100
+    for i in range(6):
+        out = sim.run(parse_query("SELECT sum x ON DP1,DP2", scale=1, dp_privacy=True,
+                                  query_id=f"noise-scale-{i}"))
+        assert out.result.values[0] - 30 in published
+        assert sim.audit(out.query_id).ok
 
 
 def test_minmax_pipeline():
@@ -909,7 +964,7 @@ def test_shuffle_link_checked_whichever_bundle_arrives_first():
     from privq.harness import nodes
 
     topo = Topology.build(n_cns=3, n_dps=3, n_vns=3, seed=30)
-    topo.cdp_params = {"epsilon": 1.0, "delta_f": 1.0, "theta": 2, "list_size": 8}
+    topo.cdp_params = {"epsilon": 1.0, "delta_f": 2.0, "theta": 2, "list_size": 8}
     topo.dp_data = {"DP1": [{"x": 10}], "DP2": [{"x": 20}], "DP3": [{"x": 30}]}
     sim = Simulation(topo, seed=30)
     cn2 = sim.cns["CN2"]
@@ -1304,7 +1359,7 @@ def test_round_bundle_with_true_proofs_over_another_input_is_false():
                 and ledger.ProofBundle.decode(m.payload).proof_type == "keyswitch"}
     forged_proofs = [protocols.round_proof(topo.group, "keyswitch", payload,
                                            cn_public=topo.keys["CN2"].public,
-                                           target_pk=topo.keys[topo.querier_id].public)
+                                           target_pk=topo.keys[topo.querier_id].public)[1]
                      for payload in forged.payloads]
     assert forged_proofs and protocols.verify_linear(*forged_proofs)
     key = ledger.proof_key(out.query_id, "CN2", "keyswitch", 0)
@@ -1356,14 +1411,14 @@ def test_one_bad_keyswitch_sub_proof_among_six_cns_flags_only_its_cn(monkeypatch
     topo.dp_data = dict(HEART)
     bad_key, honest_share, tampered = topo.keys["CN4"], protocols.ctks_share, []
 
-    def ctks_share(group, c1, cn_key, target_pk, rng):
-        w1, w2, proof = honest_share(group, c1, cn_key, target_pk, rng)
+    def ctks_share(group, c1s, cn_key, target_pk, rng):
+        shares, proof = honest_share(group, c1s, cn_key, target_pk, rng)
         if cn_key is bad_key and not tampered:
             z0, z1 = proof.responses
             proof = LinearRelationProof(proof.statement, proof.commitments,
                                         proof.challenge, (z0, (z1 + 1) % group.order))
             tampered.append(proof)
-        return w1, w2, proof
+        return shares, proof
 
     monkeypatch.setattr(protocols, "ctks_share", ctks_share)
     sim = Simulation(topo, seed=28)
@@ -1374,6 +1429,46 @@ def test_one_bad_keyswitch_sub_proof_among_six_cns_flags_only_its_cn(monkeypatch
             key = ledger.proof_key(out.query_id, cn, "keyswitch", 0)
             expect = ledger.STATUS_FALSE if cn == "CN4" else ledger.STATUS_TRUE
             assert proofs_map.entries[key].status == expect, (vn, cn)
+
+
+@pytest.mark.parametrize("tamper", ["w2_plus_b", "w1_plus_b", "swap"])
+def test_one_wrong_keyswitch_share_among_21_flags_only_its_cn(monkeypatch, tamper):
+    """CN2 sends one wrong key-switch share among the 21 of a logistic
+    regression (w2_j + B, or w1_j + B), or two of its shares swapped, with
+    the honest proof of its true shares, in its payload and up the tree.
+    The batched statement's weights and sums are those of the shares sent,
+    so every VN marks CN2's keyswitch false, and nothing else."""
+    from privq import protocols
+
+    topo = Topology.build(n_cns=3, n_dps=4, n_vns=3, seed=40)
+    topo.dp_data = {f"DP{i}": [{"a": 0.25 * i, "b": -0.5, "c": 0.125 * i, "y": i % 2}]
+                    for i in range(1, 5)}
+    bad_key, honest_share, widths = topo.keys["CN2"], protocols.ctks_share, []
+
+    def ctks_share(group, c1s, cn_key, target_pk, rng):
+        shares, proof = honest_share(group, c1s, cn_key, target_pk, rng)
+        if cn_key is bad_key:
+            widths.append(len(shares))
+            (w1, w2), base = (shares[5].c1, shares[5].c2), group.base()
+            if tamper == "w2_plus_b":
+                shares[5] = elgamal.Ciphertext(w1, w2 + base)
+            elif tamper == "w1_plus_b":
+                shares[5] = elgamal.Ciphertext(w1 + base, w2)
+            else:
+                shares[5], shares[6] = shares[6], shares[5]
+        return shares, proof
+
+    monkeypatch.setattr(protocols, "ctks_share", ctks_share)
+    sim = Simulation(topo, seed=40)
+    query = parse_query("SELECT log_reg a,b,c,y ON DP1,DP2,DP3,DP4", scale=100)
+    try:
+        sim.run(query)  # w2_j + B moves coordinate j by one unit
+    except OutOfTableRange:  # the others leave coordinates the querier cannot decode
+        assert tamper != "w2_plus_b"
+    assert widths == [21]
+    report = sim.audit(query.query_id)
+    assert [(p, t, i, vns) for _, p, t, i, vns in report.false_entries] == [
+        ("CN2", "keyswitch", 0, list(topo.vn_ids))]
 
 
 def test_decode_memo_scope(monkeypatch):

@@ -197,18 +197,21 @@ def test_order_two_digit_signature_forgery_rejected():
     sigs, _ = rp.range_setup(PG, 16, 2, rng)
     omega = PG.mul(PG.random_scalar(rng), PG.base())
     m, r_nonce = 20, PG.random_scalar(rng)  # 20 is outside [0, 16)
+    c1 = PG.mul(r_nonce, PG.base())
     c2 = PG.mul(m, PG.base()) + PG.mul(r_nonce, omega)
     s0, t0, n_nonce = (PG.random_scalar(rng) for _ in range(3))
     d_point = PG.msm([(s0, PG.base()), (n_nonce, omega)])
+    d1_point = PG.mul(n_nonce, PG.base())
     e_bb = PG.pair(PG.base(), PG.base())
     v_points = ((order_two_point(),),) * sigs.n_cns
     a_elems = ((e_bb ** t0,),) * sigs.n_cns
-    c = rp._challenge(PG, omega, sigs, c2, d_point, v_points, a_elems, 16, 1)
+    c = rp._transcript(PG, omega, sigs, c1, c2, d_point, d1_point, v_points, a_elems,
+                       16, 1).challenge()
     proof = rp.RangeProof(c2, c, (n_nonce - r_nonce * c) % R, (t0,), ((s0 - m * c) % R,),
-                          d_point, v_points, a_elems, 16, 1)
+                          d_point, d1_point, v_points, a_elems, 16, 1)
     proof = rp.decode_range(PG, proof.encode())  # the points a VN would decode
     try:
-        accepted = rp.verify_range(proof, sigs, omega)
+        accepted = rp.verify_range(proof, sigs, omega, c1)
     except ValueError:  # a VN records a sub-proof that raises this as false
         accepted = False
     assert not accepted

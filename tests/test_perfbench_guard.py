@@ -33,6 +33,9 @@ print(json.dumps(sorted({span[1] for span in tracer.spans})))
 VERIFYING_LAYERS = ("group.decode_point", "group.msm", "proofs.linear.verify",
                     "proofs.shuffle.verify", "proofs.range.verify",
                     "proofs.signature.verify", "ledger.bundle_decode")
+# the provers, so that a renamed one cannot drop out of the per-layer metrics
+PROVING_LAYERS = ("protocols.ctks_share", "proofs.linear.prove", "proofs.shuffle.prove",
+                  "proofs.range.prove")
 
 
 def test_tracer_finds_every_patch_point():
@@ -45,6 +48,7 @@ def test_tracer_finds_every_patch_point():
     assert proc.returncode == 0, proc.stderr
     names = set(json.loads(proc.stdout.strip().splitlines()[-1]))
     assert not set(VERIFYING_LAYERS) - names, sorted(names)
+    assert not set(PROVING_LAYERS) - names, sorted(names)
 
 
 def test_benchmark_selfcheck_passes():

@@ -143,14 +143,14 @@ def test_ctks_correctness(ctx, n_cns):
     assert elgamal.decrypt(group, switched[0], target.private, table) == 7
     assert elgamal.decrypt(group, switched[-1], target.private, table) == 1
     assert len(steps) == n_cns
-    # per-CN proofs verify against the CN key and input ciphertext
-    cts = resp
+    # one proof per CN verifies against the CN key and the input list
+    listed = pack_bytes(b"".join(ct.encode() for ct in resp))
     for cn, payloads in steps:
-        for j, payload in enumerate(payloads):
-            assert payload.startswith(pack_bytes(cts[j].encode()))
-            proof = protocols.round_proof(group, "keyswitch", payload,
-                                          keys[cn].public, target.public)
-            assert proof is not None and verify_linear(proof)
+        [payload] = payloads
+        assert payload.startswith(listed)
+        shares, proof = protocols.round_proof(group, "keyswitch", payload,
+                                              keys[cn].public, target.public)
+        assert len(shares) == len(resp) and verify_linear(proof)
 
 
 def test_ctks_old_key_isolated(ctx):
@@ -222,7 +222,7 @@ def test_cto_proofs_verify(ctx):
     _, steps = ps.obfuscate(group, tree, [ct], rng)
     for _, payloads in steps:
         assert payloads[0].startswith(pack_bytes(ct.encode()))
-        proof = protocols.round_proof(group, "obfuscation", payloads[0])
+        _, proof = protocols.round_proof(group, "obfuscation", payloads[0])
         assert proof is not None and verify_linear(proof)
 
 
@@ -255,25 +255,81 @@ def test_round_payload_layout(profile):
 @pytest.mark.parametrize("profile", ["ed25519", "pairing80"])
 @pytest.mark.parametrize("proof_type", ["keyswitch", "obfuscation"])
 def test_round_payload_bitflips_rejected(profile, proof_type):
-    """One bit flipped in each byte after the input ciphertext of a CTKS or
-    CTO payload (in the share, the tag, a commitment, the challenge or a
+    """One bit flipped in each byte after the input ciphertexts of a CTKS or
+    CTO payload (in a share, the tag, a commitment, the challenge or a
     response): `round_proof` raises, or `verify_linear` rejects its proof
-    alone and in one batch with the step's honest proofs."""
+    alone and in one batch with the step's honest proofs. (The VN checks the
+    input list against the round's input, not with the proof.)"""
     group, (blob, *others), keys = _round_payloads(profile, proof_type)
-    honest = [protocols.round_proof(group, proof_type, p, *keys) for p in others]
-    assert verify_linear(protocols.round_proof(group, proof_type, blob, *keys), *honest)
+    honest = [protocols.round_proof(group, proof_type, p, *keys)[1] for p in others]
+    assert verify_linear(protocols.round_proof(group, proof_type, blob, *keys)[1], *honest)
     decoded = 0
-    for i in range(4 + 2 * group.point_bytes, len(blob)):
+    for i in range(4 + int.from_bytes(blob[:4], "little"), len(blob)):
         data = bytearray(blob)
         data[i] ^= 1 << (i % 8)
         try:
-            proof = protocols.round_proof(group, proof_type, bytes(data), *keys)
+            _, proof = protocols.round_proof(group, proof_type, bytes(data), *keys)
         except MalformedProof:
             continue
         decoded += 1
         assert not verify_linear(proof), i
         assert not verify_linear(*honest, proof), i
     assert decoded > 0
+
+
+@pytest.mark.parametrize("profile", ["ed25519", "pairing80"])
+def test_keyswitch_payload_bitflips_rejected_in_a_joint_batch(profile):
+    """One CN's key-switch payload over three ciphertexts, one bit flipped
+    in each byte after its input list (in a share, the tag, a commitment,
+    the challenge or a response): `round_proof` raises, or its proof is
+    rejected alone and in one batch with two other CNs' honest proofs over
+    the same list, as a VN's joint batch holds them."""
+    group = get_group(profile)
+    rng = Drbg(f"keyswitch-bitflips/{profile}")
+    target = elgamal.KeyPair.generate(group, rng)
+    cn_keys = [elgamal.KeyPair.generate(group, rng) for _ in range(3)]
+    cts = [elgamal.encrypt(group, m, cn_keys[0].public, rng) for m in range(3)]
+    blob, *others = [protocols.round_shares(group, "keyswitch", cts, rng, key,
+                                            target.public)[1][0] for key in cn_keys]
+
+    def read(payload, key):
+        return protocols.round_proof(group, "keyswitch", payload, key.public, target.public)[1]
+
+    honest = [read(payload, key) for payload, key in zip(others, cn_keys[1:])]
+    assert verify_linear(read(blob, cn_keys[0]), *honest)
+    decoded = 0
+    for i in range(4 + 6 * group.point_bytes, len(blob)):
+        data = bytearray(blob)
+        data[i] ^= 1 << (i % 8)
+        try:
+            proof = read(bytes(data), cn_keys[0])
+        except MalformedProof:
+            continue
+        decoded += 1
+        assert not verify_linear(proof), i
+        assert not verify_linear(honest[0], proof, honest[1]), i
+    assert decoded > 0
+
+
+def test_keyswitch_payload_is_read_over_its_own_list():
+    """A key-switch payload states as many shares as input ciphertexts, and
+    its proof holds only for the prover's key and the querier's key."""
+    group = get_group("ed25519")
+    rng = Drbg("keyswitch-read")
+    cn_key, other, target = (elgamal.KeyPair.generate(group, rng) for _ in range(3))
+    cts = [elgamal.encrypt(group, m, cn_key.public, rng) for m in range(4)]
+    shares, [payload] = protocols.round_shares(group, "keyswitch", cts, rng, cn_key,
+                                               target.public)
+    read, proof = protocols.round_proof(group, "keyswitch", payload, cn_key.public,
+                                        target.public)
+    assert read == shares and verify_linear(proof)
+    P, S = group.point_bytes, group.scalar_bytes
+    assert len(payload) == 4 + 8 * 2 * P + 1 + 3 * P + 3 * S
+    for keys in ((other.public, target.public), (cn_key.public, other.public)):
+        assert not verify_linear(protocols.round_proof(group, "keyswitch", payload, *keys)[1])
+    with pytest.raises(MalformedProof):  # an empty list proves nothing
+        protocols.round_proof(group, "keyswitch", pack_bytes(b"") + payload[4 + 16 * P:],
+                              cn_key.public, target.public)
 
 
 def test_quantize_laplace_contract():
@@ -290,6 +346,24 @@ def test_quantize_laplace_contract():
     wide = protocols.quantize_laplace(1.0, 1.0, 0.5, 101)
     narrow = protocols.quantize_laplace(4.0, 1.0, 0.5, 101)
     assert sum(map(abs, narrow)) < sum(map(abs, wide))
+
+
+def test_quantize_laplace_refuses_theta_not_dividing_delta_f():
+    """On a lattice theta that does not divide delta_f, a neighbour's shift
+    by delta_f lands between atoms: theta = 0.3 with delta_f = 1 is refused."""
+    for theta, delta_f in ((0.3, 1.0), (2.0, 1.0), (0.4, 1.0)):
+        with pytest.raises(InvalidPrivacyParams):
+            protocols.quantize_laplace(1.0, delta_f, theta, 100)
+
+
+def test_quantize_laplace_default_theta_list_is_unchanged():
+    """The default theta = 0.5 with delta_f = 1 still builds the same list,
+    and theta dividing delta_f up to float error is taken."""
+    values = protocols.quantize_laplace(1.0, 1.0, 0.5, 100)
+    counts = {0.0: 20, 0.5: 16, 1.0: 9, 1.5: 6, 2.0: 4, 2.5: 2, 3.0: 1, 3.5: 1, 4.5: 1}
+    assert values == sorted(v for atom, n in counts.items()
+                            for v in [atom, -atom][:1 if atom == 0 else 2] * n)
+    assert len(protocols.quantize_laplace(1.0, 0.3, 0.1, 10)) == 10  # 0.3 / 0.1 = 2.9999...
 
 
 def test_quantize_laplace_single_value():

@@ -55,7 +55,7 @@ def test_completeness_basic(ctx):
     group, rng, sigs, _, omega = ctx
     nonce = group.random_scalar(rng)
     proof = rp.prove_range(group, 5, nonce, omega, sigs, 2, rng)
-    assert rp.verify_range(proof, sigs, omega)
+    assert rp.verify_range(proof, sigs, omega, group.mul(nonce, group.base()))
 
 
 def test_out_of_range_at_creation(ctx):
@@ -73,7 +73,7 @@ def test_completeness_sweep(ctx):
         m = rng.randbelow(256)
         nonce = group.random_scalar(rng)
         proof = rp.prove_range(group, m, nonce, omega, sigs, 2, rng)
-        assert rp.verify_range(proof, sigs, omega), m
+        assert rp.verify_range(proof, sigs, omega, group.mul(nonce, group.base())), m
 
 
 def test_single_cn_signature_proof_rejected(ctx):
@@ -82,18 +82,20 @@ def test_single_cn_signature_proof_rejected(ctx):
     solo = rp.RangeSignatures(group, sigs.u, sigs.z_points[:1], sigs.digit_sigs[:1])
     nonce = group.random_scalar(rng)
     proof = rp.prove_range(group, 9, nonce, omega, solo, 2, rng)
-    assert rp.verify_range(proof, solo, omega)  # fine against its own setup
-    assert not rp.verify_range(proof, sigs, omega)
+    c1 = group.mul(nonce, group.base())
+    assert rp.verify_range(proof, solo, omega, c1)  # fine against its own setup
+    assert not rp.verify_range(proof, sigs, omega, c1)
 
 
 def test_forged_digits_rejected(ctx):
     group, rng, sigs, _, omega = ctx
     nonce = group.random_scalar(rng)
+    c1 = group.mul(nonce, group.base())
     proof = rp.prove_range_unchecked(group, 300, nonce, omega, sigs, 2, rng)
-    assert not rp.verify_range(proof, sigs, omega)
+    assert not rp.verify_range(proof, sigs, omega, c1)
     proof = rp.prove_range_unchecked(group, 12, nonce, omega, sigs, 2, rng,
                                      digits=[3, 1])
-    assert not rp.verify_range(proof, sigs, omega)
+    assert not rp.verify_range(proof, sigs, omega, c1)
 
 
 def test_mismatched_commitment_rejected(ctx):
@@ -102,9 +104,9 @@ def test_mismatched_commitment_rejected(ctx):
     honest = rp.prove_range(group, 44, nonce, omega, sigs, 2, rng)
     other_c2 = group.mul(300, group.base()) + group.mul(nonce, omega)
     forged = rp.RangeProof(other_c2, honest.challenge, honest.z_r, honest.z_v,
-                           honest.z_m, honest.d_point, honest.v_points,
+                           honest.z_m, honest.d_point, honest.d1_point, honest.v_points,
                            honest.a_elems, honest.u, honest.l)
-    assert not rp.verify_range(forged, sigs, omega)
+    assert not rp.verify_range(forged, sigs, omega, group.mul(nonce, group.base()))
 
 
 def test_bitflip_fuzz_rejected(ctx):
@@ -112,13 +114,14 @@ def test_bitflip_fuzz_rejected(ctx):
     group, rng, sigs, _, omega = ctx
     nonce = group.random_scalar(rng)
     blob = rp.prove_range(group, 137, nonce, omega, sigs, 2, rng).encode()
+    c1 = group.mul(nonce, group.base())
     flip = random.Random(77)
     accepted = 0
     for _ in range(1000):
         data = bytearray(blob)
         data[flip.randrange(len(data))] ^= 1 << flip.randrange(8)
         try:
-            if rp.verify_range(rp.decode_range(group, bytes(data)), sigs, omega):
+            if rp.verify_range(rp.decode_range(group, bytes(data)), sigs, omega, c1):
                 accepted += 1
         except MalformedProof:
             pass
@@ -131,7 +134,7 @@ def test_serialization_roundtrip(ctx):
     proof = rp.prove_range(group, 200, nonce, omega, sigs, 2, rng)
     decoded = rp.decode_range(group, proof.encode())
     assert decoded.encode() == proof.encode()
-    assert rp.verify_range(decoded, sigs, omega)
+    assert rp.verify_range(decoded, sigs, omega, group.mul(nonce, group.base()))
 
 
 def test_fiat_shamir_deterministic(ctx):
