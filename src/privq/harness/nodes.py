@@ -14,9 +14,13 @@ leaves its sender awaited. A CN's running round collects this way through
 one handler, keyed by message round and sender: first the message that
 opens the round on it (the parent's `round_request`, the chain
 predecessor's `cdp_pass`), then what its step awaits; between rounds it
-takes only the opener of a later round of its plan. A VN takes one signed
-bundle per expected proof key, and the leader VN one map and one block
-signature from every VN.
+takes only the opener of a later round of its plan. A VN opens a query
+only on a `query_vn` the querier signed, takes `end_query` only from the
+root CN and `map_request` only from the block's leader VN, and takes one
+signed bundle per expected proof key, whose bytes it keeps (`kv`) and
+which it hands to the query's `ledger.QueryVerifier`: every round left
+settles there before the VN's map leaves it. The leader VN takes one map
+and one block signature from every VN.
 
 Timeouts are modeled by the bus idle callback: a CN missing DP responses
 proceeds without them, a CN missing another CN's input aborts the query,
@@ -34,52 +38,27 @@ A node ends its part of a query with `close`: the querier when
 `Simulation.run` returns, the root CN after the result or an abort, the
 other CNs after their key-switch share, any CN at the hard timeout, the
 leader VN once it seals or fails to seal, and the other VNs on the
-committed block or an abort. A VN keeps each query's bundle bytes (`kv`).
+committed block or an abort.
 
 Each rule has one implementation outside this module, and the nodes here
 only route messages to it, keep per-query state and handle timeouts: the
 query plan (`QueryPlan`: a query's rounds in order, the messages that
-feed a CN in each and who may send them, each round's VN check
-`VnNode._check_<kind>`, and how its output follows from what it proved),
-the protocol steps, their verifiers and the width rule (`check_input`)
-in privq.protocols, the bounded range statement in
-privq.proofs.rangeproof, and the expected proofs and block rules in
-privq.ledger. Provers sign and send their proof bundles with
-`emit_bundle`. A response, an aggregation input and a result are one
-ciphertext list, count last, which `read_cts` reads without trailing
-bytes.
-
-A VN takes each bundle as it comes, once its signature holds, and judges
-it only when its round settles: `VnNode._settle` settles the query's rounds
-in plan order, each once no bundle of it is awaited, and every round left
-before the VN's map leaves it. It walks a round's bundles in plan order,
-makes each bundle's draws and runs the round's check (`_check_<kind>`) on
-each drawn sub-proof: decoding, the statement of a CTKS/CTO proof, which
-`protocols.round_proof` builds from the payload and the keys the VN holds,
-the shape of a shuffle proof, and the aggregation, range and chain checks.
-A check compares only against values that bundles judged before it read
-(`state.slots`), so it can fail only its own sub-proof and the verdicts do
-not depend on arrival order; a CN's aggregation, judged after its
-children's, must list their checked outputs. A CTKS/CTO bundle must run
-over the round's input: the previous round's output (`Round.output`) if
-the VN has it, else the list of the round's first bundle that had a
-sub-proof drawn. A CTKS bundle is one sub-proof, the CN's shares of the
-whole list with one batched proof; a CTO bundle has one per ciphertext.
-The round's output sums the shares the payloads carry. One
-`verify_linear` or `verify_shuffle` call checks the proof equations of a
-round's bundles that passed (a batched statement term by term), and only
-if that joint batch rejects is each bundle checked alone, so a verdict
-stays per bundle and all-or-nothing within it. A VN takes `end_query`
-only from the root CN and `map_request` only from the block's leader VN.
+feed a CN in each and who may send them, and how a round's output follows
+from what it proved), the protocol steps, their verifiers and the width
+rule (`check_input`) in privq.protocols, the bounded range statement in
+privq.proofs.rangeproof, and the expected proofs, the judging of bundles
+and the block rules in privq.ledger. Provers sign and send their proof
+bundles with `emit_bundle`. A response, an aggregation input and a result
+are one ciphertext list, count last, which `read_cts` reads without
+trailing bytes.
 
 Every CN and VN reads the wire through a decode memo in its query state
-(`serial.Reader`), so it decodes each distinct point once per query; a VN
-seeds its memo with the public noise list it holds.
+(`serial.Reader`), so it decodes each distinct point once per query; a
+VN's is its verifier's, seeded with the public noise list it holds.
 """
 
 from __future__ import annotations
 
-import copy
 from types import SimpleNamespace
 
 from .. import elgamal, ledger, protocols
@@ -94,9 +73,8 @@ from ..errors import (
     CnUnavailable, DimensionMismatch, PrivqError, UnexpectedInput)
 from ..proofs import rangeproof
 from ..proofs.linear import verify_linear
-from ..proofs.shuffle import decode_shuffle, shuffle_and_prove, verify_shuffle
+from ..proofs.shuffle import shuffle_and_prove, verify_shuffle
 from ..proofs.signatures import sign, verify_signature
-from ..proofs.transcript import joint_verdicts
 from ..serial import Reader, pack_bytes, pack_u32
 from .bus import NodeBase
 from .queryparse import apply_filter, decode_query
@@ -452,39 +430,26 @@ class VnNode(NodeBase):
         self.chain = chain
         self.kv = {}  # query id -> {proof key -> bundle bytes}: every bundle taken
 
-    # ----- query intake and proof verification -----
+    # ----- query intake -----
 
     def on_query_vn(self, msg):
-        reader = Reader(msg.payload)
-        body = reader.bytes_field()
-        signature = reader.bytes_field()
-        group = self.topology.group
-        querier_pk = self.topology.keys[self.topology.querier_id].public
-        if not verify_signature(group, querier_pk, body, signature):
-            return
+        reader, topo = Reader(msg.payload), self.topology
+        body, signature = reader.bytes_field(), reader.bytes_field()
+        reader.expect_done()
+        if not verify_signature(topo.group, topo.keys[topo.querier_id].public, body, signature):
+            raise UnexpectedInput(f"query_vn not signed by the querier {topo.querier_id}")
         query = decode_query(body)
-        plan = protocols.QueryPlan(query, self.tree, self.topology.dp_assignment,
+        plan = protocols.QueryPlan(query, self.tree, topo.dp_assignment,
                                    self.range_sigs is not None)
-        expected = ledger.expected_proofs(plan)
-        slots = {}  # slot -> what a judged bundle read, for the checks after it
-        memo = {}  # the query's decode memo (`serial.Reader`)
-        if query.dp_privacy:  # the chain's first link shuffles the public list
-            noise = self.topology.initial_noise(query.operation.value_scale)
-            slots[("shuffle", 0)] = pack_cts(noise)
-            # the list the VN holds, as its own points: no other node's
-            memo.update((point.encode(), copy.copy(point))
-                        for ct in noise for point in (ct.c1, ct.c2))
+        noise = topo.initial_noise(query.operation.value_scale) if query.dp_privacy else ()
+        verifier = ledger.QueryVerifier(
+            plan, topo.group, {cn: topo.keys[cn].public for cn in topo.cn_ids},
+            topo.keys[topo.querier_id].public, topo.collective_key().public, self.policy,
+            self.rng, self.range_sigs, noise, batch=(verify_linear, verify_shuffle))
         self.states[query.query_id] = SimpleNamespace(
-            query=query,
-            query_bytes=body,
-            plan=plan,
-            map=ledger.QueryProofsMap(expected),  # its entries are in plan order
-            bundles=Awaited(expected),  # one signed bundle per expected proof key
-            settled=0,  # how many plan rounds `_settle` has settled, in order
-            outputs=[],  # each settled round's output, while `Round.output` gives it
-            slots=slots,
-            memo=memo,
-            ended=False,
+            query_bytes=body, verifier=verifier, ended=False,
+            memo=verifier.memo,  # the query's decode memo (`serial.Reader`)
+            bundles=Awaited(verifier.map.entries),  # one signed bundle per expected key
             maps=Awaited(()),  # leader: each VN's map, once it assembles
             signatures=Awaited(()),  # leader: each VN's block signature
             block=None,  # leader: the assembled block, not yet sealed
@@ -498,145 +463,7 @@ class VnNode(NodeBase):
         state.bundles.take(bundle.key, lambda: bundle.verified(
             self.topology.group, self.topology.keys[bundle.prover_id].public))
         self.kv.setdefault(bundle.query_id, {})[bundle.key] = msg.payload
-        self._settle(state)
-
-    def _verify_sub(self, state, bundle, kind, index, parts) -> bool:
-        """The VN check of the bundle's round, `_check_<kind>`, on one
-        sub-proof; what it read goes to `parts`."""
-        parts[index] = None
-        try:
-            parts[index] = getattr(self, "_check_" + kind)(state, bundle, index)
-        except (PrivqError, ValueError, IndexError, KeyError):
-            return False
-        return parts[index] is not None
-
-    def _settle(self, state, force=False):
-        """Settle the query's rounds in plan order, each once no bundle of it
-        is awaited (with `force`, every round left: the VN's map is about to
-        leave it, so this is final). A round's bundles make their draws and
-        run their checks in plan order; the CTKS/CTO or shuffle bundles that
-        pass are then checked with one batch, each alone only if it rejects."""
-        rounds = state.plan.rounds
-        while state.settled < len(rounds):
-            stage, rnd = state.settled, rounds[state.settled]
-            if not force and any(state.map.entries[key].proof_type == rnd.proof_type
-                                 for key in state.bundles.waiting):
-                return
-            state.settled += 1
-            if rnd.kind == "tree" and len(state.outputs) == stage:  # the round's input
-                state.slots[rnd.proof_type] = b"".join(
-                    ct.encode() for ct in rnd.input(state.outputs[-1]))
-            judged = {}  # key -> (prover, status, what its drawn sub-proofs read, all drawn)
-            for key, entry in state.map.entries.items():
-                bundle = state.bundles.inputs.get(key)
-                if entry.proof_type != rnd.proof_type or bundle is None:
-                    continue
-                parts = {}  # drawn sub-proof index -> what its check read, None if it failed
-                status = ledger.probabilistic_verify(
-                    bundle, self.policy, self.rng,
-                    lambda i: self._verify_sub(state, bundle, rnd.kind, i, parts))
-                judged[key] = (bundle.prover_id, status, list(parts.values()),
-                               len(parts) == len(bundle.payloads))
-            held = {key: read for key, (_, status, read, _) in judged.items()
-                    if status == ledger.STATUS_TRUE}
-            if held and rnd.kind in ("tree", "shuffle"):  # (what it proved, proof) each
-                holds = joint_verdicts(verify_linear if rnd.kind == "tree" else verify_shuffle,
-                                       ([proof for _, proof in read] for read in held.values()))
-                held = {key: read for (key, read), ok in zip(held.items(), holds) if ok}
-            for key, (_, status, _, _) in judged.items():
-                # a bundle that passed its drawn checks but not the round's batch is false
-                state.map.record(key, ledger.STATUS_FALSE if status == ledger.STATUS_TRUE
-                                 and key not in held else status)
-            if len(state.outputs) == stage and state.settled < len(rounds):
-                self._output(state, rnd, {prover: held[key] for key, (prover, _, _, complete)
-                                          in judged.items() if complete and key in held})
-
-    @staticmethod
-    def _output(state, rnd, proved):
-        """Add the settled round's output, if the provers of its
-        `outputs_from` proved it: `proved` maps each prover whose bundle
-        holds and had every sub-proof drawn to what its sub-proofs read."""
-        parts = []
-        for prover in rnd.outputs_from:
-            if prover not in proved:
-                return
-            read = proved[prover]
-            if rnd.kind == "tree":  # the shares its payloads carry, in list order
-                read = [share for shares, _ in read for share in shares]
-            elif rnd.kind == "shuffle":
-                read = [outputs for outputs, _ in read]
-            parts.append(read)
-        try:
-            state.outputs.append(rnd.output(state.outputs[-1] if state.outputs else None,
-                                            parts))
-        except PrivqError:  # a noise list too short: the root drops it too
-            pass
-
-    def _check_range(self, state, bundle, index):
-        """A DP's range proof holds over the ciphertext its CN aggregated, if
-        the VN verified that aggregation: proving one ciphertext and
-        submitting another makes this proof false."""
-        group, j = self.topology.group, bundle.seq_index
-        reader = Reader(bundle.payloads[index])
-        if reader.u32() != j:  # a proof of another element than its key names
-            return None
-        ct = elgamal.decode_ciphertext(group, reader.bytes_field(), state.memo)
-        proofs = (rangeproof.decode_range(group, reader.bytes_field(), state.memo),
-                  rangeproof.decode_range(group, reader.bytes_field(), state.memo))
-        reader.expect_done()
-        bounds = state.query.operation.element_bounds()[j]
-        if state.slots.get(("range", bundle.prover_id, j), ct) == ct and (
-                rangeproof.verify_bounded(ct, proofs, bounds, self.range_sigs,
-                                          self.topology.collective_key().public)):
-            return ct
-        return None
-
-    def _check_aggregation(self, state, bundle, index):
-        """A CN's aggregation sums inputs from its sources and lists for a
-        child CN the output of the child's, if the VN verified it; its output
-        and its DPs' ciphertexts fill the slots that its parent's check and
-        their range proofs read."""
-        agg = protocols.Aggregation.decode(self.topology.group, bundle.payloads[index],
-                                           state.memo)
-        _, inputs = state.plan.feeds("aggregation", bundle.prover_id)
-        if not protocols.verify_aggregation(agg, bundle.prover_id, [s for _, s in inputs]):
-            return None
-        listed = list(zip(agg.labels, agg.inputs))
-        if any(("cta_partial", label) in inputs
-               and state.slots.get(("partial", label), cts) != cts for label, cts in listed):
-            return None
-        for label, cts in listed:
-            if ("dp_response", label) in inputs:
-                state.slots.update((("range", label, j), ct) for j, ct in enumerate(cts[:-1]))
-        state.slots[("partial", bundle.prover_id)] = agg.output
-        return agg.output
-
-    def _check_tree(self, state, bundle, index):
-        """Input check of one CTKS/CTO sub-proof (the round's input is set as
-        the module docstring says), and its shares and its proof read against
-        the VN's own statement; `_settle` verifies the proofs in a batch."""
-        listed = b"".join(Reader(p).bytes_field() for p in bundle.payloads)
-        if state.slots.setdefault(bundle.proof_type, listed) != listed:
-            return None
-        return protocols.round_proof(
-            self.topology.group, bundle.proof_type, bundle.payloads[index],
-            cn_public=self.topology.keys[bundle.prover_id].public,
-            target_pk=self.topology.keys[self.topology.querier_id].public,
-            memo=state.memo)
-
-    def _check_shuffle(self, state, bundle, index):
-        """Shape and chain check of a shuffle proof: link i shuffles link
-        i - 1's output list, as its proof states it, and link 0 the public
-        list. `_settle` verifies the proof in the round's batch."""
-        proof = decode_shuffle(self.topology.group, bundle.payloads[index], state.memo)
-        if proof.omega != self.topology.collective_key().public:
-            return None
-        position = self.tree.nodes.index(bundle.prover_id)
-        state.slots[("shuffle", position + 1)] = pack_cts(proof.outputs)
-        listed = pack_cts(proof.inputs)
-        if state.slots.get(("shuffle", position), listed) != listed:
-            return None
-        return list(proof.outputs), proof
+        state.verifier.add(bundle)
 
     # ----- block assembly -----
 
@@ -653,8 +480,9 @@ class VnNode(NodeBase):
     def on_idle(self, level: int = 0):
         for query_id, state in list(self.states.items()):
             if state.ended and not state.maps.inputs and self._leader() == self.identity:
-                self._settle(state, force=True)
-                state.maps = Awaited(self.topology.vn_ids, taken={self.identity: state.map})
+                state.verifier.settle(force=True)
+                state.maps = Awaited(self.topology.vn_ids,
+                                     taken={self.identity: state.verifier.map})
                 for vn in self.topology.vn_ids:
                     if vn != self.identity:
                         self.send(query_id, "map_request", vn)
@@ -670,8 +498,8 @@ class VnNode(NodeBase):
             raise UnexpectedInput(f"map_request from {msg.sender}, which is not the leader")
         state = self.states.get(msg.query_id)
         if state is not None:
-            self._settle(state, force=True)
-            self.send(msg.query_id, "map_submit", msg.sender, state.map.encode())
+            state.verifier.settle(force=True)
+            self.send(msg.query_id, "map_submit", msg.sender, state.verifier.map.encode())
 
     def on_map_submit(self, msg):
         state = self.states.get(msg.query_id)
@@ -697,7 +525,7 @@ class VnNode(NodeBase):
             return
         signature = ledger.sign_block(
             self.topology.group, self.identity, self.topology.keys[self.identity].private,
-            ledger.Block.decode(msg.payload), state.map)
+            ledger.Block.decode(msg.payload), state.verifier.map)
         self.send(msg.query_id, "block_signature", msg.sender, signature)
 
     def on_block_signature(self, msg):

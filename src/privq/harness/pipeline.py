@@ -96,10 +96,13 @@ class Simulation:
 
     def run(self, query) -> QueryOutcome:
         """Run one query to its committed block. A bits-mode query with a
-        RANGE needs a pairing profile; on any other it raises
-        PairingUnavailable before a message is sent."""
+        RANGE needs a pairing profile, and a DP-privacy one noise parameters
+        that `protocols.quantize_laplace` takes; else it raises
+        PairingUnavailable or InvalidPrivacyParams before a message is sent."""
         if query.bounds is not None and query.operation.uses_obfuscation:
             require_pairing(self.topology.group)
+        if query.dp_privacy:
+            self.topology.initial_noise(query.operation.value_scale)
         t0 = time.perf_counter()
         delivered = self.bus.delivered
         state = self.querier.start(query)

@@ -3,12 +3,13 @@ verification, query-proofs maps, threshold-signed blocks, and audit.
 
 Every VN derives the same list of expected proof keys from a query,
 verifies incoming signed proof bundles probabilistically (thresholds T for
-opening a proof, T_sub per sub-proof), and records per-key verdicts. At
-end of query a round-robin leader assembles a block holding the query and
-every VN's map; VNs sign iff their own map is faithfully recorded, and the
-block commits once f_h signatures are gathered. Blocks hash-link into an
-append-only chain whose `append` is the one rule that accepts a block;
-`audit` reports the verdicts of one accepted block.
+opening a proof, T_sub per sub-proof) with one `QueryVerifier` per query,
+and records per-key verdicts. At end of query a round-robin leader
+assembles a block holding the query and every VN's map; VNs sign iff
+their own map is faithfully recorded, and the block commits once f_h
+signatures are gathered. Blocks hash-link into an append-only chain whose
+`append` is the one rule that accepts a block; `audit` reports the
+verdicts of one accepted block.
 
 Coverage probabilities follow the published formulas
 
@@ -25,13 +26,17 @@ not by shortcut.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import math
 import os
+from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import protocols
+from .elgamal import decode_ciphertext, pack_cts
 from .errors import (
     BlockNotFound,
     BrokenChain,
@@ -42,7 +47,11 @@ from .errors import (
     PrivqError,
     UnexpectedInput,
 )
+from .proofs import rangeproof
+from .proofs.linear import verify_linear
+from .proofs.shuffle import decode_shuffle, verify_shuffle
 from .proofs.signatures import sign, verify_signature
+from .proofs.transcript import joint_verdicts
 from .serial import Reader, pack_bytes, pack_u32
 
 STATUS_TRUE = "true"
@@ -84,6 +93,9 @@ class CoverageProbability:
 
 
 def coverage_probability(policy: VerificationPolicy) -> CoverageProbability:
+    """The published coverage of one proof with one sub-proof. T_sub is
+    drawn once per payload (`probabilistic_verify`), so p_ver_sub is also
+    the coverage of a CTKS bundle, one payload for all of a CN's shares."""
     n, t, t_sub = policy.n_vn, policy.t, policy.t_sub
     p_ver = 1.0 - (1.0 - t) ** n
     p_ver_sub = 1.0 - ((1.0 - t) + t * (1.0 - t_sub)) ** n
@@ -244,7 +256,10 @@ def probabilistic_verify(bundle: ProofBundle, policy: VerificationPolicy, rng,
                          verify_sub) -> str:
     """Open the bundle with probability T; check each sub-proof with
     probability T_sub via `verify_sub(index) -> bool`. The bundle is stored
-    regardless; unopened or unchecked bundles report "stored"."""
+    regardless; unopened or unchecked bundles report "stored". T_sub is
+    drawn once per payload: a CTKS bundle, one payload for all of a CN's
+    shares, is checked with probability T * T_sub, a CTO bundle's
+    ciphertexts each with T_sub."""
     if _uniform(rng) >= policy.t:
         return STATUS_STORED
     verdicts = []
@@ -254,6 +269,160 @@ def probabilistic_verify(bundle: ProofBundle, policy: VerificationPolicy, rng,
     if not verdicts:
         return STATUS_STORED
     return STATUS_TRUE if all(verdicts) else STATUS_FALSE
+
+
+class QueryVerifier:
+    """One VN's verdicts on one query's proof bundles, judged with no bus
+    against the query's `protocols.QueryPlan`: `add` takes each bundle whose
+    signature holds, `settle` judges, `map` holds the verdicts and `outputs`
+    each settled round's output while it is known.
+
+    The rounds settle in plan order, each once none of its bundles is
+    missing, or all that are left with `settle(force=True)`, which is final.
+    A round's bundles make their draws (`probabilistic_verify`) in plan
+    order, and its check runs on each drawn sub-proof: decoding, a CTKS/CTO
+    statement (`protocols.round_proof`), a shuffle proof's shape, and the
+    aggregation, range and chain checks. A check compares only against what
+    bundles judged before it read (`slots`), so it fails only its own
+    sub-proof and the verdicts do not depend on the order of `add`; a
+    CTKS/CTO bundle must run over the previous round's output if that is
+    known, else over the list of the round's first bundle with a sub-proof
+    drawn. A check returns what `Round.output` takes and the proof for the
+    round's joint batch (`batch`), or None. Only if a joint batch rejects is
+    each bundle checked alone, so a verdict stays per bundle and
+    all-or-nothing within it. A round's output follows from what each bundle
+    of its `outputs_from` proved, if it holds and had every sub-proof drawn.
+    Points are read through one decode memo, `memo`, seeded with the VN's
+    own copy of the public `noise` list."""
+
+    def __init__(self, plan, group, cn_keys, target_pk, collective_pk, policy, rng,
+                 range_sigs=None, noise=(), batch=(verify_linear, verify_shuffle)):
+        self.plan, self.group, self.cn_keys = plan, group, cn_keys
+        self.target_pk, self.collective_pk = target_pk, collective_pk
+        self.policy, self.rng, self.range_sigs = policy, rng, range_sigs
+        self.memo = {}  # the query's decode memo (`serial.Reader`)
+        self.batch = dict(zip(("tree", "shuffle"), batch))
+        self.map = QueryProofsMap(expected_proofs(plan))  # its entries are in plan order
+        self.bundles = {}  # key -> the bundle added for it
+        self.settled = 0  # how many plan rounds have settled, in order
+        self.outputs = []  # each settled round's output, while `Round.output` gives it
+        self.slots = {}  # slot -> what a judged bundle read, for the checks after it
+        if noise:  # the chain's first link shuffles the public list
+            self.slots[("shuffle", 0)] = pack_cts(noise)
+            self.memo.update((p.encode(), copy.copy(p)) for ct in noise for p in (ct.c1, ct.c2))
+
+    def add(self, bundle: ProofBundle):
+        """Take a signed bundle of an expected key; settle what can settle."""
+        self.bundles.setdefault(bundle.key, bundle)
+        self.settle()
+
+    def settle(self, force=False):
+        """Settle the rounds in plan order, as the class docstring says."""
+        rounds = self.plan.rounds
+        while self.settled < len(rounds):
+            stage, rnd = self.settled, rounds[self.settled]
+            keys = [key for key, e in self.map.entries.items() if e.proof_type == rnd.proof_type]
+            if not force and any(key not in self.bundles for key in keys):
+                return
+            self.settled += 1
+            known = len(self.outputs) == stage  # the round's input
+            if rnd.kind == "tree" and known:
+                self.slots[rnd.proof_type] = b"".join(
+                    ct.encode() for ct in rnd.input(self.outputs[-1]))
+            judged = {key: self._judge(rnd, self.bundles[key]) for key in keys
+                      if key in self.bundles}
+            held = {key: read for key, (status, read) in judged.items() if status == STATUS_TRUE}
+            if held and rnd.kind in self.batch:
+                holds = joint_verdicts(self.batch[rnd.kind], (
+                    [proof for _, proof in read.values()] for read in held.values()))
+                held = {key: read for (key, read), ok in zip(held.items(), holds) if ok}
+            for key, (status, _) in judged.items():
+                # a bundle that passed its drawn checks but not the round's batch is false
+                self.map.record(key, STATUS_FALSE if status == STATUS_TRUE
+                                and key not in held else status)
+            if not known or self.settled == len(rounds):
+                continue
+            # what each prover proved, if its bundle holds and had every sub-proof drawn
+            proved = {self.bundles[key].prover_id: [x for part, _ in read.values() for x in part]
+                      for key, read in held.items()
+                      if len(read) == len(self.bundles[key].payloads)}
+            if set(rnd.outputs_from) <= proved.keys():
+                with suppress(PrivqError):  # a noise list too short: the root drops it too
+                    self.outputs.append(rnd.output(self.outputs[-1] if self.outputs else None,
+                                                   [proved[p] for p in rnd.outputs_from]))
+
+    def _judge(self, rnd, bundle):
+        """The bundle's status, and what the check returned on each drawn
+        sub-proof, by index: (part, proof), or None if it failed."""
+        read = {}
+        check = {"range": self._range, "aggregation": self._aggregation,
+                 "tree": self._tree, "shuffle": self._shuffle}[rnd.kind]
+
+        def verify_sub(index):
+            read[index] = None
+            with suppress(PrivqError, ValueError, IndexError, KeyError):
+                read[index] = check(bundle, index)
+            return read[index] is not None
+
+        return probabilistic_verify(bundle, self.policy, self.rng, verify_sub), read
+
+    def _range(self, bundle, index):
+        """A DP's range proof holds over the ciphertext its CN aggregated, if
+        that aggregation was verified: proving one ciphertext and submitting
+        another makes this proof false."""
+        j, reader = bundle.seq_index, Reader(bundle.payloads[index])
+        if reader.u32() != j:  # a proof of another element than its key names
+            return None
+        ct = decode_ciphertext(self.group, reader.bytes_field(), self.memo)
+        proofs = [rangeproof.decode_range(self.group, reader.bytes_field(), self.memo)
+                  for _ in range(2)]
+        reader.expect_done()
+        bounds = self.plan.query.operation.element_bounds()[j]
+        if self.slots.get(("range", bundle.prover_id, j), ct) == ct and (
+                rangeproof.verify_bounded(ct, proofs, bounds, self.range_sigs,
+                                          self.collective_pk)):
+            return (ct,), None
+        return None
+
+    def _aggregation(self, bundle, index):
+        """A CN's aggregation sums inputs from its sources and lists a child
+        CN's output as checked; its output and its DPs' ciphertexts fill the
+        slots that its parent's check and their range proofs read."""
+        agg = protocols.Aggregation.decode(self.group, bundle.payloads[index], self.memo)
+        _, inputs = self.plan.feeds("aggregation", bundle.prover_id)
+        if not protocols.verify_aggregation(agg, bundle.prover_id, [s for _, s in inputs]):
+            return None
+        listed = list(zip(agg.labels, agg.inputs))
+        if any(("cta_partial", label) in inputs
+               and self.slots.get(("partial", label), cts) != cts for label, cts in listed):
+            return None
+        for label, cts in listed:
+            if ("dp_response", label) in inputs:
+                self.slots.update((("range", label, j), ct) for j, ct in enumerate(cts[:-1]))
+        self.slots[("partial", bundle.prover_id)] = agg.output
+        return agg.output, None
+
+    def _tree(self, bundle, index):
+        """Input check, then shares and proof, of one CTKS/CTO sub-proof."""
+        listed = b"".join(Reader(p).bytes_field() for p in bundle.payloads)
+        if self.slots.setdefault(bundle.proof_type, listed) != listed:
+            return None
+        return protocols.round_proof(self.group, bundle.proof_type, bundle.payloads[index],
+                                     cn_public=self.cn_keys[bundle.prover_id],
+                                     target_pk=self.target_pk, memo=self.memo)
+
+    def _shuffle(self, bundle, index):
+        """Shape and chain check of a shuffle proof: link i shuffles link
+        i - 1's output list as its proof states it, link 0 the public list."""
+        proof = decode_shuffle(self.group, bundle.payloads[index], self.memo)
+        if proof.omega != self.collective_pk:
+            return None
+        position = self.plan.tree.nodes.index(bundle.prover_id)
+        self.slots[("shuffle", position + 1)] = pack_cts(proof.outputs)
+        listed = pack_cts(proof.inputs)
+        if self.slots.get(("shuffle", position), listed) != listed:
+            return None
+        return list(proof.outputs), proof
 
 
 # ---------------------------------------------------------------------------

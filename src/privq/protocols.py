@@ -15,9 +15,9 @@ addressed to the verifying nodes. A response is one ciphertext list, count
 last. `QueryPlan` chains the steps into a query's rounds: who runs and
 proves each, which messages feed a CN in it and who may send them, and
 how each round's output follows from the previous one's and from what its
-proofs proved. The node runtimes (harness.nodes) are the only callers: the
-CNs run the plan over inputs that obey the width rule (`check_input`), and
-the verifying nodes check payloads with the verifiers defined here.
+proofs proved. The CNs (harness.nodes) run the plan over inputs that obey
+the width rule (`check_input`), and each verifying node's
+`ledger.QueryVerifier` checks payloads with the verifiers defined here.
 """
 
 from __future__ import annotations
@@ -364,11 +364,11 @@ def cdp_apply(cts, noise_cts) -> list:
 @dataclass(frozen=True)
 class Round:
     """One round of a query plan. `kind` is the step its provers run and the
-    VN check (`VnNode._check_<kind>`): "range", "aggregation", "tree" (CTO
-    or CTKS, whose messages carry `tag`) or "shuffle". Each prover signs
-    `proofs` bundles; those of `outputs_from` give the round's output. A VN
-    judges a round's bundles once the round settles, in the order of
-    `provers`."""
+    check that `ledger.QueryVerifier` runs on its sub-proofs: "range",
+    "aggregation", "tree" (CTO or CTKS, whose messages carry `tag`) or
+    "shuffle". Each prover signs `proofs` bundles; those of `outputs_from`
+    give the round's output. A VN judges a round's bundles once the round
+    settles, in the order of `provers`."""
 
     proof_type: str
     kind: str
@@ -383,16 +383,16 @@ class Round:
 
     def output(self, previous, parts) -> list:
         """The round's output from the previous round's and `parts`, for each
-        prover of `outputs_from` the list of what its sub-proofs proved: the
+        prover of `outputs_from` what its sub-proofs proved, in order: the
         root's aggregation output, the last shuffle link's output list, or a
         CN's CTKS/CTO shares (a CN passes its subtree's sums). A range round
         passes its input on."""
         if self.kind == "range":
             return previous
         if self.kind == "aggregation":
-            return list(parts[0][0])
+            return list(parts[0])
         if self.kind == "shuffle":
-            return cdp_apply(previous, parts[0][0])
+            return cdp_apply(previous, parts[0])
         sums = sum_vectors(parts)
         if self.proof_type == "obfuscation":  # the blinded vector, count last
             return list(sums) + previous[-1:]
@@ -403,11 +403,11 @@ class QueryPlan:
     """The rounds of `query` over the CN tree `tree`, in order: aggregation
     (CTA), the DPs' range proofs (with `range_proofs` and bounds), CTO for
     bit-wise results, the noise shuffle (CDP) under DP privacy, and CTKS.
-    Each round after aggregation runs over the previous one's output. A VN
-    judges the rounds in this order, and the aggregations children first
-    (`CnTree.bottom_up`), so a CN's aggregation is checked against its
-    children's outputs, a range proof against the ciphertext its DP's CN
-    aggregated, and shuffle link i against link i - 1's output list."""
+    Each round after aggregation runs over the previous one's output. A VN's
+    `ledger.QueryVerifier` judges the rounds in this order, and the
+    aggregations children first (`CnTree.bottom_up`), so its aggregation
+    check reads a CN's children's outputs, its range check the ciphertext
+    the DP's CN aggregated, and its shuffle check link i - 1's output list."""
 
     def __init__(self, query, tree, dp_assignment=None, range_proofs=False):
         self.query, self.tree, self.dp_assignment = query, tree, dp_assignment or {}

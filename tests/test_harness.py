@@ -778,6 +778,36 @@ def test_junk_map_submit_dropped():
     _assert_no_query_state(sim)
 
 
+@pytest.mark.parametrize("forge, error", [
+    ("flipped_signature", "UnexpectedInput("), ("trailing_bytes", "MalformedProof(")])
+def test_forged_query_vn_dropped(forge, error):
+    """A `query_vn` whose querier signature has one byte flipped, or with
+    bytes after the signature, posted to every VN, is dropped and logged
+    once per VN like any refused input, and no VN opens state for it; the
+    next honest query still commits."""
+    from privq.proofs.signatures import sign
+
+    topo = Topology.build(n_cns=2, n_dps=2, n_vns=3, seed=45)
+    topo.dp_data = {"DP1": [{"x": 4}], "DP2": [{"x": 9}]}
+    sim = Simulation(topo, seed=45)
+    body = parse_query("SELECT sum x ON DP1,DP2", scale=1, query_id="forged").encode()
+    signature = bytearray(sign(topo.group, topo.keys[topo.querier_id].private, body))
+    trailer = b"junk" if forge == "trailing_bytes" else b""
+    if forge == "flipped_signature":
+        signature[-1] ^= 1
+    for vn in topo.vn_ids:
+        sim.bus.post("forged", "query_vn", topo.querier_id, vn,
+                     pack_bytes(body) + pack_bytes(bytes(signature)) + trailer)
+    sim.bus.pump()
+    assert sorted(entry[:3] for entry in sim.bus.dropped) == [
+        (vn, "query_vn", topo.querier_id) for vn in topo.vn_ids]
+    assert all(entry[3].startswith(error) for entry in sim.bus.dropped)
+    _assert_no_query_state(sim)
+    out = sim.run(parse_query("SELECT sum x ON DP1,DP2", scale=1))
+    assert out.result.values[0] == 13.0 and sim.audit(out.query_id).ok
+    assert len(sim.bus.dropped) == len(topo.vn_ids)
+
+
 def test_bundle_with_non_utf8_query_id_dropped():
     """A bundle whose query id is not UTF-8 is a malformed message from its
     sender, not a crash of the VNs that receive it."""
@@ -939,6 +969,31 @@ def test_noise_list_shorter_than_the_result_aborts():
     assert (recipient, round_) == (topo.cn_ids[0], "cdp_done")
     assert error.startswith("NoiseExhausted(")
     _assert_no_query_state(sim)
+
+
+def test_noise_parameters_refused_before_any_message(monkeypatch):
+    """theta = 2 does not divide delta_f = 1, so `quantize_laplace` refuses
+    the noise list: `Simulation.run` raises InvalidPrivacyParams before a
+    message is sent, and no node holds state for the query. With valid
+    parameters the list is computed once per query, and the root CN and
+    the VNs use that one."""
+    from privq import protocols
+    from privq.errors import InvalidPrivacyParams
+
+    topo = Topology.build(n_cns=3, n_dps=3, n_vns=3, seed=5)
+    topo.cdp_params = {"epsilon": 1.0, "delta_f": 1.0, "theta": 2, "list_size": 8}
+    topo.dp_data = {"DP1": [{"x": 10}], "DP2": [{"x": 20}], "DP3": [{"x": 30}]}
+    sim = Simulation(topo, seed=5)
+    with pytest.raises(InvalidPrivacyParams):
+        sim.run(parse_query("SELECT sum x ON DP1,DP2,DP3", scale=100, dp_privacy=True))
+    assert sim.bus.delivered == 0
+    _assert_no_query_state(sim)
+    calls, honest = [], protocols.initial_noise
+    monkeypatch.setattr(protocols, "initial_noise",
+                        lambda *args: calls.append(args) or honest(*args))
+    topo.cdp_params = {"epsilon": 1.0, "delta_f": 1.0, "theta": 0.5, "list_size": 8}
+    out = sim.run(parse_query("SELECT sum x ON DP1,DP2,DP3", scale=100, dp_privacy=True))
+    assert len(calls) == 1 and sim.audit(out.query_id).ok
 
 
 def test_silent_shuffle_link_is_named():
